@@ -8,7 +8,7 @@
 //
 // Environment knobs (all optional):
 //   CN_SEED  — simulation seed (default 42)
-//   CN_SCALE — data-set scale factor (default 1.0)
+//   CN_SCALE — data-set scale factor (default: each bench's own)
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -46,9 +46,17 @@ inline std::uint64_t seed_from_env() {
   return v;
 }
 
+/// The scale scale_from_env() last resolved (0 before the first call):
+/// what JsonReport records, so a bench that falls back to its own default
+/// reports that default rather than the 1.0 of an unset CN_SCALE.
+inline double& resolved_scale() {
+  static double scale = 0.0;
+  return scale;
+}
+
 inline double scale_from_env(double fallback = 1.0) {
   const char* s = std::getenv("CN_SCALE");
-  if (s == nullptr) return fallback;
+  if (s == nullptr) return resolved_scale() = fallback;
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(s, &end);
@@ -57,7 +65,7 @@ inline double scale_from_env(double fallback = 1.0) {
     std::fprintf(stderr, "error: CN_SCALE='%s' is not a positive number\n", s);
     std::exit(2);
   }
-  return v;
+  return resolved_scale() = v;
 }
 
 /// Directory for CSV exports; created on first use.
@@ -80,7 +88,7 @@ inline std::string out_dir() {
 ///   {
 ///     "bench": "<name>",
 ///     "seed": <CN_SEED>,
-///     "scale": <CN_SCALE>,
+///     "scale": <the scale the bench ran at: CN_SCALE or its default>,
 ///     "wall_seconds": <total main() wall time>,
 ///     "metrics": { "<key>": <value>, ... }   // insertion order
 ///   }
@@ -154,7 +162,8 @@ class JsonReport {
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n", name_.c_str());
     std::fprintf(f, "  \"seed\": %llu,\n",
                  static_cast<unsigned long long>(seed_from_env()));
-    std::fprintf(f, "  \"scale\": %.17g,\n", scale_from_env());
+    std::fprintf(f, "  \"scale\": %.17g,\n",
+                 resolved_scale() > 0.0 ? resolved_scale() : scale_from_env());
     std::fprintf(f, "  \"wall_seconds\": %.6f,\n", wall);
     std::fprintf(f, "  \"metrics\": {");
     for (std::size_t i = 0; i < metrics_.size(); ++i) {

@@ -1,18 +1,23 @@
 #include "node/block_template.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 
+#include "obs/registry.hpp"
 #include "util/assert.hpp"
 
 namespace cn::node {
 
 namespace {
 
+using Handle = MempoolHandle;
+
 struct PackageScore {
   btc::FeeRate rate{};       ///< effective package fee-rate
   btc::Txid id{};            ///< the package's representative (descendant)
   SimTime arrival = 0;       ///< representative's mempool arrival (FIFO mode)
+  Handle handle = kNoMempoolHandle;  ///< the representative's mempool slot
   bool fifo = false;         ///< order by arrival instead of fee-rate
 
   /// Max-heap ordering with deterministic txid tie-break. In FIFO mode
@@ -28,49 +33,86 @@ struct PackageScore {
   }
 };
 
+/// Builder telemetry (DESIGN.md §10): tallied in plain integers during a
+/// build and added to the registry once per build, never per pop.
+struct TemplateMetrics {
+  obs::Counter builds{"node.template.builds"};
+  obs::Counter seeded{"node.template.seeded"};
+  obs::Counter heap_pops{"node.template.heap_pops"};
+};
+
+TemplateMetrics& template_metrics() {
+  static TemplateMetrics* m = new TemplateMetrics();  // interned once per process
+  return *m;
+}
+
+/// Where an entry stands in the current build.
+enum class Mark : std::uint8_t { kQueued, kSelected, kDropped, kExcluded };
+
 class TemplateBuilder {
  public:
   TemplateBuilder(const Mempool& mempool, const TemplateOptions& options)
-      : mempool_(mempool), options_(options) {}
+      : mempool_(mempool),
+        options_(options),
+        mark_(mempool.slot_count(), Mark::kQueued) {
+    // Resolve the txid-keyed options to handles once per build; ids that
+    // are not queued cannot affect this template.
+    for (const btc::Txid& id : options_.exclude) {
+      const Handle h = mempool_.handle_of(id);
+      if (h != kNoMempoolHandle) mark_[h] = Mark::kExcluded;
+    }
+    if (!options_.fee_deltas.empty()) {
+      fee_delta_.assign(mempool_.slot_count(), 0);
+      for (const auto& [id, delta] : options_.fee_deltas) {
+        const Handle h = mempool_.handle_of(id);
+        if (h != kNoMempoolHandle) fee_delta_[h] = delta.value;
+      }
+    }
+  }
 
   BlockTemplate build() {
     seed_heap();
     BlockTemplate out;
-    std::vector<const MempoolEntry*> package;  // reused across iterations
-    while (!heap_.empty()) {
+    std::uint64_t pops = 0;
+    while (!heap_.empty() && !nothing_fits(options_.max_vsize - out.total_vsize)) {
       const PackageScore top = heap_.top();
       heap_.pop();
-      if (selected_.contains(top.id) || dropped_.contains(top.id)) continue;
+      ++pops;
+      if (mark_[top.handle] != Mark::kQueued) continue;
 
       // Recompute: ancestors may have been selected since this entry was
       // pushed, which only *raises* the package rate (lazy invalidation).
-      const btc::FeeRate current = package_rate(top.id, package);
+      const btc::FeeRate current = package_rate(top.handle);
       if (current != top.rate) {
-        heap_.push(PackageScore{current, top.id, top.arrival, top.fifo});
+        heap_.push(PackageScore{current, top.id, top.arrival, top.handle, top.fifo});
         continue;
       }
-      if (package.empty()) {
+      if (package_.empty()) {
         // Package depends on a censored ancestor: permanently unmineable.
-        dropped_.insert(top.id);
+        mark_[top.handle] = Mark::kDropped;
         continue;
       }
 
       if (options_.min_rate.valid() && current < options_.min_rate) {
         // Heap is rate-ordered; everything below the floor from here on.
         // (Entries may be stale-low, so drop just this one and continue.)
-        dropped_.insert(top.id);
+        mark_[top.handle] = Mark::kDropped;
         continue;
       }
 
       std::uint64_t package_vsize = 0;
-      for (const MempoolEntry* e : package) package_vsize += e->tx.vsize();
+      for (const Handle h : package_) package_vsize += mempool_.entry(h).tx.vsize();
       if (out.total_vsize + package_vsize > options_.max_vsize) {
-        dropped_.insert(top.id);  // space only shrinks; never fits later
+        mark_[top.handle] = Mark::kDropped;  // space only shrinks; never fits later
         continue;
       }
 
-      append_package(package, out);
+      append_package(out);
     }
+    TemplateMetrics& m = template_metrics();
+    m.builds.add();
+    m.seeded.add(seeded_);
+    m.heap_pops.add(pops);
     return out;
   }
 
@@ -81,32 +123,43 @@ class TemplateBuilder {
     // depend on how the heap was built, so this matches per-push seeding.
     std::vector<PackageScore> seed;
     seed.reserve(mempool_.size());
-    std::vector<const MempoolEntry*> package;
-    mempool_.for_each_entry([&](const MempoolEntry& entry) {
-      const btc::Txid& id = entry.tx.id();
-      if (options_.exclude.contains(id)) return;
-      // Parentless entries (the overwhelmingly common case) score as their
-      // own effective fee-rate — no mempool lookups at all. The ancestry
-      // walk runs only for the few CPFP-linked entries.
-      const btc::FeeRate rate =
-          entry.in_pool_parents == 0
-              ? btc::FeeRate(effective_fee(entry), entry.tx.vsize())
-              : package_rate(id, package);
-      seed.push_back(PackageScore{rate, id, entry.arrival, options_.fifo});
+    smallest_.reserve(mempool_.size());
+    mempool_.for_each_handle([&](Handle h, const MempoolEntry& entry) {
+      if (mark_[h] == Mark::kExcluded) return;
+      seed.push_back(
+          PackageScore{package_rate(h), entry.tx.id(), entry.arrival, h, options_.fifo});
+      smallest_.push_back((std::uint64_t{entry.tx.vsize()} << 32) | h);
     });
+    seeded_ = seed.size();
     heap_ = std::priority_queue<PackageScore>(std::less<PackageScore>{},
                                               std::move(seed));
+    std::make_heap(smallest_.begin(), smallest_.end(), std::greater<>{});
   }
 
-  btc::Satoshi effective_fee(const MempoolEntry& entry) const {
+  /// True once the space left is below the smallest vsize among entries
+  /// still queued (neither selected, dropped nor excluded). A package is
+  /// never smaller than its own transaction, so every later pop would be
+  /// skipped or dropped: stopping here leaves the template unchanged.
+  bool nothing_fits(std::uint64_t space_left) {
+    while (!smallest_.empty()) {
+      const std::uint64_t top = smallest_.front();
+      if (mark_[static_cast<Handle>(top)] == Mark::kQueued) {
+        return space_left < (top >> 32);
+      }
+      std::pop_heap(smallest_.begin(), smallest_.end(), std::greater<>{});
+      smallest_.pop_back();
+    }
+    return true;
+  }
+
+  btc::Satoshi effective_fee(Handle h, const MempoolEntry& entry) const {
     // Fast path: no acceleration deltas and no age boost configured means
     // the effective fee is the real fee (fees are non-negative).
-    if (options_.fee_deltas.empty() && options_.age_weight_per_hour <= 0.0) {
+    if (fee_delta_.empty() && options_.age_weight_per_hour <= 0.0) {
       return entry.tx.fee();
     }
     btc::Satoshi fee = entry.tx.fee();
-    const auto it = options_.fee_deltas.find(entry.tx.id());
-    if (it != options_.fee_deltas.end()) fee += it->second;
+    if (!fee_delta_.empty()) fee += btc::Satoshi{fee_delta_[h]};
     if (options_.age_weight_per_hour > 0.0 && options_.now > entry.arrival) {
       const double hours =
           static_cast<double>(options_.now - entry.arrival) / 3600.0;
@@ -118,69 +171,77 @@ class TemplateBuilder {
     return fee;
   }
 
-  /// Effective fee-rate of the package rooted at @p id; fills @p package
-  /// with the entry and its unselected ancestors (unordered). Returns an
-  /// invalid rate if the package contains an excluded ancestor.
-  btc::FeeRate package_rate(const btc::Txid& id,
-                            std::vector<const MempoolEntry*>& package) const {
-    package.clear();
-    const MempoolEntry* self = mempool_.find(id);
-    CN_ASSERT(self != nullptr);
-    package.push_back(self);
-    if (self->in_pool_parents == 0) {
-      // No unconfirmed ancestry (the overwhelmingly common case): the
-      // package is the transaction alone. Skips the BFS and its
-      // allocations.
-      return btc::FeeRate(effective_fee(*self), self->tx.vsize());
+  /// Effective fee-rate of the package rooted at @p h; fills package_
+  /// with the entry and its unselected ancestors. Returns an invalid rate
+  /// (and an empty package) if the package contains an excluded ancestor.
+  btc::FeeRate package_rate(Handle h) {
+    package_.clear();
+    package_.push_back(h);
+    const MempoolEntry& self = mempool_.entry(h);
+    if (self.in_pool_parents == 0) {
+      // No counted ancestry (the overwhelmingly common case): the package
+      // is the transaction alone.
+      return btc::FeeRate(effective_fee(h, self), self.tx.vsize());
     }
-    for (const MempoolEntry* anc : mempool_.ancestors_of(id)) {
-      if (selected_.contains(anc->tx.id())) continue;
-      if (options_.exclude.contains(anc->tx.id())) {
-        package.clear();
-        return btc::FeeRate{};  // unmineable: would pull in a censored tx
+    // Mempool::ancestors_of's walk — depth-first over inputs in input
+    // order, through selected ancestors too — with visit stamps in place
+    // of a hash set.
+    if (visit_.empty()) visit_.assign(mempool_.slot_count(), 0);
+    ++stamp_;
+    frontier_.assign(1, h);
+    while (!frontier_.empty()) {
+      const Handle cur = frontier_.back();
+      frontier_.pop_back();
+      for (const Handle parent : mempool_.parents_of(cur)) {
+        if (parent == kNoMempoolHandle || visit_[parent] == stamp_) continue;
+        visit_[parent] = stamp_;
+        frontier_.push_back(parent);
+        if (mark_[parent] == Mark::kSelected) continue;
+        if (mark_[parent] == Mark::kExcluded) {
+          package_.clear();
+          return btc::FeeRate{};  // unmineable: would pull in a censored tx
+        }
+        package_.push_back(parent);
       }
-      package.push_back(anc);
     }
     btc::Satoshi fee{};
     std::uint64_t vsize = 0;
-    for (const MempoolEntry* e : package) {
-      fee += effective_fee(*e);
-      vsize += e->tx.vsize();
+    for (const Handle p : package_) {
+      const MempoolEntry& e = mempool_.entry(p);
+      fee += effective_fee(p, e);
+      vsize += e.tx.vsize();
     }
     return btc::FeeRate(fee, vsize);
   }
 
-  /// Appends the package with parents before children.
-  void append_package(std::vector<const MempoolEntry*>& package, BlockTemplate& out) {
+  /// Appends package_ with parents before children.
+  void append_package(BlockTemplate& out) {
     // Topological order: repeatedly emit entries whose in-package parents
     // are all already emitted. Packages are tiny (chain depth <= a few),
     // so the quadratic scan is immaterial.
-    std::vector<const MempoolEntry*> pending(package.begin(), package.end());
+    std::vector<Handle>& pending = package_;
     // Deterministic starting order.
-    std::sort(pending.begin(), pending.end(),
-              [](const MempoolEntry* a, const MempoolEntry* b) {
-                return a->tx.id() < b->tx.id();
-              });
+    std::sort(pending.begin(), pending.end(), [this](Handle a, Handle b) {
+      return mempool_.entry(a).tx.id() < mempool_.entry(b).tx.id();
+    });
     while (!pending.empty()) {
       bool progressed = false;
       for (auto it = pending.begin(); it != pending.end();) {
-        const MempoolEntry* e = *it;
+        const Handle h = *it;
         bool ready = true;
-        for (const btc::TxInput& in : e->tx.inputs()) {
-          if (in.prev_txid.is_null()) continue;
-          for (const MempoolEntry* other : pending) {
-            if (other != e && other->tx.id() == in.prev_txid) {
-              ready = false;
-              break;
-            }
+        for (const Handle parent : mempool_.parents_of(h)) {
+          if (parent != kNoMempoolHandle && parent != h &&
+              std::find(pending.begin(), pending.end(), parent) != pending.end()) {
+            ready = false;
+            break;
           }
-          if (!ready) break;
         }
         if (ready) {
-          selected_.insert(e->tx.id());
-          out.total_vsize += e->tx.vsize();
-          out.total_fees += e->tx.fee();  // real fee, not effective
-          out.txs.push_back(e->tx);
+          const btc::Transaction& tx = mempool_.entry(h).tx;
+          mark_[h] = Mark::kSelected;
+          out.total_vsize += tx.vsize();
+          out.total_fees += tx.fee();  // real fee, not effective
+          out.txs.push_back(tx);
           it = pending.erase(it);
           progressed = true;
         } else {
@@ -193,9 +254,18 @@ class TemplateBuilder {
 
   const Mempool& mempool_;
   const TemplateOptions& options_;
+  // Per-handle state, owned by the builder: Mempool's const methods run
+  // concurrently on sharded-engine lanes, so the pool holds no scratch.
+  std::vector<Mark> mark_;
+  std::vector<std::int64_t> fee_delta_;  ///< empty without fee_deltas
+  std::vector<std::uint32_t> visit_;     ///< ancestor-walk stamps, sized lazily
+  std::uint32_t stamp_ = 0;
+  std::vector<Handle> frontier_;  ///< ancestor-walk stack
+  std::vector<Handle> package_;   ///< the package package_rate() last scored
   std::priority_queue<PackageScore> heap_;
-  std::unordered_set<btc::Txid> selected_;
-  std::unordered_set<btc::Txid> dropped_;
+  /// Lazy min-heap of (vsize << 32 | handle) over the seeded entries.
+  std::vector<std::uint64_t> smallest_;
+  std::uint64_t seeded_ = 0;
 };
 
 }  // namespace

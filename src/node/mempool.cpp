@@ -1,6 +1,8 @@
 #include "node/mempool.hpp"
 
 #include <algorithm>
+#include <tuple>
+#include <unordered_set>
 
 #include "obs/registry.hpp"
 #include "util/assert.hpp"
@@ -32,11 +34,16 @@ MempoolMetrics& metrics() {
 
 }  // namespace
 
-std::vector<btc::Txid> Mempool::conflicts_of(const btc::Transaction& tx) const {
+Mempool::Handle Mempool::handle_of(const btc::Txid& id) const noexcept {
+  const auto it = index_.find(id);
+  return it == index_.end() ? kNoMempoolHandle : it->second;
+}
+
+std::vector<Mempool::Handle> Mempool::conflicting(const btc::Transaction& tx) const {
   // Transactions have a handful of inputs at most, so dedup by linear
   // scan; this runs once per accept() and must not allocate when there
   // are no conflicts (the overwhelmingly common case).
-  std::vector<btc::Txid> out;
+  std::vector<Handle> out;
   for (const btc::TxInput& in : tx.inputs()) {
     if (!is_real_outpoint(in)) continue;
     const auto it = spenders_.find(Outpoint{in.prev_txid, in.prev_vout});
@@ -47,21 +54,23 @@ std::vector<btc::Txid> Mempool::conflicts_of(const btc::Transaction& tx) const {
   return out;
 }
 
+std::vector<btc::Txid> Mempool::conflicts_of(const btc::Transaction& tx) const {
+  std::vector<btc::Txid> out;
+  for (const Handle h : conflicting(tx)) out.push_back(slots_[h].entry.tx.id());
+  return out;
+}
+
 bool Mempool::replacement_allowed(const btc::Transaction& tx,
-                                  const std::vector<btc::Txid>& conflicts) const {
+                                  const std::vector<Handle>& conflicts) const {
   // Simplified BIP-125: the replacement must pay strictly more in absolute
   // fee than everything it evicts (conflicts plus their descendants), and
   // offer a strictly higher fee-rate than each directly conflicting tx.
   btc::Satoshi evicted_fees{};
-  for (const btc::Txid& id : conflicts) {
-    const auto it = entries_.find(id);
-    CN_ASSERT(it != entries_.end());
-    if (tx.fee_rate() <= it->second.tx.fee_rate()) return false;
-    evicted_fees += it->second.tx.fee();
-    for (const btc::Txid& desc : descendants_of(id)) {
-      const auto dit = entries_.find(desc);
-      if (dit != entries_.end()) evicted_fees += dit->second.tx.fee();
-    }
+  for (const Handle h : conflicts) {
+    const btc::Transaction& victim = slots_[h].entry.tx;
+    if (tx.fee_rate() <= victim.fee_rate()) return false;
+    evicted_fees += victim.fee();
+    for (const Handle d : descendants(h)) evicted_fees += slots_[d].entry.tx.fee();
   }
   return tx.fee() > evicted_fees;
 }
@@ -69,24 +78,22 @@ bool Mempool::replacement_allowed(const btc::Transaction& tx,
 bool Mempool::make_room(const btc::Transaction& incoming) {
   if (limits_.max_vsize == 0) return true;
   while (total_vsize_ + incoming.vsize() > limits_.max_vsize) {
-    if (entries_.empty()) return incoming.vsize() <= limits_.max_vsize;
+    if (index_.empty()) return incoming.vsize() <= limits_.max_vsize;
     // Evict the lowest fee-rate entry (with its descendants): the
     // eviction floor is the front of the fee-rate index.
     const auto floor_it = by_rate_.begin();
     // A full pool only admits transactions that beat its floor.
     if (incoming.fee_rate() <= floor_it->first) return false;
-    // Copy before remove_subtree: unlink erases the index node.
-    const btc::Txid worst_id = floor_it->second;
     ++evicted_;
     metrics().evicted.add();
-    remove_subtree(worst_id);
+    remove_subtree(handle_of(floor_it->second));
   }
   return true;
 }
 
 AcceptResult Mempool::accept(btc::Transaction tx, SimTime now) {
   MempoolMetrics& m = metrics();
-  if (entries_.contains(tx.id())) {
+  if (index_.contains(tx.id())) {
     m.rejected_duplicate.add();
     return AcceptResult::kDuplicate;
   }
@@ -95,16 +102,16 @@ AcceptResult Mempool::accept(btc::Transaction tx, SimTime now) {
     return AcceptResult::kBelowMinFeeRate;
   }
 
-  const std::vector<btc::Txid> conflicts = conflicts_of(tx);
+  const std::vector<Handle> conflicts = conflicting(tx);
   if (!conflicts.empty()) {
     if (!replacement_allowed(tx, conflicts)) {
       m.rejected_conflict.add();
       return AcceptResult::kConflictRejected;
     }
-    for (const btc::Txid& id : conflicts) {
+    for (const Handle h : conflicts) {
       ++replaced_;
       m.replaced.add();
-      remove_subtree(id);
+      remove_subtree(h);
     }
   }
 
@@ -113,77 +120,143 @@ AcceptResult Mempool::accept(btc::Transaction tx, SimTime now) {
     return AcceptResult::kMempoolFull;
   }
 
-  total_vsize_ += tx.vsize();
-  const btc::Txid id = tx.id();
-  std::uint32_t in_pool_parents = 0;
-  for (const btc::TxInput& in : tx.inputs()) {
-    if (!is_real_outpoint(in)) continue;
-    children_[in.prev_txid].push_back(id);
-    spenders_.emplace(Outpoint{in.prev_txid, in.prev_vout}, id);
-    if (entries_.contains(in.prev_txid)) ++in_pool_parents;
-  }
-  by_rate_.emplace(tx.fee_rate(), id);
-  entries_.emplace(id, MempoolEntry{std::move(tx), now, in_pool_parents});
+  insert(std::move(tx), now);
   m.accepted.add();
   return AcceptResult::kAccepted;
 }
 
-void Mempool::unlink(const btc::Txid& id) {
-  const auto it = entries_.find(id);
-  CN_ASSERT(it != entries_.end());
-  // The departing parent's still-queued children lose one in-pool parent
-  // each (one children_ element exists per spending input, matching the
-  // per-input increment in accept()).
-  if (const auto kit = children_.find(id); kit != children_.end()) {
-    for (const btc::Txid& child : kit->second) {
-      const auto cit = entries_.find(child);
-      if (cit != entries_.end() && cit->second.in_pool_parents > 0) {
-        --cit->second.in_pool_parents;
-      }
-    }
+void Mempool::insert(btc::Transaction tx, SimTime now) {
+  Handle h;
+  if (free_.empty()) {
+    h = static_cast<Handle>(slots_.size());
+    CN_ASSERT(h != kNoMempoolHandle);
+    slots_.emplace_back();
+  } else {
+    h = free_.back();
+    free_.pop_back();
   }
-  total_vsize_ -= it->second.tx.vsize();
-  by_rate_.erase({it->second.tx.fee_rate(), id});
-  for (const btc::TxInput& in : it->second.tx.inputs()) {
+  Slot& slot = slots_[h];
+  slot.live = true;
+  slot.seq = next_seq_++;
+  const std::span<const btc::TxInput> inputs = tx.inputs();
+  slot.parents.assign(inputs.size(), kNoMempoolHandle);
+  std::uint32_t in_pool_parents = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const btc::TxInput& in = inputs[i];
     if (!is_real_outpoint(in)) continue;
-    const auto cit = children_.find(in.prev_txid);
-    if (cit != children_.end()) {
-      auto& kids = cit->second;
-      kids.erase(std::remove(kids.begin(), kids.end(), id), kids.end());
-      if (kids.empty()) children_.erase(cit);
-    }
-    const auto sit = spenders_.find(Outpoint{in.prev_txid, in.prev_vout});
-    if (sit != spenders_.end() && sit->second == id) spenders_.erase(sit);
+    spenders_.emplace(Outpoint{in.prev_txid, in.prev_vout}, h);
+    const Handle parent = handle_of(in.prev_txid);
+    if (parent == kNoMempoolHandle) continue;
+    slot.parents[i] = parent;
+    slots_[parent].children.push_back(h);
+    ++in_pool_parents;
   }
-  entries_.erase(it);
+  total_vsize_ += tx.vsize();
+  if (limits_.max_vsize != 0) by_rate_.emplace(tx.fee_rate(), tx.id());
+  index_.emplace(tx.id(), h);
+  slot.entry = MempoolEntry{std::move(tx), now, in_pool_parents};
+  adopt_children(h);
 }
 
-void Mempool::remove_subtree(const btc::Txid& id) {
-  const std::vector<btc::Txid> descendants = descendants_of(id);
-  // Remove deepest-first is unnecessary (unlink is order-independent).
-  unlink(id);
-  for (const btc::Txid& d : descendants) {
-    if (entries_.contains(d)) unlink(d);
+void Mempool::adopt_children(Handle parent) {
+  // Gossip can deliver a child before its parent. Such children already
+  // sit in the conflict index under this transaction's outpoints; link
+  // each spending input now, in the (accept order, input) order a child
+  // arriving after the parent would have had. Their in_pool_parents
+  // counters stay as accept() set them (see MempoolEntry).
+  const btc::Transaction& tx = slots_[parent].entry.tx;
+  std::vector<std::tuple<std::uint64_t, std::size_t, Handle>> adopted;
+  for (std::uint32_t vout = 0; vout < tx.outputs().size(); ++vout) {
+    const auto it = spenders_.find(Outpoint{tx.id(), vout});
+    if (it == spenders_.end()) continue;
+    Slot& child = slots_[it->second];
+    const std::span<const btc::TxInput> inputs = child.entry.tx.inputs();
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      if (inputs[i].prev_txid != tx.id() || inputs[i].prev_vout != vout) continue;
+      child.parents[i] = parent;
+      adopted.emplace_back(child.seq, i, it->second);
+    }
   }
+  std::sort(adopted.begin(), adopted.end());
+  for (const auto& [seq, input, child] : adopted) slots_[parent].children.push_back(child);
+}
+
+void Mempool::unlink(Handle h) {
+  Slot& slot = slots_[h];
+  CN_ASSERT(slot.live);
+  // The departing parent's children lose one counted parent per link
+  // (one link per spending input, matching the per-input increment in
+  // insert()) and forget the link itself.
+  for (const Handle child : slot.children) {
+    Slot& c = slots_[child];
+    if (c.entry.in_pool_parents > 0) --c.entry.in_pool_parents;
+    std::replace(c.parents.begin(), c.parents.end(), h, kNoMempoolHandle);
+  }
+  const btc::Transaction& tx = slot.entry.tx;
+  total_vsize_ -= tx.vsize();
+  if (limits_.max_vsize != 0) by_rate_.erase({tx.fee_rate(), tx.id()});
+  const std::span<const btc::TxInput> inputs = tx.inputs();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const btc::TxInput& in = inputs[i];
+    if (!is_real_outpoint(in)) continue;
+    if (const Handle parent = slot.parents[i]; parent != kNoMempoolHandle) {
+      auto& kids = slots_[parent].children;
+      kids.erase(std::remove(kids.begin(), kids.end(), h), kids.end());
+    }
+    const auto sit = spenders_.find(Outpoint{in.prev_txid, in.prev_vout});
+    if (sit != spenders_.end() && sit->second == h) spenders_.erase(sit);
+  }
+  index_.erase(tx.id());
+  slot.live = false;
+  slot.entry = MempoolEntry{};  // release the transaction's buffers now
+  slot.parents.clear();
+  slot.children.clear();
+  free_.push_back(h);
+}
+
+std::vector<Mempool::Handle> Mempool::descendants(Handle h) const {
+  std::vector<Handle> out;
+  std::vector<Handle> frontier{h};
+  std::unordered_set<Handle> seen;
+  while (!frontier.empty()) {
+    const Handle cur = frontier.back();
+    frontier.pop_back();
+    for (const Handle child : slots_[cur].children) {
+      if (!seen.insert(child).second) continue;
+      out.push_back(child);
+      frontier.push_back(child);
+    }
+  }
+  return out;
+}
+
+void Mempool::remove_subtree(Handle h) {
+  const std::vector<Handle> doomed = descendants(h);
+  // Remove deepest-first is unnecessary (unlink is order-independent).
+  unlink(h);
+  for (const Handle d : doomed) unlink(d);
 }
 
 bool Mempool::remove(const btc::Txid& id) {
-  if (!entries_.contains(id)) return false;
-  unlink(id);
+  const Handle h = handle_of(id);
+  if (h == kNoMempoolHandle) return false;
+  unlink(h);
   return true;
 }
 
 std::vector<btc::Txid> Mempool::expire_before(SimTime cutoff) {
-  std::vector<btc::Txid> stale;
-  for (const auto& [id, entry] : entries_) {
-    if (entry.arrival < cutoff) stale.push_back(id);
-  }
+  std::vector<Handle> stale;
+  for_each_handle([&](Handle h, const MempoolEntry& entry) {
+    if (entry.arrival < cutoff) stale.push_back(h);
+  });
   std::vector<btc::Txid> dropped;
-  for (const btc::Txid& id : stale) {
-    if (!entries_.contains(id)) continue;  // already gone as a descendant
-    for (const btc::Txid& d : descendants_of(id)) dropped.push_back(d);
-    dropped.push_back(id);
-    remove_subtree(id);
+  for (const Handle h : stale) {
+    // Already gone as a descendant (no accept runs meanwhile, so a freed
+    // slot is not reused).
+    if (!slots_[h].live) continue;
+    for (const Handle d : descendants(h)) dropped.push_back(slots_[d].entry.tx.id());
+    dropped.push_back(slots_[h].entry.tx.id());
+    remove_subtree(h);
     ++expired_;
     metrics().expired.add();
   }
@@ -191,22 +264,22 @@ std::vector<btc::Txid> Mempool::expire_before(SimTime cutoff) {
 }
 
 bool Mempool::contains(const btc::Txid& id) const noexcept {
-  return entries_.contains(id);
+  return index_.contains(id);
 }
 
 const MempoolEntry* Mempool::find(const btc::Txid& id) const noexcept {
-  const auto it = entries_.find(id);
-  return it == entries_.end() ? nullptr : &it->second;
+  const Handle h = handle_of(id);
+  return h == kNoMempoolHandle ? nullptr : &slots_[h].entry;
 }
 
 void Mempool::for_each(const std::function<void(const MempoolEntry&)>& fn) const {
-  for (const auto& [id, entry] : entries_) fn(entry);
+  for_each_entry(fn);
 }
 
 std::vector<const MempoolEntry*> Mempool::entries_by_arrival() const {
   std::vector<const MempoolEntry*> out;
-  out.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) out.push_back(&entry);
+  out.reserve(size());
+  for_each_entry([&](const MempoolEntry& entry) { out.push_back(&entry); });
   std::sort(out.begin(), out.end(),
             [](const MempoolEntry* a, const MempoolEntry* b) {
               if (a->arrival != b->arrival) return a->arrival < b->arrival;
@@ -217,21 +290,17 @@ std::vector<const MempoolEntry*> Mempool::entries_by_arrival() const {
 
 std::vector<const MempoolEntry*> Mempool::ancestors_of(const btc::Txid& id) const {
   std::vector<const MempoolEntry*> out;
-  std::vector<btc::Txid> frontier{id};
-  std::unordered_set<btc::Txid> seen;
+  const Handle h = handle_of(id);
+  if (h == kNoMempoolHandle) return out;
+  std::vector<Handle> frontier{h};
+  std::unordered_set<Handle> seen;
   while (!frontier.empty()) {
-    const btc::Txid cur = frontier.back();
+    const Handle cur = frontier.back();
     frontier.pop_back();
-    const auto it = entries_.find(cur);
-    if (it == entries_.end()) continue;  // parent already confirmed
-    for (const btc::TxInput& in : it->second.tx.inputs()) {
-      if (!is_real_outpoint(in)) continue;
-      if (seen.contains(in.prev_txid)) continue;
-      const auto pit = entries_.find(in.prev_txid);
-      if (pit == entries_.end()) continue;
-      seen.insert(in.prev_txid);
-      out.push_back(&pit->second);
-      frontier.push_back(in.prev_txid);
+    for (const Handle parent : slots_[cur].parents) {
+      if (parent == kNoMempoolHandle || !seen.insert(parent).second) continue;
+      out.push_back(&slots_[parent].entry);
+      frontier.push_back(parent);
     }
   }
   return out;
@@ -239,32 +308,17 @@ std::vector<const MempoolEntry*> Mempool::ancestors_of(const btc::Txid& id) cons
 
 std::vector<const MempoolEntry*> Mempool::children_of(const btc::Txid& id) const {
   std::vector<const MempoolEntry*> out;
-  const auto it = children_.find(id);
-  if (it == children_.end()) return out;
-  for (const btc::Txid& child : it->second) {
-    const auto eit = entries_.find(child);
-    if (eit != entries_.end()) out.push_back(&eit->second);
-  }
+  const Handle h = handle_of(id);
+  if (h == kNoMempoolHandle) return out;
+  for (const Handle child : slots_[h].children) out.push_back(&slots_[child].entry);
   return out;
 }
 
 std::vector<btc::Txid> Mempool::descendants_of(const btc::Txid& id) const {
   std::vector<btc::Txid> out;
-  std::vector<btc::Txid> frontier{id};
-  std::unordered_set<btc::Txid> seen;
-  while (!frontier.empty()) {
-    const btc::Txid cur = frontier.back();
-    frontier.pop_back();
-    const auto it = children_.find(cur);
-    if (it == children_.end()) continue;
-    for (const btc::Txid& child : it->second) {
-      if (seen.contains(child)) continue;
-      if (!entries_.contains(child)) continue;
-      seen.insert(child);
-      out.push_back(child);
-      frontier.push_back(child);
-    }
-  }
+  const Handle h = handle_of(id);
+  if (h == kNoMempoolHandle) return out;
+  for (const Handle d : descendants(h)) out.push_back(slots_[d].entry.tx.id());
   return out;
 }
 

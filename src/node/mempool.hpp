@@ -8,14 +8,19 @@
 //    included in the blockchain";
 //  * size-capped eviction (lowest fee-rate first) and age expiry,
 //    mirroring Bitcoin Core's -maxmempool / -mempoolexpiry.
+//
+// Storage is a slot map (DESIGN.md §7.3): entries live in a dense vector
+// addressed by uint32 handles, freed slots are reused, and one Txid ->
+// handle index serves lookups by id. Parent/child links and the conflict
+// index hold handles, and the template builder reads the pool through
+// the handle view below, so walking a package never hashes a txid.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -40,13 +45,19 @@ struct OutpointHash {
   }
 };
 
+/// Dense index of a queued entry. Valid while the entry stays queued; a
+/// later accept() may reuse it for another transaction.
+using MempoolHandle = std::uint32_t;
+inline constexpr MempoolHandle kNoMempoolHandle = ~MempoolHandle{0};
+
 struct MempoolEntry {
   btc::Transaction tx;
   SimTime arrival = 0;  ///< when this node first saw the transaction
-  /// Number of this transaction's inputs whose funding parent is still
-  /// queued (maintained incrementally by accept()/unlink()). Zero means
-  /// the package rate is just the transaction's own fee-rate — the
-  /// template builder's O(1) fast path.
+  /// In-pool parents counted by accept(): one per input whose funding
+  /// parent was queued at that moment. A parent gossiped in later is
+  /// linked (ancestors_of() sees it) but not counted, and every departing
+  /// parent link decrements the counter, saturating at 0. Zero means the
+  /// template builder scores the transaction alone — its O(1) fast path.
   std::uint32_t in_pool_parents = 0;
 };
 
@@ -64,8 +75,13 @@ struct MempoolLimits {
   SimTime expiry = 0;           ///< max entry age (Core: -mempoolexpiry)
 };
 
+/// Entry pointers handed out by find(), entries_by_arrival(),
+/// ancestors_of() and children_of() point into the slot vector: they stay
+/// valid until the next accept() or removal.
 class Mempool {
  public:
+  using Handle = MempoolHandle;
+
   /// @p min_relay_sat_per_vb — norm III threshold; pass 0 to accept
   /// zero-fee transactions (data set B configuration).
   explicit Mempool(std::int64_t min_relay_sat_per_vb = btc::kDefaultMinRelaySatPerVb,
@@ -87,8 +103,8 @@ class Mempool {
   bool contains(const btc::Txid& id) const noexcept;
   const MempoolEntry* find(const btc::Txid& id) const noexcept;
 
-  std::size_t size() const noexcept { return entries_.size(); }
-  bool empty() const noexcept { return entries_.empty(); }
+  std::size_t size() const noexcept { return index_.size(); }
+  bool empty() const noexcept { return index_.empty(); }
 
   /// Aggregate virtual size of all queued transactions (congestion metric).
   std::uint64_t total_vsize() const noexcept { return total_vsize_; }
@@ -106,17 +122,20 @@ class Mempool {
   /// the template-build hot path.
   template <typename Fn>
   void for_each_entry(Fn&& fn) const {
-    for (const auto& [id, entry] : entries_) fn(entry);
+    for (const Slot& slot : slots_) {
+      if (slot.live) fn(slot.entry);
+    }
   }
 
   /// Snapshot of entries sorted by arrival time (deterministic export).
   std::vector<const MempoolEntry*> entries_by_arrival() const;
 
   /// Unconfirmed in-mempool ancestors of @p id (transitively), excluding
-  /// the transaction itself.
+  /// the transaction itself: a depth-first walk over inputs in input
+  /// order, nearest parents first along each branch.
   std::vector<const MempoolEntry*> ancestors_of(const btc::Txid& id) const;
 
-  /// Direct in-mempool children of @p id (transactions spending it).
+  /// Direct in-mempool children of @p id (one per spending input).
   std::vector<const MempoolEntry*> children_of(const btc::Txid& id) const;
 
   /// Transitive in-mempool descendants of @p id.
@@ -127,29 +146,69 @@ class Mempool {
   std::uint64_t evicted_count() const noexcept { return evicted_; }
   std::uint64_t expired_count() const noexcept { return expired_; }
 
+  // Handle view, read by the template builder (node/block_template.cpp).
+
+  /// One past the highest handle issued: the size of handle-indexed arrays.
+  std::uint32_t slot_count() const noexcept {
+    return static_cast<std::uint32_t>(slots_.size());
+  }
+
+  /// The handle of queued @p id, or kNoMempoolHandle.
+  Handle handle_of(const btc::Txid& id) const noexcept;
+
+  /// The entry behind a queued handle.
+  const MempoolEntry& entry(Handle h) const noexcept { return slots_[h].entry; }
+
+  /// Per input of entry @p h, in input order: the queued parent it spends,
+  /// or kNoMempoolHandle.
+  std::span<const Handle> parents_of(Handle h) const noexcept {
+    return slots_[h].parents;
+  }
+
+  /// Visits every queued entry with its handle, in handle order.
+  template <typename Fn>
+  void for_each_handle(Fn&& fn) const {
+    for (Handle h = 0; h < slot_count(); ++h) {
+      if (slots_[h].live) fn(h, slots_[h].entry);
+    }
+  }
+
  private:
-  /// Removes @p id and its descendants; updates all indexes.
-  void remove_subtree(const btc::Txid& id);
-  void unlink(const btc::Txid& id);
+  struct Slot {
+    MempoolEntry entry;
+    std::uint64_t seq = 0;          ///< accept order; sorts adopted children
+    std::vector<Handle> parents;    ///< per input: queued parent, or none
+    std::vector<Handle> children;   ///< one per spending input, (seq, input) order
+    bool live = false;
+  };
+
+  void insert(btc::Transaction tx, SimTime now);
+  /// Links queued spenders of @p parent's outputs that arrived before it.
+  void adopt_children(Handle parent);
+  void unlink(Handle h);
+  /// Removes @p h and its descendants; updates all indexes.
+  void remove_subtree(Handle h);
+  std::vector<Handle> conflicting(const btc::Transaction& tx) const;
+  std::vector<Handle> descendants(Handle h) const;
 
   /// BIP-125-style check: may @p tx replace the given conflicts?
   bool replacement_allowed(const btc::Transaction& tx,
-                           const std::vector<btc::Txid>& conflicts) const;
+                           const std::vector<Handle>& conflicts) const;
 
   /// Frees space for @p incoming; false if the incoming transaction does
   /// not beat the eviction floor.
   bool make_room(const btc::Transaction& incoming);
 
-  std::unordered_map<btc::Txid, MempoolEntry> entries_;
-  /// parent txid -> children txids (only edges internal to the mempool).
-  std::unordered_map<btc::Txid, std::vector<btc::Txid>> children_;
+  std::vector<Slot> slots_;
+  std::vector<Handle> free_;  ///< released slots, reused last-in first-out
+  std::unordered_map<btc::Txid, Handle> index_;
   /// outpoint -> the queued tx spending it (conflict index).
-  std::unordered_map<Outpoint, btc::Txid, OutpointHash> spenders_;
-  /// Fee-rate-ordered eviction index: begin() is the eviction floor
-  /// (lowest fee-rate, txid tie-break), so make_room is O(log n) per
-  /// evicted transaction instead of a full-pool scan. Kept in lockstep
-  /// with entries_ by accept()/unlink().
+  std::unordered_map<Outpoint, Handle, OutpointHash> spenders_;
+  /// Fee-rate-ordered eviction index, kept only when limits_.max_vsize is
+  /// set: begin() is the eviction floor (lowest fee-rate, txid
+  /// tie-break), so make_room is O(log n) per evicted transaction.
   std::set<std::pair<btc::FeeRate, btc::Txid>> by_rate_;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t total_vsize_ = 0;
   btc::FeeRate min_rate_;
   MempoolLimits limits_;

@@ -1,104 +1,22 @@
-// Allocation-recycling pools for the simulator's hot loops.
+// Arena allocation for the simulator's node-based containers.
 //
-// The sharded engine moves typed messages (generated transactions,
-// observer deliveries, mined-id lists) between lanes every barrier
-// window. Allocating fresh vectors per window would put millions of
-// small allocations on the critical path; these pools recycle fully
-// constructed objects instead, so steady-state windows allocate nothing.
-//
-// Neither pool is thread-safe: each lane owns its pools, and hand-offs
-// across lanes happen only at the window barrier (by std::move of whole
-// buffers), which is exactly the engine's synchronization contract.
+// util::SlabAllocator backs the engine's in-flight transaction map: its
+// nodes come from slab-carved free lists instead of one heap allocation
+// each. Not thread-safe: the owning container lives on one thread.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <new>
-#include <utility>
 #include <vector>
 
 namespace cn::util {
-
-/// Recycles std::vector buffers, preserving capacity across uses.
-/// acquire() returns an empty vector (possibly with warm capacity);
-/// release() takes a spent buffer back. Dropping a buffer instead of
-/// releasing it is safe — the pool merely loses the warm capacity.
-template <typename T>
-class VectorPool {
- public:
-  std::vector<T> acquire() {
-    if (free_.empty()) return {};
-    std::vector<T> v = std::move(free_.back());
-    free_.pop_back();
-    v.clear();
-    return v;
-  }
-
-  void release(std::vector<T>&& v) { free_.push_back(std::move(v)); }
-
-  std::size_t idle() const noexcept { return free_.size(); }
-
- private:
-  std::vector<std::vector<T>> free_;
-};
-
-/// Slab-backed object pool: objects are default-constructed once per
-/// slab slot and handed out via a free list, so acquire/release are
-/// pointer pushes with no heap traffic after warm-up. Objects are
-/// *reused, not reset* — callers must overwrite what they read.
-template <typename T, std::size_t kSlabSize = 256>
-class ObjectPool {
- public:
-  ObjectPool() = default;
-  ObjectPool(const ObjectPool&) = delete;
-  ObjectPool& operator=(const ObjectPool&) = delete;
-
-  /// Destroys every slot (in use or free): outstanding pointers must not
-  /// be dereferenced after the pool dies.
-  ~ObjectPool() {
-    for (auto& slab : slabs_)
-      for (std::size_t i = 0; i < kSlabSize; ++i)
-        reinterpret_cast<T*>(&slab[i].storage)->~T();
-  }
-
-  T* acquire() {
-    if (free_.empty()) grow();
-    T* p = free_.back();
-    free_.pop_back();
-    return p;
-  }
-
-  void release(T* p) { free_.push_back(p); }
-
-  /// Objects constructed so far (all slabs, in use or free).
-  std::size_t capacity() const noexcept { return slabs_.size() * kSlabSize; }
-
- private:
-  void grow() {
-    slabs_.push_back(std::make_unique_for_overwrite<Slot[]>(kSlabSize));
-    Slot* slab = slabs_.back().get();
-    free_.reserve(free_.size() + kSlabSize);
-    for (std::size_t i = 0; i < kSlabSize; ++i) {
-      new (&slab[i].storage) T();
-      free_.push_back(reinterpret_cast<T*>(&slab[i].storage));
-    }
-  }
-
-  struct Slot {
-    alignas(T) unsigned char storage[sizeof(T)];
-  };
-
-  std::vector<std::unique_ptr<Slot[]>> slabs_;
-  std::vector<T*> free_;
-};
 
 /// Standard-library-compatible arena allocator: single-object
 /// allocations (node-based container nodes — the in-flight transaction
 /// map's bread and butter) come from slab-carved free lists; array
 /// allocations (hash bucket tables) fall through to operator new. The
 /// arena lives as long as any copy of the allocator (shared state), so
-/// containers can be moved/swapped freely. Not thread-safe, like the
-/// pools above.
+/// containers can be moved/swapped freely. Not thread-safe.
 template <typename T, std::size_t kSlabBytes = 1 << 16>
 class SlabAllocator {
   struct State {

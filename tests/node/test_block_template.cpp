@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "../helpers.hpp"
+#include "obs/registry.hpp"
 
 namespace cn::node {
 namespace {
@@ -309,6 +310,141 @@ TEST(BlockTemplate, FifoRespectsVsizeBudget) {
   const BlockTemplate tpl = build_template(pool, options);
   EXPECT_EQ(tpl.txs.size(), 3u);
   EXPECT_LE(tpl.total_vsize, 1000u);
+}
+
+// The stop boundary: building ends only once no queued transaction could
+// still fit. These cases put the last possible selection right at it.
+
+TEST(BlockTemplate, LowestRateEntryFillsTheLastGap) {
+  Mempool pool(0);
+  const auto first = tx_with_rate(9.0, 400, 0, 1101);
+  pool.accept(first, 0);
+  pool.accept(tx_with_rate(8.0, 400, 0, 1102), 0);  // no longer fits
+  const auto last = tx_with_rate(1.0, 100, 0, 1103);  // exactly fills the gap
+  pool.accept(last, 0);
+  TemplateOptions options;
+  options.max_vsize = 500;
+  const BlockTemplate tpl = build_template(pool, options);
+  ASSERT_EQ(tpl.txs.size(), 2u);
+  EXPECT_EQ(tpl.txs[0].id(), first.id());
+  EXPECT_EQ(tpl.txs[1].id(), last.id());
+  EXPECT_EQ(tpl.total_vsize, 500u);
+}
+
+TEST(BlockTemplate, CpfpPackageTooBigForTheGapIsSkipped) {
+  Mempool pool(0);
+  const auto filler = tx_with_rate(20.0, 300, 0, 1111);
+  const auto parent = tx_with_rate(1.0, 300, 0, 1112);
+  // Package rate (300 + 3000) / 400 = 8.25: it would outrank `small`, and
+  // the child alone (100 vB) fits the 200 vB gap, but the package does not.
+  const auto child = btc::make_child_payment(
+      10, 100, btc::Satoshi{3000}, parent, btc::Address::derive("d"),
+      btc::Satoshi{100}, 1113);
+  const auto small = tx_with_rate(0.5, 100, 0, 1114);
+  pool.accept(filler, 0);
+  pool.accept(parent, 0);
+  pool.accept(child, 10);
+  pool.accept(small, 0);
+  TemplateOptions options;
+  options.max_vsize = 500;
+  const BlockTemplate tpl = build_template(pool, options);
+  ASSERT_EQ(tpl.txs.size(), 2u);
+  EXPECT_EQ(tpl.txs[0].id(), filler.id());
+  EXPECT_EQ(tpl.txs[1].id(), small.id());
+}
+
+TEST(BlockTemplate, FifoOverfullPoolKeepsFillingAfterASkip) {
+  Mempool pool(0);
+  const auto a = tx_with_rate(1.0, 300, 0, 1121);
+  const auto b = tx_with_rate(9.0, 300, 0, 1122);
+  const auto c = tx_with_rate(2.0, 300, 0, 1123);  // skipped: 100 vB left
+  const auto d = tx_with_rate(0.5, 100, 0, 1124);
+  pool.accept(a, 10);
+  pool.accept(b, 20);
+  pool.accept(c, 30);
+  pool.accept(d, 40);
+  TemplateOptions options;
+  options.fifo = true;
+  options.max_vsize = 700;
+  const BlockTemplate tpl = build_template(pool, options);
+  ASSERT_EQ(tpl.txs.size(), 3u);
+  EXPECT_EQ(tpl.txs[0].id(), a.id());
+  EXPECT_EQ(tpl.txs[1].id(), b.id());
+  EXPECT_EQ(tpl.txs[2].id(), d.id());
+}
+
+TEST(BlockTemplate, AgingOverfullPoolKeepsFillingAfterASkip) {
+  // Effective rates at now = 10 h with 0.5/hour: a 2.0 * 6 = 12,
+  // b 10.0 * 1 = 10, c 5.0 * 3.5 = 17.5, d 1.0 * 6 = 6, e 8.0 * 1 = 8.
+  Mempool pool(0);
+  const auto a = tx_with_rate(2.0, 300, 0, 1131);
+  const auto b = tx_with_rate(10.0, 300, 0, 1132);
+  const auto c = tx_with_rate(5.0, 200, 0, 1133);
+  const auto d = tx_with_rate(1.0, 100, 0, 1134);
+  const auto e = tx_with_rate(8.0, 250, 0, 1135);
+  pool.accept(a, 0);
+  pool.accept(b, 10 * 3600);
+  pool.accept(c, 5 * 3600);
+  pool.accept(d, 0);
+  pool.accept(e, 10 * 3600);
+  TemplateOptions options;
+  options.age_weight_per_hour = 0.5;
+  options.now = 10 * 3600;
+  options.max_vsize = 700;
+  const BlockTemplate tpl = build_template(pool, options);
+  ASSERT_EQ(tpl.txs.size(), 3u);
+  EXPECT_EQ(tpl.txs[0].id(), c.id());
+  EXPECT_EQ(tpl.txs[1].id(), a.id());
+  EXPECT_EQ(tpl.txs[2].id(), d.id());  // b and e no longer fit
+}
+
+TEST(BlockTemplate, ExcludedSmallestTransactionStaysOut) {
+  Mempool pool(0);
+  const auto big = tx_with_rate(9.0, 400, 0, 1141);
+  const auto tiny = tx_with_rate(3.0, 50, 0, 1142);
+  const auto small = tx_with_rate(0.5, 100, 0, 1143);
+  pool.accept(big, 0);
+  pool.accept(tx_with_rate(8.0, 400, 0, 1144), 0);
+  pool.accept(tiny, 0);
+  pool.accept(small, 0);
+  TemplateOptions options;
+  options.exclude.insert(tiny.id());
+  options.max_vsize = 500;
+  BlockTemplate tpl = build_template(pool, options);
+  ASSERT_EQ(tpl.txs.size(), 2u);
+  EXPECT_EQ(tpl.txs[0].id(), big.id());
+  EXPECT_EQ(tpl.txs[1].id(), small.id());
+  // A gap only the excluded transaction would fit stays empty.
+  options.max_vsize = 480;
+  tpl = build_template(pool, options);
+  ASSERT_EQ(tpl.txs.size(), 1u);
+  EXPECT_EQ(tpl.txs[0].id(), big.id());
+}
+
+double counter(const char* name) {
+  for (const obs::MetricValue& m : obs::snapshot()) {
+    if (m.name == name) return m.value;
+  }
+  return 0.0;
+}
+
+TEST(BlockTemplate, StopsOnceNothingElseCanFit) {
+  // 200 queued 250 vB transactions, room for 4: once the fourth is in,
+  // no queued transaction fits, so the build ends after four pops
+  // instead of draining the other 196.
+  Mempool pool(0);
+  for (int i = 0; i < 200; ++i) pool.accept(tx_with_rate(1.0 + i, 250, 0, 1200 + i), 0);
+  TemplateOptions options;
+  options.max_vsize = 1000;
+  const double builds = counter("node.template.builds");
+  const double seeded = counter("node.template.seeded");
+  const double pops = counter("node.template.heap_pops");
+  const BlockTemplate tpl = build_template(pool, options);
+  ASSERT_EQ(tpl.txs.size(), 4u);
+  EXPECT_DOUBLE_EQ(tpl.txs.back().fee_rate().sat_per_vbyte(), 197.0);
+  EXPECT_EQ(counter("node.template.builds") - builds, 1.0);
+  EXPECT_EQ(counter("node.template.seeded") - seeded, 200.0);
+  EXPECT_EQ(counter("node.template.heap_pops") - pops, 4.0);
 }
 
 // Property: for independent (no-dependency) transactions, the template is

@@ -119,6 +119,82 @@ TEST(Mempool, RemoveCleansChildIndex) {
   EXPECT_TRUE(pool.children_of(parent.id()).empty());
 }
 
+// Gossip can deliver a child before its parent. Links follow outpoints,
+// not arrival order: once the late parent is queued, the early child is
+// its child and descendant. The child's in_pool_parents counter counts
+// only parents queued when the child was accepted, so it stays 0.
+TEST(Mempool, LateParentAdoptsEarlyChild) {
+  Mempool pool(0);
+  const auto parent = tx_with_rate(1.0, 250, 0, 831);
+  const auto child = btc::make_child_payment(
+      10, 200, btc::Satoshi{1000}, parent, btc::Address::derive("d"),
+      btc::Satoshi{100}, 832);
+  ASSERT_EQ(pool.accept(child, 10), AcceptResult::kAccepted);
+  ASSERT_EQ(pool.accept(parent, 12), AcceptResult::kAccepted);
+
+  const auto kids = pool.children_of(parent.id());
+  ASSERT_EQ(kids.size(), 1u);
+  EXPECT_EQ(kids[0]->tx.id(), child.id());
+  const auto desc = pool.descendants_of(parent.id());
+  ASSERT_EQ(desc.size(), 1u);
+  EXPECT_EQ(desc[0], child.id());
+  const auto anc = pool.ancestors_of(child.id());
+  ASSERT_EQ(anc.size(), 1u);
+  EXPECT_EQ(anc[0]->tx.id(), parent.id());
+  EXPECT_EQ(pool.find(child.id())->in_pool_parents, 0u);
+}
+
+TEST(Mempool, ReplacingLateParentEvictsEarlyChild) {
+  Mempool pool(0);
+  const auto parent = tx_with_rate(1.0, 250, 0, 833);  // fee 250
+  const auto child = btc::make_child_payment(
+      10, 200, btc::Satoshi{1000}, parent, btc::Address::derive("d"),
+      btc::Satoshi{100}, 834);
+  ASSERT_EQ(pool.accept(child, 10), AcceptResult::kAccepted);
+  ASSERT_EQ(pool.accept(parent, 12), AcceptResult::kAccepted);
+  // Outbids parent + child (1250 sat), so it replaces both.
+  const auto bump = btc::make_replacement(20, parent, btc::Satoshi{5'000}, 835);
+  ASSERT_EQ(pool.accept(bump, 20), AcceptResult::kAccepted);
+  EXPECT_FALSE(pool.contains(parent.id()));
+  EXPECT_FALSE(pool.contains(child.id()));
+  EXPECT_TRUE(pool.contains(bump.id()));
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.total_vsize(), bump.vsize());
+}
+
+TEST(Mempool, LateParentLeavingCostsTheChildACountedParent) {
+  // p1 is queued when the child arrives and is counted; p2 arrives later
+  // and is linked but not counted. Every departing parent decrements the
+  // counter (saturating at 0), so p2 leaving zeroes it while p1 is still
+  // queued. The template builder's no-ancestry fast path keys on this
+  // counter, so its exact value is part of the world-bytes contract.
+  Mempool pool(0);
+  const auto p1 = tx_with_rate(1.0, 250, 0, 841);
+  const auto p2 = tx_with_rate(1.0, 250, 0, 842);
+  const btc::Transaction child(
+      10, 300, btc::Satoshi{3000},
+      {btc::TxInput{p1.id(), 0, p1.outputs()[0].to},
+       btc::TxInput{p2.id(), 0, p2.outputs()[0].to}},
+      {btc::TxOutput{btc::Address::derive("d"), btc::Satoshi{100}}}, 843);
+  ASSERT_EQ(pool.accept(p1, 0), AcceptResult::kAccepted);
+  ASSERT_EQ(pool.accept(child, 10), AcceptResult::kAccepted);
+  EXPECT_EQ(pool.find(child.id())->in_pool_parents, 1u);
+  ASSERT_EQ(pool.accept(p2, 12), AcceptResult::kAccepted);
+  EXPECT_EQ(pool.find(child.id())->in_pool_parents, 1u);
+  EXPECT_EQ(pool.ancestors_of(child.id()).size(), 2u);
+  ASSERT_EQ(pool.children_of(p2.id()).size(), 1u);
+
+  ASSERT_TRUE(pool.remove(p2.id()));
+  EXPECT_EQ(pool.find(child.id())->in_pool_parents, 0u);
+  const auto anc = pool.ancestors_of(child.id());
+  ASSERT_EQ(anc.size(), 1u);
+  EXPECT_EQ(anc[0]->tx.id(), p1.id());
+  const auto kids = pool.children_of(p1.id());
+  ASSERT_EQ(kids.size(), 1u);
+  EXPECT_EQ(kids[0]->tx.id(), child.id());
+  EXPECT_EQ(pool.descendants_of(p1.id()).size(), 1u);
+}
+
 TEST(Mempool, ForEachVisitsAll) {
   Mempool pool(1);
   for (int i = 0; i < 10; ++i) pool.accept(tx_with_rate(1.0 + i), 0);

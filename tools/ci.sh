@@ -2,7 +2,8 @@
 # CI driver: builds the release and asan presets, runs the full test
 # suite under both (the detector-calibration and detector-power suites
 # get their own labelled ASan pass, and the evasion bench's ROC gates
-# are checked from BENCH_detector_power.json), gates the observability
+# are checked from BENCH_detector_power.json), self-tests the pipeline
+# benchmark (pipebench/) at a small scale, gates the observability
 # overhead on the bit bench_audit
 # writes to bench_out/BENCH_audit.json, re-runs the concurrency-sensitive
 # tests (the ThreadPool, the lock-free obs registry, the parallel audit
@@ -43,6 +44,12 @@ if [[ "${QUICK}" == "1" ]]; then
   echo "=== quick mode: skipping sanitizer builds ==="
   exit 0
 fi
+
+echo "=== pipeline benchmark self-test (pipebench/selftest.py) ==="
+# Builds its own Release tree of the harness and runs all four workloads
+# (simulate, audit, ingest-csv, daemon) with their output checks at scale
+# 0.05, so a src/ change that breaks the benchmark fails here.
+run python3 pipebench/selftest.py
 
 echo "=== observability overhead gate (bench_audit) ==="
 # bench_audit measures the columnar audit with obs on vs off and writes
@@ -143,7 +150,13 @@ run ./build-release/bench/bench_dataset_build --benchmark_filter='^$'
 python3 - <<'EOF'
 import json, sys
 with open("bench_out/BENCH_dataset_build.json") as f:
-    metrics = json.load(f)["metrics"]
+    report = json.load(f)
+metrics = report["metrics"]
+# CN_SCALE is unset here, so the report must carry the bench's own
+# default scale, not the 1.0 of an unset variable.
+if report.get("scale") != 0.5:
+    sys.exit(f"BENCH_dataset_build.json reports scale {report.get('scale')}, "
+             "expected the bench default 0.5")
 if metrics.get("ingest_speedup_ok") != 1.0:
     sys.exit(f"CNB1 ingest gate failed: {metrics.get('ingest_speedup')}x "
              "(need >= 20x)")
