@@ -185,9 +185,7 @@ struct SweepEntry {
 };
 
 /// The full EXPERIMENTS.md matrix: every figure/table/ablation bench
-/// plus the infrastructure gates. bench_sim_scale is deliberately
-/// absent — it benchmarks the engine itself, so serving it from a cache
-/// would measure nothing.
+/// plus the infrastructure gates.
 inline const std::vector<SweepEntry>& sweep_matrix() {
   using sim::DatasetKind;
   using sim::WorldSpec;

@@ -110,9 +110,11 @@ void HttpServer::serve_loop() {
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
     handle_connection(fd);
-    ::close(fd);
+    // Count before close(): the client sees EOF at close, and a client
+    // that has read its whole response must find the request counted.
     requests.add();
     served_.fetch_add(1);
+    ::close(fd);
   }
 }
 

@@ -254,8 +254,8 @@ class TemplateBuilder {
 
   const Mempool& mempool_;
   const TemplateOptions& options_;
-  // Per-handle state, owned by the builder: Mempool's const methods run
-  // concurrently on sharded-engine lanes, so the pool holds no scratch.
+  // Per-handle state, owned by the builder: the builder only reads the
+  // Mempool, so the pool holds no scratch.
   std::vector<Mark> mark_;
   std::vector<std::int64_t> fee_delta_;  ///< empty without fee_deltas
   std::vector<std::uint32_t> visit_;     ///< ancestor-walk stamps, sized lazily

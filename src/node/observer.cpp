@@ -30,10 +30,6 @@ void ObserverNode::on_block(const btc::Block& block) {
   for (const btc::Transaction& tx : block.txs()) mempool_.remove(tx.id());
 }
 
-void ObserverNode::on_block_txids(std::span<const btc::Txid> mined) {
-  for (const btc::Txid& id : mined) mempool_.remove(id);
-}
-
 void ObserverNode::record_snapshot(SimTime now) {
   series_.record(MempoolStat{now, mempool_.size(), mempool_.total_vsize()});
 }

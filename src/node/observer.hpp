@@ -30,10 +30,6 @@ class ObserverNode {
   /// Processes a newly mined block: evicts committed transactions.
   void on_block(const btc::Block& block);
 
-  /// Same eviction given just the mined ids — the sharded engine ships
-  /// txid lists across its lane boundary instead of whole blocks.
-  void on_block_txids(std::span<const btc::Txid> mined);
-
   /// Records a periodic snapshot (caller controls the 15 s cadence).
   void record_snapshot(SimTime now);
 

@@ -4,9 +4,7 @@
 #include <cstdio>
 
 #include "obs/registry.hpp"
-#include "sim/shard.hpp"
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cn::sim {
 
@@ -32,8 +30,6 @@ node::CongestionLevel scaled_congestion(std::uint64_t pending_vsize,
 /// registry.
 struct SimMetrics {
   obs::Counter events{"sim.engine.events"};
-  obs::Counter messages{"sim.engine.cross_shard_messages"};
-  obs::Counter barriers{"sim.engine.barrier_waits"};
   obs::Counter rbf{"sim.engine.rbf_decisions"};
   obs::Counter cpfp{"sim.engine.cpfp_decisions"};
 };
@@ -262,9 +258,8 @@ std::unordered_set<btc::Txid> Engine::propagation_exclude(
   return exclude;
 }
 
-std::vector<btc::Txid> Engine::commit_block(SimTime now, MiningPool& winner,
-                                            node::BlockTemplate tpl,
-                                            bool feed_observer) {
+void Engine::commit_block(SimTime now, MiningPool& winner,
+                          node::BlockTemplate tpl) {
   btc::Coinbase coinbase;
   coinbase.tag = winner.coinbase_tag();
   coinbase.reward_address = winner.next_reward_wallet();
@@ -272,20 +267,14 @@ std::vector<btc::Txid> Engine::commit_block(SimTime now, MiningPool& winner,
                                       : btc::block_subsidy(height_)) +
                     tpl.total_fees;
 
-  std::vector<btc::Txid> mined;
-  mined.reserve(tpl.txs.size());
-  for (const btc::Transaction& tx : tpl.txs) {
-    mined.push_back(tx.id());
-    canonical_.remove(tx.id());
-  }
+  for (const btc::Transaction& tx : tpl.txs) canonical_.remove(tx.id());
 
   btc::Block block(height_, now, std::move(coinbase), std::move(tpl.txs));
-  if (feed_observer) observer_.on_block(block);
+  observer_.on_block(block);
   estimator_.on_block(block);
   refresh_fee_percentiles();
   chain_.append(std::move(block));
   ++height_;
-  return mined;
 }
 
 void Engine::handle_block_found(SimTime now) {
@@ -312,7 +301,7 @@ void Engine::handle_block_found(SimTime now) {
     tpl = winner.build_template(canonical_, ctx, std::move(exclude));
   }
 
-  commit_block(now, winner, std::move(tpl), /*feed_observer=*/true);
+  commit_block(now, winner, std::move(tpl));
 
   const auto gap = static_cast<SimTime>(
       rng_blocks_.exponential(1.0 / config_.mean_block_interval_s) + 0.5);
@@ -347,7 +336,7 @@ bool Engine::deadline_check(SimTime sim_now) {
   return true;
 }
 
-void Engine::run_serial() {
+void Engine::run_events() {
   schedule(workload_.next_arrival(0), Event::Kind::kTxIssue);
   const auto first_gap = static_cast<SimTime>(
       rng_blocks_.exponential(1.0 / config_.mean_block_interval_s) + 0.5);
@@ -396,223 +385,9 @@ void Engine::run_serial() {
   }
 }
 
-void Engine::run_sharded(unsigned lanes) {
-  util::ThreadPool pool(lanes);
-  const std::uint32_t shard_count = std::max<std::uint32_t>(config_.sim_shards, 1);
-  const SimTime window = std::max<SimTime>(config_.barrier_window_s, 1);
-  const SimTime end = config_.duration + 1;  // exclusive event horizon
-
-  std::vector<ShardLane> shards;
-  shards.reserve(shard_count);
-  for (std::uint32_t s = 0; s < shard_count; ++s) {
-    shards.emplace_back(s, config_, &pools_, &payout_weights_, scam_address_,
-                        shard_count);
-  }
-  std::vector<std::vector<ShardMsg>> inbox(shard_count);
-
-  // Observer lane: replays the observer's event stream one window behind,
-  // overlapped with the next window's generation phase.
-  ObserverLane obs_lane(&observer_);
-  std::vector<ObserverOp> obs_batch;      // assembled by the current merge
-  std::vector<ObserverOp> obs_in_flight;  // being applied by the lane
-  std::uint64_t obs_seq = 0;
-
-  // Pending observer deliveries, bucketed by target window — the
-  // calendar queue that replaces the serial engine's global
-  // priority_queue. Arrival lags broadcast by at most the propagation
-  // cap, so a small ring suffices.
-  const auto cap = static_cast<SimTime>(config_.propagation.cap_seconds) + 1;
-  const std::size_t ring = static_cast<std::size_t>(cap / window) + 3;
-  std::vector<std::vector<ObserverOp>> deliveries(ring);
-
-  // Merge-owned clocks, drawn from the same streams as the serial path.
-  const auto first_gap = static_cast<SimTime>(
-      rng_blocks_.exponential(1.0 / config_.mean_block_interval_s) + 0.5);
-  SimTime next_block = std::max<SimTime>(first_gap, 1);
-  SimTime next_snapshot = kSnapshotInterval;
-
-  const auto delivery_order = [](const ObserverOp& a, const ObserverOp& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  };
-
-  for (SimTime t0 = 0; t0 < end; t0 += window) {
-    if (deadline_check(t0)) break;
-    const SimTime t1 = std::min<SimTime>(t0 + window, end);
-    ++stat_barriers_;
-
-    WindowContext wctx;
-    wctx.rec_p25 = rec_p25_;
-    wctx.rec_p50 = rec_p50_;
-    wctx.rec_p75 = rec_p75_;
-    wctx.congestion = scaled_congestion(canonical_.total_vsize(), config_);
-
-    // Parallel phase: shard generation lanes plus the observer lane. The
-    // implicit barrier at the end of parallel_for is the only
-    // cross-shard synchronization point; every lane writes its own slot.
-    std::swap(obs_in_flight, obs_batch);
-    obs_batch.clear();
-    pool.parallel_for(shard_count + 1, [&](std::size_t i) {
-      if (i < shard_count) {
-        inbox[i].clear();
-        shards[i].generate(t0, t1, wctx, canonical_, inbox[i]);
-      } else {
-        obs_lane.apply(obs_in_flight);
-      }
-    });
-
-    // Serial merge phase: apply this window's events in global time
-    // order. Equal times break by a fixed kind priority (deliveries, tx
-    // messages by shard id, block, snapshot) — arbitrary but part of the
-    // determinism contract.
-    std::vector<ObserverOp>& due = deliveries[(t0 / window) % ring];
-    std::sort(due.begin(), due.end(), delivery_order);
-    std::size_t di = 0;
-    std::vector<std::size_t> cur(shard_count, 0);
-
-    while (true) {
-      SimTime best_time = 0;
-      int best_kind = -1;  // 0=delivery 1=tx-msg 2=block 3=snapshot
-      std::size_t best_shard = 0;
-      const auto consider = [&](SimTime t, int kind, std::size_t shard) {
-        if (best_kind < 0 || t < best_time) {
-          best_time = t;
-          best_kind = kind;
-          best_shard = shard;
-        }
-      };
-      if (di < due.size()) consider(due[di].time, 0, 0);
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        if (cur[s] < inbox[s].size()) consider(inbox[s][cur[s]].time, 1, s);
-      }
-      if (next_block < end) consider(next_block, 2, 0);
-      if (next_snapshot < end) consider(next_snapshot, 3, 0);
-      if (best_kind < 0 || best_time >= t1) break;
-
-      ++stat_events_;
-      prune_recent_broadcasts(best_time);
-
-      switch (best_kind) {
-        case 0: {  // observer delivery comes due
-          obs_batch.push_back(std::move(due[di]));
-          ++di;
-          break;
-        }
-        case 1: {  // cross-shard tx message
-          ShardMsg& m = inbox[best_shard][cur[best_shard]++];
-          ++stat_messages_;
-          const btc::Txid id = m.tx.id();
-          if (m.wants_acceleration) request_acceleration(m.tx);
-          if (m.is_scam) scam_txids_.push_back(id);
-          const std::uint64_t replaced_before = canonical_.replaced_count();
-          const auto verdict = canonical_.accept(std::move(m.tx), m.time);
-          if (verdict != node::AcceptResult::kAccepted) {
-            // Only an under-paying RBF bump can be rejected: funding
-            // nonces are disjoint across shards and CPFP parents are
-            // retired on use, so fresh payments never conflict.
-            CN_ASSERT(m.is_rbf_bump);
-            break;
-          }
-          ++issued_count_;
-          broadcast_time_.emplace(id, m.time);
-          if (recent_broadcast_set_.insert(id).second) {
-            recent_broadcasts_.emplace_back(m.time, id);
-          }
-          if (m.is_rbf_bump &&
-              canonical_.replaced_count() > replaced_before) {
-            ++rbf_replacements_;
-          }
-          if (m.low_fee_ordinary) shards[best_shard].note_candidate(id);
-
-          const SimTime arrival =
-              config_.propagation.arrival(id, kObserverNode, m.time);
-          if (arrival <= config_.duration) {
-            ObserverOp op;
-            op.time = arrival;
-            op.seq = obs_seq++;
-            op.kind = ObserverOp::Kind::kDeliver;
-            op.tx = canonical_.find(id)->tx;
-            if (arrival < t1) {
-              // Due later in this same window: keep `due` sorted.
-              const auto pos = std::upper_bound(due.begin() + di, due.end(),
-                                                op, delivery_order);
-              due.insert(pos, std::move(op));
-            } else {
-              deliveries[(arrival / window) % ring].push_back(std::move(op));
-            }
-          }
-          break;
-        }
-        case 2: {  // block found
-          MiningPool& winner = pools_[pick_winner()];
-          node::BlockTemplate tpl;
-          if (!rng_blocks_.chance(config_.empty_block_fraction)) {
-            std::unordered_set<btc::Txid> exclude =
-                propagation_exclude(next_block, winner);
-            PolicyContext ctx;
-            ctx.now = next_block;
-            ctx.height = height_;
-            ctx.max_template_vsize =
-                config_.max_block_vsize - btc::kCoinbaseVsize;
-            ctx.pool_name = winner.name();
-            ctx.own_wallets = &winner.wallet_set();
-            for (const std::string& partner : winner.spec().accelerates_for) {
-              for (const MiningPool& other : pools_) {
-                if (other.name() == partner) {
-                  ctx.partner_wallets.push_back(&other.wallet_set());
-                }
-              }
-            }
-            if (winner.spec().offers_acceleration) {
-              ctx.acceleration = &acceleration_;
-            }
-            ctx.broadcast_time = &broadcast_time_;
-            tpl = winner.build_template(canonical_, ctx, std::move(exclude));
-          }
-          std::vector<btc::Txid> mined =
-              commit_block(next_block, winner, std::move(tpl),
-                           /*feed_observer=*/false);
-          if (!mined.empty()) {
-            ObserverOp op;
-            op.time = next_block;
-            op.seq = obs_seq++;
-            op.kind = ObserverOp::Kind::kBlock;
-            op.mined = std::move(mined);
-            obs_batch.push_back(std::move(op));
-          }
-          const auto gap = static_cast<SimTime>(
-              rng_blocks_.exponential(1.0 / config_.mean_block_interval_s) +
-              0.5);
-          next_block += std::max<SimTime>(gap, 1);
-          break;
-        }
-        case 3: {  // observer snapshot
-          ObserverOp op;
-          op.time = next_snapshot;
-          op.seq = obs_seq++;
-          op.kind = ObserverOp::Kind::kSnapshot;
-          obs_batch.push_back(std::move(op));
-          next_snapshot += kSnapshotInterval;
-          break;
-        }
-      }
-    }
-    due.clear();
-  }
-
-  // Drain the final window's observer ops and fold in lane tallies.
-  obs_lane.apply(obs_batch);
-  for (const ShardLane& s : shards) {
-    stat_cpfp_decisions_ += s.cpfp_picks();
-    stat_rbf_decisions_ += s.rbf_attempts();
-  }
-}
-
 void Engine::flush_sim_metrics() {
   SimMetrics& m = sim_metrics();
   m.events.add(stat_events_);
-  m.messages.add(stat_messages_);
-  m.barriers.add(stat_barriers_);
   m.rbf.add(stat_rbf_decisions_);
   m.cpfp.add(stat_cpfp_decisions_);
 }
@@ -622,12 +397,7 @@ SimResult Engine::run() {
   ran_ = true;
   run_start_ = std::chrono::steady_clock::now();
 
-  const unsigned lanes = util::resolve_threads(config_.threads);
-  if (lanes <= 1 || config_.sim_shards <= 1) {
-    run_serial();
-  } else {
-    run_sharded(lanes);
-  }
+  run_events();
   flush_sim_metrics();
 
   SimResult result;

@@ -61,26 +61,10 @@ struct EngineConfig {
   /// (useful for isolating policy effects in tests).
   bool propagation_exclusion = true;
 
-  /// Execution lanes: 0 = hardware concurrency, 1 = the serial engine
-  /// (byte-identical to the seed implementation), N >= 2 = the sharded
-  /// engine on N lanes. Sharded output depends only on (seed, sim_shards,
-  /// barrier_window_s) — never on the lane count or scheduling — so any
-  /// N >= 2 produces the same result, deterministically.
-  unsigned threads = 1;
-
-  /// Number of workload shards for the parallel engine (machine-
-  /// independent; part of the deterministic configuration).
-  std::uint32_t sim_shards = 8;
-
-  /// Conservative time-window barrier width in seconds: shards generate
-  /// independently within a window and synchronize only at its edge.
-  SimTime barrier_window_s = 10;
-
   /// Wall-clock budget for run() in seconds; 0 = unlimited. A run that
   /// exceeds it stops at the next deadline check (every few thousand
-  /// events serially; every window barrier sharded) and reports the
-  /// overrun with partial-progress diagnostics in SimResult::timeout
-  /// instead of hanging a batch job forever. The partial chain is
+  /// events) and reports the overrun with partial-progress diagnostics
+  /// in SimResult::timeout instead of hanging a batch job forever. The partial chain is
   /// returned as-is: internally consistent, just shorter than asked.
   double deadline_s = 0.0;
 };
@@ -156,18 +140,12 @@ class Engine {
   std::unordered_set<btc::Txid> propagation_exclude(SimTime now,
                                                     const MiningPool& winner);
   /// Everything after block selection: coinbase, mempool eviction,
-  /// estimator update, chain append. Returns the mined txids. The serial
-  /// path also feeds the observer; the sharded merge ships the ids to the
-  /// observer lane instead.
-  std::vector<btc::Txid> commit_block(SimTime now, MiningPool& winner,
-                                      node::BlockTemplate tpl,
-                                      bool feed_observer);
+  /// observer and estimator updates, chain append.
+  void commit_block(SimTime now, MiningPool& winner, node::BlockTemplate tpl);
 
-  /// Today's single-threaded event loop (byte-identical to the seed
-  /// engine) and the sharded windowed engine. Both leave their results in
-  /// the member state consumed by run().
-  void run_serial();
-  void run_sharded(unsigned lanes);
+  /// The event loop (byte-identical to the seed engine); leaves its
+  /// results in the member state consumed by run().
+  void run_events();
   void flush_sim_metrics();
 
   EngineConfig config_;
@@ -218,7 +196,7 @@ class Engine {
   bool ran_ = false;
 
   /// Wall-clock deadline bookkeeping (config_.deadline_s).
-  /// deadline_check() is called periodically by both engines; it stamps
+  /// deadline_check() is called periodically by the event loop; it stamps
   /// timeout_ and returns true once the budget is spent.
   bool deadline_check(SimTime sim_now);
   std::chrono::steady_clock::time_point run_start_{};
@@ -227,8 +205,6 @@ class Engine {
   /// Batched sim telemetry (flushed to cn::obs once per run, keeping the
   /// instrumentation overhead far under the 2% gate).
   std::uint64_t stat_events_ = 0;          ///< events processed
-  std::uint64_t stat_messages_ = 0;        ///< cross-shard messages merged
-  std::uint64_t stat_barriers_ = 0;        ///< window barrier waits
   std::uint64_t stat_rbf_decisions_ = 0;   ///< RBF bump attempts
   std::uint64_t stat_cpfp_decisions_ = 0;  ///< CPFP parent picks
 };

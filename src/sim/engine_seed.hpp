@@ -1,8 +1,6 @@
-// The PR-6-era single-threaded engine, kept verbatim as a differential
-// oracle (tests prove Engine{threads=1} reproduces it byte-for-byte) and
-// as the baseline bench_sim_scale measures the rearchitected engine
-// against. Do not optimize or otherwise touch this file: its value is
-// that it never changes.
+// The original engine, kept verbatim as a differential oracle: tests
+// prove sim::Engine reproduces it byte-for-byte. Do not optimize or
+// otherwise touch this file: its value is that it never changes.
 #pragma once
 
 #include "sim/engine.hpp"
@@ -10,8 +8,7 @@
 namespace cn::sim {
 
 /// The seed engine: a global priority-queue discrete-event loop. Shares
-/// EngineConfig/SimResult with the production Engine (threads/shards
-/// fields are ignored — this engine is always serial).
+/// EngineConfig/SimResult with the production Engine.
 class SeedEngine {
  public:
   explicit SeedEngine(EngineConfig config);

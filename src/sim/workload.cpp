@@ -8,9 +8,8 @@
 
 namespace cn::sim {
 
-WorkloadGenerator::WorkloadGenerator(WorkloadConfig config, Rng rng,
-                                     std::uint64_t nonce_base)
-    : config_(std::move(config)), rng_(rng), nonce_(nonce_base) {
+WorkloadGenerator::WorkloadGenerator(WorkloadConfig config, Rng rng)
+    : config_(std::move(config)), rng_(rng) {
   CN_ASSERT(config_.base_tx_per_second > 0.0);
   CN_ASSERT(config_.diurnal_amplitude >= 0.0 && config_.diurnal_amplitude < 1.0);
   CN_ASSERT(config_.urgent_fraction + config_.patient_fraction <= 1.0);

@@ -117,11 +117,7 @@ struct GeneratedTx {
 
 class WorkloadGenerator {
  public:
-  /// @p nonce_base offsets the per-transaction nonce counter. The sharded
-  /// engine gives each shard a disjoint nonce range so the synthetic
-  /// funding outpoints of different shards can never collide.
-  WorkloadGenerator(WorkloadConfig config, Rng rng,
-                    std::uint64_t nonce_base = 0);
+  WorkloadGenerator(WorkloadConfig config, Rng rng);
 
   const WorkloadConfig& config() const noexcept { return config_; }
 

@@ -11,8 +11,7 @@
 // The theta endpoints are pinned at the strictest level available,
 // exported CNB1 bytes:
 //   * theta=0 is BYTE-IDENTICAL to the honest world (the policy attaches
-//     but must consume no randomness and mutate nothing), on the serial
-//     AND the sharded engine (threads 1 and 0);
+//     but must consume no randomness and mutate nothing);
 //   * theta=1 is BYTE-IDENTICAL to the plain SelfInterestPolicy world —
 //     full retention IS the non-evasive adversary.
 //
@@ -62,12 +61,10 @@ enum class Plant {
 /// issued transactions match across worlds), a mid-run congestion burst.
 /// Only the "Selfish" pool's policy attachment varies.
 sim::EngineConfig power_config(Plant plant, double theta = 0.0,
-                               double withhold_delay_s = 0.0,
-                               unsigned threads = 1) {
+                               double withhold_delay_s = 0.0) {
   sim::EngineConfig config;
   config.seed = kSeed;
   config.duration = smoke_mode() ? kDay : 2 * kDay;
-  config.threads = threads;
 
   sim::PoolSpec selfish;
   selfish.name = "Selfish";
@@ -206,18 +203,6 @@ TEST_F(DetectorPower, FullRetentionIsByteIdenticalToPlainSelfish) {
   EXPECT_TRUE(
       cnb_bytes(*theta_full_, "theta1") == cnb_bytes(*selfish_, "selfish"))
       << "theta=1 world diverged from the plain selfish world";
-}
-
-TEST(DetectorPowerSharded, ZeroEvasionByteIdentityHoldsSharded) {
-  // Same collapse on the sharded engine (threads=0 resolves to hardware
-  // concurrency): the no-op policy must not perturb shard hand-offs.
-  const sim::SimResult honest =
-      sim::Engine(power_config(Plant::kNone, 0.0, 0.0, /*threads=*/0)).run();
-  const sim::SimResult theta0 =
-      sim::Engine(power_config(Plant::kEvasive, 0.0, 0.0, /*threads=*/0))
-          .run();
-  EXPECT_TRUE(cnb_bytes(honest, "sh_honest") == cnb_bytes(theta0, "sh_theta0"))
-      << "sharded theta=0 world diverged from the sharded honest baseline";
 }
 
 TEST_F(DetectorPower, PowerDegradesMonotonicallyWithEvasionBudget) {

@@ -123,7 +123,11 @@ class ObsExport : public ::testing::Test {
     set_enabled(true);
     reset_for_test();
     timeline_clear();
-    dir_ = std::filesystem::temp_directory_path() / "cn_obs_export_test";
+    // Suffix with the test name: ctest runs each case in its own
+    // process, and a shared directory races under `ctest -j`.
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("cn_obs_export_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

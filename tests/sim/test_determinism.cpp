@@ -1,19 +1,10 @@
-// The sharded engine's determinism contract (DESIGN.md §12), tested at
-// the strictest level available: exported bytes.
-//
-//   1. threads=1 is the serial engine — byte-identical to the in-tree
-//      seed (pre-sharding) engine, including CSV and CNB1 exports.
-//   2. threads=N is run-to-run deterministic for a fixed seed: two runs
-//      export identical bytes. The interleaving differs from serial
-//      (shards draw from forked RNG streams), which is allowed; what is
-//      not allowed is any dependence on thread scheduling.
-//   3. The audit detectors still recover planted misbehaviour from a
-//      sharded world — parallelism must not wash out the signal the
-//      whole toolkit exists to find.
+// The engine's determinism contract (DESIGN.md §12), tested at the
+// strictest level available: exported bytes. sim::Engine must match the
+// frozen in-tree reference, sim::SeedEngine, event for event, including
+// the CSV and CNB1 exports.
 //
 // Registered as a world test: the suite shares its simulated worlds
-// across cases, and ci.sh runs the binary under TSan to put the
-// cross-shard hand-offs in front of the race detector.
+// across cases.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -22,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/prio_test.hpp"
-#include "core/wallet_inference.hpp"
 #include "io/cnb.hpp"
 #include "io/dataset_io.hpp"
 #include "sim/dataset.hpp"
@@ -84,37 +73,28 @@ void expect_identical_exports(const sim::SimResult& a, const sim::SimResult& b,
   }
 }
 
-/// The shared worlds: one config, simulated by the seed engine, the
-/// serial path, and the sharded path twice.
-class ShardedDeterminism : public ::testing::Test {
+/// The shared worlds: one config, simulated by the seed engine and by
+/// sim::Engine.
+class EngineDeterminism : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    sim::EngineConfig config = sim::dataset_config(sim::DatasetKind::kA, 4242, 0.15);
+    const sim::EngineConfig config =
+        sim::dataset_config(sim::DatasetKind::kA, 4242, 0.15);
     seed_ = new sim::SimResult(sim::SeedEngine(config).run());
-    config.threads = 1;
-    serial_ = new sim::SimResult(sim::Engine(config).run());
-    config.threads = 2;
-    sharded_a_ = new sim::SimResult(sim::Engine(config).run());
-    sharded_b_ = new sim::SimResult(sim::Engine(config).run());
+    engine_ = new sim::SimResult(sim::Engine(config).run());
   }
   static void TearDownTestSuite() {
-    delete sharded_b_;
-    delete sharded_a_;
-    delete serial_;
+    delete engine_;
     delete seed_;
-    sharded_b_ = sharded_a_ = serial_ = seed_ = nullptr;
+    engine_ = seed_ = nullptr;
   }
 
   static sim::SimResult* seed_;
-  static sim::SimResult* serial_;
-  static sim::SimResult* sharded_a_;
-  static sim::SimResult* sharded_b_;
+  static sim::SimResult* engine_;
 };
 
-sim::SimResult* ShardedDeterminism::seed_ = nullptr;
-sim::SimResult* ShardedDeterminism::serial_ = nullptr;
-sim::SimResult* ShardedDeterminism::sharded_a_ = nullptr;
-sim::SimResult* ShardedDeterminism::sharded_b_ = nullptr;
+sim::SimResult* EngineDeterminism::seed_ = nullptr;
+sim::SimResult* EngineDeterminism::engine_ = nullptr;
 
 void expect_same_world(const sim::SimResult& a, const sim::SimResult& b) {
   ASSERT_EQ(a.chain.size(), b.chain.size());
@@ -141,77 +121,12 @@ void expect_same_world(const sim::SimResult& a, const sim::SimResult& b) {
             b.observer.snapshots().stats().size());
 }
 
-TEST_F(ShardedDeterminism, SerialMatchesSeedEngine) {
-  expect_same_world(*seed_, *serial_);
+TEST_F(EngineDeterminism, MatchesSeedEngine) {
+  expect_same_world(*seed_, *engine_);
 }
 
-TEST_F(ShardedDeterminism, SerialExportBytesMatchSeedEngine) {
-  expect_identical_exports(*seed_, *serial_, "serial");
-}
-
-TEST_F(ShardedDeterminism, ShardedRunToRunIdentical) {
-  expect_same_world(*sharded_a_, *sharded_b_);
-}
-
-TEST_F(ShardedDeterminism, ShardedExportBytesIdenticalRunToRun) {
-  expect_identical_exports(*sharded_a_, *sharded_b_, "sharded");
-}
-
-TEST_F(ShardedDeterminism, ShardedWorldIsStatisticallyComparable) {
-  // The sharded interleaving is a different sample of the same process:
-  // block count and issuance must land within a few percent of serial.
-  const double blocks_serial = static_cast<double>(serial_->chain.size());
-  const double blocks_sharded = static_cast<double>(sharded_a_->chain.size());
-  EXPECT_NEAR(blocks_sharded / blocks_serial, 1.0, 0.15);
-  const double issued_serial = static_cast<double>(serial_->issued_count);
-  const double issued_sharded = static_cast<double>(sharded_a_->issued_count);
-  EXPECT_NEAR(issued_sharded / issued_serial, 1.0, 0.05);
-}
-
-TEST(ShardedDetectors, PlantedSelfDealerStillCaught) {
-  // A calibration-style planted world simulated on the sharded engine:
-  // the SPPE detector must still convict the self-dealer and acquit an
-  // honest pool. (The serial engine's verdicts are covered by the
-  // calibration suite; byte-identity above carries them over.)
-  sim::EngineConfig config;
-  config.seed = 991;
-  config.duration = 2 * kDay;
-  sim::PoolSpec selfish;
-  selfish.name = "Selfish";
-  selfish.hash_share = 25.0;
-  selfish.self_tx_weight = 3.0;
-  selfish.selfish = true;
-  sim::PoolSpec honest;
-  honest.name = "Honest";
-  honest.hash_share = 75.0;
-  config.pools = {selfish, honest};
-  config.workload.self_interest_per_block = 0.6;
-  config.workload.bursts.push_back({kDay, 6 * kHour, 3.0});
-  config.threads = 2;
-
-  const sim::SimResult world = sim::Engine(config).run();
-  ASSERT_GT(world.chain.size(), 150u);
-
-  btc::CoinbaseTagRegistry registry;
-  registry.add("Selfish", btc::conventional_marker("Selfish"));
-  registry.add("Honest", btc::conventional_marker("Honest"));
-  const core::PoolAttribution attribution(world.chain, registry);
-
-  const auto own =
-      core::self_interest_txs(world.chain, attribution, "Selfish");
-  ASSERT_GT(own.size(), 20u);
-  const auto verdict = core::test_differential_prioritization(
-      world.chain, attribution, "Selfish", own);
-  EXPECT_LT(verdict.p_accelerate, 0.001);
-  EXPECT_GT(verdict.sppe, 0.0);
-
-  const auto honest_own =
-      core::self_interest_txs(world.chain, attribution, "Honest");
-  if (honest_own.size() > 20u) {
-    const auto honest_verdict = core::test_differential_prioritization(
-        world.chain, attribution, "Honest", honest_own);
-    EXPECT_GT(honest_verdict.p_accelerate, 0.001);
-  }
+TEST_F(EngineDeterminism, ExportBytesMatchSeedEngine) {
+  expect_identical_exports(*seed_, *engine_, "engine");
 }
 
 }  // namespace

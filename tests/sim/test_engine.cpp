@@ -276,16 +276,5 @@ TEST(EngineDeadline, TinyDeadlineStopsSerialRunWithDiagnostics) {
   EXPECT_TRUE(r.chain.verify_integrity());
 }
 
-TEST(EngineDeadline, TinyDeadlineStopsShardedRunToo) {
-  EngineConfig config = tiny_config();
-  config.duration = 365 * kDay;
-  config.deadline_s = 0.05;
-  config.threads = 2;
-  const SimResult r = Engine(config).run();
-  ASSERT_TRUE(r.timeout.timed_out);
-  EXPECT_LT(r.timeout.sim_time_reached, config.duration);
-  EXPECT_FALSE(r.timeout.describe().empty());
-}
-
 }  // namespace
 }  // namespace cn::sim

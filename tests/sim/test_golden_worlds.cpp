@@ -2,25 +2,36 @@
 // that together take every template-builder path — GBT on data sets A, B
 // and C, the legacy coin-age builder, aging, selfish and evasive boosts,
 // propagation and withholding exclusions, the FIFO fair queue, a
-// fee-only regime, a year slice, and two sharded worlds. Each file is
-// written with the options io::WorldCache uses for a cache entry.
+// fee-only regime and a year slice. Each file is written with the
+// options io::WorldCache uses for a cache entry.
 //
-// test_determinism.cpp compares the serial engine with the frozen seed
-// engine, but both share src/node/, so a change to the mempool or the
-// template builder is invisible to it; these digests see it. A digest
-// that changes means the world bytes changed. When that is intended,
-// bump sim::kWorldSpecVersion (so stale cache entries stop being
-// addressed, DESIGN.md §14) and re-pin every digest below; otherwise it
-// is a determinism regression.
+// test_determinism.cpp compares the engine with the frozen seed engine,
+// but both share src/node/, so a change to the mempool or the template
+// builder is invisible to it; these digests see it. A digest that
+// changes means the world bytes changed. When that is intended, bump
+// sim::kWorldSpecVersion (so stale cache entries stop being addressed,
+// DESIGN.md §14) and re-pin every digest below; otherwise it is a
+// determinism regression.
+//
+// Each world also pins the SHA-256 of the audit report rendered from its
+// CNB1 file (load, data quality, run_full_audit, print_audit_report), so
+// a change anywhere between the stored bytes and the printed report is
+// seen too. A report digest that changes without a world digest change
+// means the audit's output changed: intended changes re-pin it.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
 
+#include "btc/coinbase_tags.hpp"
+#include "core/audit_pipeline.hpp"
+#include "core/data_quality.hpp"
 #include "io/cnb.hpp"
+#include "io/dataset_source.hpp"
 #include "io/world_cache.hpp"
 #include "sim/engine.hpp"
 #include "sim/world_spec.hpp"
@@ -41,8 +52,8 @@ constexpr std::uint32_t kPinnedSpecVersion = 1;
 struct GoldenWorld {
   const char* name;
   sim::WorldSpec spec;
-  unsigned threads;  ///< 1 = the serial engine
-  const char* sha256;
+  const char* cnb_sha256;
+  const char* report_sha256;
 };
 
 sim::WorldSpec scenario(sim::DatasetKind kind, const char* label) {
@@ -77,39 +88,47 @@ const std::vector<GoldenWorld>& corpus() {
     year.set("clear_bursts", 1.0);
     year.set("utilization", 0.92);
     year.set("anchor_multiplier", 3.6);
-    const sim::WorldSpec baseline_c = sim::baseline_spec(DatasetKind::kC, kSeed, kScale);
 
     return new std::vector<GoldenWorld>{
-        {"baseline-A", sim::baseline_spec(DatasetKind::kA, kSeed, kScale), 1,
-         "a79c176da633857cedfff6ea4fc599c33c31aadefa50a7d7e391bcbab3307ae3"},
-        {"baseline-B", sim::baseline_spec(DatasetKind::kB, kSeed, kScale), 1,
-         "1eef54b8fe837f36191f4e2e37602ad6c48c6c2f17ff459fecbe839e7ab94b94"},
-        {"baseline-C", baseline_c, 1,
-         "efbef403aab7c83f107eefa005a4271acb0f977731e76e5f622e53785cdc23b5"},
-        {"era-legacy", scenario(DatasetKind::kA, "era-legacy").set("builder", 1.0), 1,
-         "eba08b82ca4c20dbf466010cbf9313e92fbf1d086607ceb025fe2d0e22956cb1"},
+        {"baseline-A", sim::baseline_spec(DatasetKind::kA, kSeed, kScale),
+         "a79c176da633857cedfff6ea4fc599c33c31aadefa50a7d7e391bcbab3307ae3",
+         "4ab8223a000484bb528763f167d5ffb1ae3b27d1d27d4e3dc02c4f195f9f22e2"},
+        {"baseline-B", sim::baseline_spec(DatasetKind::kB, kSeed, kScale),
+         "1eef54b8fe837f36191f4e2e37602ad6c48c6c2f17ff459fecbe839e7ab94b94",
+         "a3db8184afc6108fdbaef5142b35f0ca3d5c069706ea26e70a7bdac0964825c3"},
+        {"baseline-C", sim::baseline_spec(DatasetKind::kC, kSeed, kScale),
+         "efbef403aab7c83f107eefa005a4271acb0f977731e76e5f622e53785cdc23b5",
+         "c87c615a7989c8d1625e593e0eca28570cfc5d7ffb1586ca60d02f54f2b97c7f"},
+        {"era-legacy", scenario(DatasetKind::kA, "era-legacy").set("builder", 1.0),
+         "eba08b82ca4c20dbf466010cbf9313e92fbf1d086607ceb025fe2d0e22956cb1",
+         "46657b8b10eb121b20a09b93f23638a782f8ee3e74981e6e1354b8ef3da6826c"},
         {"aging-0.2", scenario(DatasetKind::kA, "aging").set("age_weight_per_hour", 0.2),
-         1, "5acc05e20f149f6102dfcfe19e96fe8f6b3df22bd3a3454694276bd75717cded"},
+         "5acc05e20f149f6102dfcfe19e96fe8f6b3df22bd3a3454694276bd75717cded",
+         "cfaa5490f1a284289ce54166fb62967a79bd4e906f80b5065765938aa465d040"},
         {"aging-1.0", scenario(DatasetKind::kA, "aging").set("age_weight_per_hour", 1.0),
-         1, "310f472cc0e42aea947ba5fdc34754011f74ef79463a0844b8885e0fbd3738f5"},
-        {"selfish", selfish(true), 1,
-         "50ddd09f215b449eb54762adae31c7fb8b3f870fbd85646a65fa0e3b514a716b"},
-        {"selfish-no-propagation", selfish(false), 1,
-         "31c8be13f5c3304d008858e56e598358bdaa5036acf7b6383d9043d7f585b160"},
-        {"evasion-0.5", detection(true).set("evasion_theta", 0.5), 1,
-         "9e5a3d62362c0e8f6a4ef6fc3fd7d620e51e77d32fef471cc72286c78015c133"},
-        {"withholding-120s", withholding, 1,
-         "237205ca155813b8085229ceb3d1565b4e1b4aeed4d644023c2e15963b105406"},
-        {"fair-queue", scenario(DatasetKind::kC, "fair-queue").set("fair_queue", 1.0), 1,
-         "04d9c74d7d683d7e1234e2057a913e7b28e38782706c348869136329d4b6232a"},
-        {"fee-only", scenario(DatasetKind::kC, "fee-only").set("fee_only", 1.0), 1,
-         "01c48290b5d994d3d1bc91b6d1b633c84c5235756b7e0c4a0572d25b7c4ff77d"},
-        {"year-slice-2017", year, 1,
-         "20165caa6169e2a723f52637c588efd4ad0246bb112c10fcd4f5b2e131735582"},
-        {"baseline-C-threads4", baseline_c, 4,
-         "803072e77206443b6df96cf153ebe7e4024daf9c84e2ad2b6ca01979f2ff8272"},
-        {"selfish-threads4", selfish(true), 4,
-         "f381e240a3dd1e2f1147a9585d0eea3fda03fc779fdcb27c1e65a0471eb43d6d"},
+         "310f472cc0e42aea947ba5fdc34754011f74ef79463a0844b8885e0fbd3738f5",
+         "cb59eedb798ded8d634ab72610f05a3752b2d812ce26f0dac3c8d10c2d79e4bd"},
+        {"selfish", selfish(true),
+         "50ddd09f215b449eb54762adae31c7fb8b3f870fbd85646a65fa0e3b514a716b",
+         "6d97225d06aede707b952ef70cf5cfeefeadf70218840dea5a17785c487c2fb3"},
+        {"selfish-no-propagation", selfish(false),
+         "31c8be13f5c3304d008858e56e598358bdaa5036acf7b6383d9043d7f585b160",
+         "af185901772a31dd37522d3fb7b9a01cd5ca9538db226013261d81f2d940eba3"},
+        {"evasion-0.5", detection(true).set("evasion_theta", 0.5),
+         "9e5a3d62362c0e8f6a4ef6fc3fd7d620e51e77d32fef471cc72286c78015c133",
+         "b852484aa63258488a1d929040eaf139677e8ad3212b0bf0d2ce52a5c265ee62"},
+        {"withholding-120s", withholding,
+         "237205ca155813b8085229ceb3d1565b4e1b4aeed4d644023c2e15963b105406",
+         "adc2cf65912535391232d3376e9fe8ec3b8b268706aa8e10d388f4466c214e33"},
+        {"fair-queue", scenario(DatasetKind::kC, "fair-queue").set("fair_queue", 1.0),
+         "04d9c74d7d683d7e1234e2057a913e7b28e38782706c348869136329d4b6232a",
+         "c365f6d7f0335f93872d95623bf5f6a09e4bff05244759b10792ad91cc682535"},
+        {"fee-only", scenario(DatasetKind::kC, "fee-only").set("fee_only", 1.0),
+         "01c48290b5d994d3d1bc91b6d1b633c84c5235756b7e0c4a0572d25b7c4ff77d",
+         "c87c615a7989c8d1625e593e0eca28570cfc5d7ffb1586ca60d02f54f2b97c7f"},
+        {"year-slice-2017", year,
+         "20165caa6169e2a723f52637c588efd4ad0246bb112c10fcd4f5b2e131735582",
+         "79337dd156394723d10aba70d2a44ae8a8c8e0540f56e44cc503d8320f98cd61"},
     };
   }();
   return *worlds;
@@ -126,9 +145,7 @@ std::string file_sha256(const std::filesystem::path& path) {
 /// Simulates @p world and returns the SHA-256 of its CNB1 file, written
 /// exactly as io::WorldCache::generate writes a cache entry.
 std::string world_sha256(const GoldenWorld& world, const std::filesystem::path& path) {
-  sim::EngineConfig config = world.spec.config();
-  config.threads = world.threads;
-  const sim::SimResult result = sim::Engine(config).run();
+  const sim::SimResult result = sim::Engine(world.spec.config()).run();
 
   io::SimWorldInfo truth;
   truth.spec_fingerprint = world.spec.fingerprint();
@@ -143,6 +160,39 @@ std::string world_sha256(const GoldenWorld& world, const std::filesystem::path& 
   return file_sha256(path);
 }
 
+std::string rendered(const core::AuditReport& report) {
+  std::FILE* tmp = std::tmpfile();
+  core::print_audit_report(report, tmp);
+  const long size = std::ftell(tmp);
+  std::string out(static_cast<std::size_t>(size), '\0');
+  std::rewind(tmp);
+  const std::size_t read = std::fread(out.data(), 1, out.size(), tmp);
+  std::fclose(tmp);
+  out.resize(read);
+  return out;
+}
+
+/// Audits the CNB1 file at @p path as the pipeline benchmark's audit
+/// workload does (strict load, data quality, run_full_audit watching the
+/// world's scam address) and returns the SHA-256 of the rendered report.
+std::string report_sha256(const std::filesystem::path& path) {
+  const auto loaded =
+      io::open_dataset(path.string(), io::LoadPolicy::kStrict, io::DatasetFormat::kCnb);
+  if (!loaded || !loaded->snapshots || !loaded->first_seen || !loaded->sim_world) {
+    ADD_FAILURE() << path << ": " << loaded.report.summary();
+    return "";
+  }
+  const io::DatasetHandle& data = *loaded;
+  const core::DataQualityReport quality =
+      core::assess_data_quality(data.chain, &*data.snapshots, &*data.first_seen);
+  core::AuditOptions options;
+  options.watch_addresses.push_back(data.sim_world->scam_address);
+  options.first_seen = &*data.first_seen;
+  options.interned_addresses = &data.addresses;
+  return hex_encode(sha256(rendered(core::run_full_audit(
+      data.chain, btc::CoinbaseTagRegistry::paper_registry(), &quality, options))));
+}
+
 std::filesystem::path fresh_dir(const char* name) {
   const std::filesystem::path dir = std::filesystem::path(::testing::TempDir()) / name;
   std::filesystem::remove_all(dir);
@@ -150,17 +200,23 @@ std::filesystem::path fresh_dir(const char* name) {
   return dir;
 }
 
-TEST(GoldenWorlds, CnbBytesMatchPins) {
+TEST(GoldenWorlds, CnbAndReportBytesMatchPins) {
   ASSERT_EQ(sim::kWorldSpecVersion, kPinnedSpecVersion)
       << "sim::kWorldSpecVersion changed: re-simulate the corpus, re-pin "
          "every digest in this file and set kPinnedSpecVersion to match.";
   const std::filesystem::path dir = fresh_dir("cn_golden_worlds");
   for (const GoldenWorld& world : corpus()) {
-    EXPECT_EQ(world_sha256(world, dir / (std::string(world.name) + ".cnb")), world.sha256)
-        << world.name << " (" << world.spec.label() << ", threads " << world.threads
+    const std::filesystem::path path = dir / (std::string(world.name) + ".cnb");
+    EXPECT_EQ(world_sha256(world, path), world.cnb_sha256)
+        << world.name << " (" << world.spec.label()
         << "): the world bytes changed. If the change is intended, bump "
            "sim::kWorldSpecVersion and re-pin every digest in this file "
            "(ROADMAP item 4b); otherwise it is a determinism regression.";
+    EXPECT_EQ(report_sha256(path), world.report_sha256)
+        << world.name << " (" << world.spec.label()
+        << "): the rendered audit report changed. If the change is "
+           "intended, re-pin this report digest; otherwise it is a "
+           "regression between the stored world and the printed report.";
   }
   std::filesystem::remove_all(dir);
 }
@@ -172,7 +228,7 @@ TEST(GoldenWorlds, PinsAreWorldCacheEntries) {
   io::WorldCache cache(dir.string());
   const GoldenWorld& first = corpus().front();
   cache.materialize(first.spec);
-  EXPECT_EQ(file_sha256(cache.path_for(first.spec)), first.sha256);
+  EXPECT_EQ(file_sha256(cache.path_for(first.spec)), first.cnb_sha256);
   std::filesystem::remove_all(dir);
 }
 

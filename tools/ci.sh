@@ -7,10 +7,8 @@
 # overhead on the bit bench_audit
 # writes to bench_out/BENCH_audit.json, re-runs the concurrency-sensitive
 # tests (the ThreadPool, the lock-free obs registry, the parallel audit
-# pipeline, the columnar-vs-legacy differential suite, the
-# fault-injection property suite, and the sharded simulation engine's
-# determinism suite plus its bench smoke sweep) under tsan, runs the
-# fault-injection
+# pipeline, the columnar-vs-legacy differential suite, and the
+# fault-injection property suite) under tsan, runs the fault-injection
 # suite under asan plus the ingestion throughput bench, exercises the
 # CNB1 leg (round-trip suite under asan, cnconvert-built fixtures feeding
 # the legacy-vs-columnar differential from a binary source, and the 20x
@@ -247,15 +245,6 @@ run ./build-tsan/tests/cn_tests_obs
 # property tests all drive the thread pool; run them race-checked.
 run ./build-tsan/tests/cn_tests_core --gtest_filter='AuditPipeline*:AuditDifferential*:AuditStages*'
 run ./build-tsan/tests/cn_tests_io --gtest_filter='FaultInjection*'
-
-echo "=== tsan: sharded simulation engine ==="
-# The sharded engine's cross-shard hand-offs (per-lane message queues
-# drained at the window barrier, the observer lane, the merged event
-# order) are the newest concurrent code in the tree; run the
-# determinism suite and the scaling bench's smoke sweep race-checked.
-run cmake --build --preset tsan -j "${JOBS}" --target cn_tests_sim_determinism bench_sim_scale
-run ./build-tsan/tests/cn_tests_sim_determinism
-run ./build-tsan/bench/bench_sim_scale --smoke
 
 echo "=== obs disabled: -DCN_OBS_DISABLE=ON compiles and passes ==="
 # The compile-time kill switch turns every handle into an empty inline

@@ -1,12 +1,9 @@
 // cnaudit — command-line front end to the chainneutrality library.
 //
 //   cnaudit simulate  --dataset A|B|C [--seed N] [--scale X]
-//                     [--threads N] --out DIR
+//                     [--timeout-s S] --out DIR
 //       Simulate a data set and export it (blocks/txs/inputs/outputs CSV
 //       plus Mempool snapshots and the observer's first-seen log).
-//       --threads 0 runs the sharded engine on all hardware threads
-//       (deterministic for a fixed seed); the default 1 is the serial
-//       engine, byte-identical to the pre-sharding simulator.
 //
 //   cnaudit audit      --input PATH [--alpha P] [--min-share F]
 //       Load a data set and run the §5 cross-pool differential-
@@ -46,7 +43,9 @@
 //                        overrides it.
 //   --obs on|off         runtime switch (default on); off makes every
 //                        metric/span a no-op and the exports empty.
-// Options may be spelled "--key value" or "--key=value".
+// Options may be spelled "--key value" or "--key=value". An option the
+// subcommand does not read is an error (exit 2), so a typo or a removed
+// option cannot silently fall back to a default.
 //
 //   cnaudit neutrality --input PATH
 //       Print the per-pool chain-neutrality scorecard (§6.1).
@@ -120,6 +119,8 @@ class Args {
   bool ok() const { return ok_; }
   const std::string& bad() const { return bad_; }
 
+  const std::map<std::string, std::string>& values() const { return values_; }
+
   std::optional<std::string> get(const std::string& key) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return std::nullopt;
@@ -146,8 +147,8 @@ class Args {
 int usage() {
   std::fprintf(stderr,
                "usage: cnaudit <simulate|audit|report|neutrality|ppe|darkfee> [--key value ...]\n"
-               "  simulate   --dataset A|B|C [--seed N] [--scale X] [--threads N]\n"
-               "             [--timeout-s S] --out DIR\n"
+               "  simulate   --dataset A|B|C [--seed N] [--scale X] [--timeout-s S]\n"
+               "             --out DIR\n"
                "  audit      --input PATH [--alpha P] [--min-share F]\n"
                "  report     --input PATH [--alpha P] [--threads N] [--min-coverage F]\n"
                "             [--stages CSV] [--engine columnar|legacy] [--timings on|off]\n"
@@ -225,20 +226,13 @@ int cmd_simulate(const Args& args) {
   }
   const std::uint64_t seed = args.get_u64("seed", 42);
   const double scale = args.get_double("scale", 0.5);
-  // 0 = all hardware threads (sharded engine), 1 = the serial engine
-  // (byte-identical to the pre-sharding simulator). Sharded output is
-  // deterministic for a fixed seed but differs from the serial event
-  // interleaving, so the default stays serial.
-  const unsigned threads = static_cast<unsigned>(args.get_u64("threads", 1));
   // Wall-clock budget; 0 (default) = unlimited. An exceeded budget is a
   // typed failure with partial-progress diagnostics, not a silent hang.
   const double timeout_s = args.get_double("timeout-s", 0.0);
 
-  std::printf("simulating data set %s (seed %llu, scale %.2f, threads %u)...\n",
-              kind_str.c_str(), static_cast<unsigned long long>(seed), scale,
-              threads);
+  std::printf("simulating data set %s (seed %llu, scale %.2f)...\n",
+              kind_str.c_str(), static_cast<unsigned long long>(seed), scale);
   sim::EngineConfig config = sim::dataset_config(kind, seed, scale);
-  config.threads = threads;
   config.deadline_s = timeout_s;
   const sim::SimResult world = sim::Engine(config).run();
   if (world.timeout.timed_out) {
@@ -476,15 +470,37 @@ bool export_observability(const Args& args) {
   return ok;
 }
 
-int run_command(const std::string& command, const Args& args) {
-  if (command == "simulate") return cmd_simulate(args);
-  if (command == "audit") return cmd_audit(args);
-  if (command == "report") return cmd_report(args);
-  if (command == "neutrality") return cmd_neutrality(args);
-  if (command == "ppe") return cmd_ppe(args);
-  if (command == "darkfee") return cmd_darkfee(args);
-  std::fprintf(stderr, "cnaudit: unknown command '%s'\n", command.c_str());
-  return usage();
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  bool loads_data;  ///< reads load_dataset's options
+  std::vector<std::string_view> options;  ///< the rest it reads
+};
+
+const Command* find_command(std::string_view name) {
+  static const std::vector<Command> commands = {
+      {"simulate", cmd_simulate, false, {"dataset", "seed", "scale", "timeout-s", "out"}},
+      {"audit", cmd_audit, true, {"alpha", "min-share"}},
+      {"report", cmd_report, true,
+       {"alpha", "threads", "min-coverage", "stages", "engine", "timings"}},
+      {"neutrality", cmd_neutrality, true, {}},
+      {"ppe", cmd_ppe, true, {}},
+      {"darkfee", cmd_darkfee, true, {"pool", "sppe"}},
+  };
+  for (const Command& c : commands) {
+    if (c.name == name) return &c;
+  }
+  return nullptr;
+}
+
+bool takes_option(const Command& command, std::string_view key) {
+  static const std::vector<std::string_view> global = {"metrics-out", "trace-out", "obs"};
+  static const std::vector<std::string_view> loading = {"input", "data", "format", "policy"};
+  const auto listed = [key](const std::vector<std::string_view>& keys) {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  };
+  return listed(command.options) || listed(global) ||
+         (command.loads_data && listed(loading));
 }
 
 }  // namespace
@@ -492,10 +508,22 @@ int run_command(const std::string& command, const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
+  const Command* cmd = find_command(command);
+  if (cmd == nullptr) {
+    std::fprintf(stderr, "cnaudit: unknown command '%s'\n", command.c_str());
+    return usage();
+  }
   const Args args(argc, argv, 2);
   if (!args.ok()) {
     std::fprintf(stderr, "cnaudit: bad argument '%s'\n", args.bad().c_str());
     return usage();
+  }
+  for (const auto& [key, value] : args.values()) {
+    if (!takes_option(*cmd, key)) {
+      std::fprintf(stderr, "cnaudit: %s does not take --%s\n", command.c_str(),
+                   key.c_str());
+      return usage();
+    }
   }
   const std::string obs_switch = args.get_or("obs", "on");
   if (obs_switch != "on" && obs_switch != "off") {
@@ -505,7 +533,7 @@ int main(int argc, char** argv) {
   }
   obs::set_enabled(obs_switch == "on");
 
-  const int rc = run_command(command, args);
+  const int rc = cmd->run(args);
   if (!export_observability(args) && rc == 0) return 1;
   return rc;
 }

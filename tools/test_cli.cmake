@@ -79,6 +79,36 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "unknown command unexpectedly succeeded")
 endif()
 
+# An option the subcommand does not read must be rejected by name (exit
+# 2), not silently dropped: a removed option and a typo.
+function(expect_rejected_option option)
+  execute_process(COMMAND "${CNAUDIT}" ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "cnaudit ${ARGN} exited ${rc}, want 2")
+  endif()
+  string(FIND "${err}" "does not take ${option}\n" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "cnaudit ${ARGN} did not name ${option}: ${err}")
+  endif()
+endfunction()
+expect_rejected_option(--threads simulate --dataset A --threads 0 --out "${workdir}_threads")
+expect_rejected_option(--thread report --data "${workdir}" --thread 4)
+if(EXISTS "${workdir}_threads")
+  message(FATAL_ERROR "simulate ran despite the rejected --threads")
+endif()
+
+# The global observability options stay valid on every subcommand.
+set(metrics "${workdir}_metrics.json")
+execute_process(
+  COMMAND "${CNAUDIT}" ppe --data "${workdir}" --obs on --metrics-out "${metrics}"
+          --trace-out "${metrics}.trace"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT EXISTS "${metrics}" OR NOT EXISTS "${metrics}.trace")
+  message(FATAL_ERROR "ppe with the global options failed (${rc}): ${out}${err}")
+endif()
+file(REMOVE "${metrics}" "${metrics}.trace")
+
 # CNB1 conversion round trip: CSV -> cnb -> CSV, with the audit reading
 # identical report bytes from all three sources via the unified --input.
 # The "loaded ... from <path>" banner names the input path, so it is
