@@ -140,8 +140,9 @@ int main(int argc, char** argv) {
               snapshots > 0 ? snapshot_apply_s * 1e6 / static_cast<double>(snapshots)
                             : 0.0);
 
-  // Sealing: the first seal pays the exact pair-violation recount; a
-  // repeat at the same stream position is memoized.
+  // Sealing: nothing was sealed before, so the first seal counts the
+  // whole pair-violation log as one batch; a repeat at the same stream
+  // position adds nothing to the running count.
   const auto seal_cold_start = Clock::now();
   std::string sealed_json = daemon::AuditAccumulators::to_json(acc.seal());
   const double seal_cold_s = seconds_since(seal_cold_start);

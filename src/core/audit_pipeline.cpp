@@ -87,7 +87,7 @@ AuditReport run_full_audit_columnar(const btc::Chain& chain,
   report.txs = chain.total_tx_count();
 
   util::ThreadPool workers(options.threads);
-  AuditContext ctx{chain, registry, quality, {}, {}, {}, {}};
+  AuditContext ctx{chain, registry, quality, {}, nullptr, {}, {}, {}};
 
   // Runs one named stage (when selected) and records its wall time.
   // "build" and "quality-mask" pass always=true: every later stage reads
@@ -117,10 +117,11 @@ AuditReport run_full_audit_columnar(const btc::Chain& chain,
   stage("build", true, [&] {
     ctx.attribution = PoolAttribution(chain, registry);
     if (options.prebuilt_dataset != nullptr) {
-      ctx.dataset = *options.prebuilt_dataset;
+      ctx.dataset = options.prebuilt_dataset;
     } else {
-      ctx.dataset = AuditDataset::build(chain, ctx.attribution, workers,
-                                        options.interned_addresses);
+      ctx.built_dataset = AuditDataset::build(chain, ctx.attribution, workers,
+                                              options.interned_addresses);
+      ctx.dataset = &ctx.built_dataset;
     }
     for (const PoolId id : ctx.attribution.pool_ids_by_blocks()) {
       if (ctx.attribution.hash_share(id) >= options.min_share) {
@@ -129,7 +130,7 @@ AuditReport run_full_audit_columnar(const btc::Chain& chain,
     }
     report.unidentified_blocks = ctx.attribution.unidentified_blocks();
   });
-  const AuditDataset& ds = ctx.dataset;
+  const AuditDataset& ds = *ctx.dataset;
 
   // quality-mask: which blocks the audit may trust, and how much
   // observed data each pool's statistics rest on. Derived

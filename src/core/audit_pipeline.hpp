@@ -95,8 +95,8 @@ struct AuditOptions {
   const btc::AddressTable* interned_addresses = nullptr;
   /// Optional dataset a loader already holds (a CNB1 file's derived
   /// sections, io::DatasetHandle::prebuilt_for). When set, the build
-  /// stage adopts it instead of calling AuditDataset::build — the
-  /// dominant cost of an audit becomes a column copy. The caller
+  /// stage references it instead of calling AuditDataset::build, the
+  /// dominant cost of an audit; nothing is copied. The caller
   /// guarantees it was built from this chain under this registry (the
   /// fingerprint gate in prebuilt_for enforces the registry half); it
   /// must outlive the run_full_audit call. Columnar engine only; the
@@ -134,7 +134,11 @@ struct AuditContext {
   const btc::CoinbaseTagRegistry& registry;
   const DataQualityReport* quality = nullptr;
   PoolAttribution attribution;
-  AuditDataset dataset;
+  /// The dataset every stage reads: AuditOptions::prebuilt_dataset when
+  /// the caller passed one, otherwise built_dataset.
+  const AuditDataset* dataset = nullptr;
+  /// Owned only when the build stage had to build the dataset.
+  AuditDataset built_dataset;
   /// Pools with hash share >= AuditOptions::min_share, by blocks desc.
   std::vector<PoolId> pools;
   /// PoolId-indexed mean effective coverage (1.0 without quality data).

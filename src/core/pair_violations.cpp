@@ -1,6 +1,7 @@
 #include "core/pair_violations.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace cn::core {
 
@@ -229,6 +230,105 @@ std::unordered_map<std::uint64_t, std::uint64_t> violations_by_block(
     }
   }
   return out;
+}
+
+PairViolationCounter::PairViolationCounter(SimTime epsilon, bool exclude_cpfp)
+    : epsilon_(std::max<SimTime>(epsilon, 0)), exclude_cpfp_(exclude_cpfp) {}
+
+bool PairViolationCounter::add(std::span<const SeenTx> batch) {
+  std::vector<SeenTx> fresh;
+  fresh.reserve(batch.size());
+  for (const SeenTx& t : batch) {
+    if (exclude_cpfp_ && (t.cpfp || t.cpfp_parent)) continue;
+    if (!counted_.empty() && t.block_height <= max_height_) return false;
+    fresh.push_back(t);
+  }
+  if (fresh.empty()) return true;
+  const auto by_arrival = [](const auto& a, const auto& b) {
+    return a.first_seen < b.first_seen;
+  };
+  std::sort(fresh.begin(), fresh.end(), by_arrival);
+  std::vector<double> fresh_fees;  // ascending, with repeats
+  fresh_fees.reserve(fresh.size());
+  for (const SeenTx& t : fresh) fresh_fees.push_back(t.fee_rate);
+  std::sort(fresh_fees.begin(), fresh_fees.end());
+
+  const SweepCounts inside = exact_counts(fresh, epsilon_);
+  stats_.predicted_pairs += inside.predicted;
+  for (const std::uint64_t v : inside.violations_per_tx) stats_.violations += v;
+
+  if (!counted_.empty()) {
+    // Cross pairs (counted x, fresh y), with b_y > b_x. Those with x
+    // first are every pair with f_x > f_y, less the ones where y arrived
+    // by t_x + eps.
+    std::uint64_t fee_ordered = 0;
+    for (const double f : fresh_fees) {
+      fee_ordered += static_cast<std::uint64_t>(
+          counted_fees_.end() -
+          std::upper_bound(counted_fees_.begin(), counted_fees_.end(), f));
+    }
+
+    std::vector<double> fees;  // distinct, ascending
+    std::unique_copy(fresh_fees.begin(), fresh_fees.end(), std::back_inserter(fees));
+    std::vector<std::uint32_t> rank(fresh.size());  // fee rank of fresh[i]
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      rank[i] = static_cast<std::uint32_t>(
+          std::lower_bound(fees.begin(), fees.end(), fresh[i].fee_rate) -
+          fees.begin());
+    }
+
+    // One ascending pass over the counted arrivals. `earlier` holds the
+    // fresh txs with t_y + eps < t_x, `within` those with t_y <= t_x +
+    // eps; both only grow as t_x does. Both stay empty while t_x + eps
+    // is before every fresh arrival, so the pass starts after those x.
+    Fenwick earlier(fees.size());
+    Fenwick within(fees.size());
+    std::size_t e = 0;
+    std::size_t w = 0;
+    std::uint64_t fresh_first = 0;  // y first with the higher fee: violations
+    std::uint64_t too_close = 0;    // f_x > f_y but t_y <= t_x + eps
+    const SimTime first_fresh = fresh.front().first_seen;
+    for (auto x = std::partition_point(counted_.begin(), counted_.end(),
+                                       [&](const Arrival& a) {
+                                         return a.first_seen + epsilon_ < first_fresh;
+                                       });
+         x != counted_.end(); ++x) {
+      while (e < fresh.size() && fresh[e].first_seen + epsilon_ < x->first_seen) {
+        earlier.add(rank[e++], +1);
+      }
+      while (w < fresh.size() && fresh[w].first_seen <= x->first_seen + epsilon_) {
+        within.add(rank[w++], +1);
+      }
+      // Fee ranks strictly below x's, and at or below it.
+      const auto lower = static_cast<std::size_t>(
+          std::lower_bound(fees.begin(), fees.end(), x->fee_rate) - fees.begin());
+      const std::size_t upper =
+          lower < fees.size() && fees[lower] == x->fee_rate ? lower + 1 : lower;
+      fresh_first += e - earlier.prefix(upper);
+      too_close += within.prefix(lower);
+    }
+    stats_.predicted_pairs += fresh_first + fee_ordered - too_close;
+    stats_.violations += fresh_first;
+  }
+
+  const auto old_end = static_cast<std::ptrdiff_t>(counted_.size());
+  for (const SeenTx& t : fresh) {
+    counted_.push_back(Arrival{t.first_seen, t.fee_rate});
+    max_height_ = std::max(max_height_, t.block_height);
+  }
+  std::inplace_merge(counted_.begin(), counted_.begin() + old_end, counted_.end(),
+                     by_arrival);
+  counted_fees_.insert(counted_fees_.end(), fresh_fees.begin(), fresh_fees.end());
+  std::inplace_merge(counted_fees_.begin(), counted_fees_.begin() + old_end,
+                     counted_fees_.end());
+  return true;
+}
+
+void PairViolationCounter::clear() {
+  stats_ = {};
+  max_height_ = 0;
+  counted_.clear();
+  counted_fees_.clear();
 }
 
 }  // namespace cn::core

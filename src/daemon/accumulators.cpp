@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 
 #include "core/ppe.hpp"
 #include "core/sppe.hpp"
@@ -64,7 +65,9 @@ std::uint64_t AccumulatorOptions::fingerprint() const noexcept {
 
 AuditAccumulators::AuditAccumulators(const btc::CoinbaseTagRegistry& registry,
                                      AccumulatorOptions options)
-    : registry_(&registry), options_(options) {}
+    : registry_(&registry),
+      options_(options),
+      pair_counter_(options.pair_epsilon, options.pair_exclude_cpfp) {}
 
 std::uint32_t AuditAccumulators::intern(const std::string& name) {
   const auto [it, inserted] =
@@ -212,12 +215,16 @@ AuditAccumulators::Report AuditAccumulators::seal() const {
   report.max_total_vsize = max_total_vsize_;
   for (int i = 0; i < 4; ++i) report.congestion_levels[i] = congestion_levels_[i];
 
-  if (pair_memo_size_ != seen_txs_.size()) {
-    pair_memo_ = core::count_pair_violations(seen_txs_, options_.pair_epsilon,
-                                             options_.pair_exclude_cpfp);
-    pair_memo_size_ = seen_txs_.size();
+  // A feed in height order appends blocks committed after every counted
+  // one, so only the new entries need counting. Any other feed (a height
+  // replayed or gone back) recounts the whole log from empty.
+  const std::span<const core::SeenTx> log(seen_txs_);
+  if (!pair_counter_.add(log.subspan(pairs_counted_))) {
+    pair_counter_.clear();
+    pair_counter_.add(log);
   }
-  report.pairs = pair_memo_;
+  pairs_counted_ = log.size();
+  report.pairs = pair_counter_.stats();
 
   const core::NeutralityOptions& n = options_.neutrality;
   for (const PoolState& p : pools_) {
@@ -371,7 +378,8 @@ bool AuditAccumulators::decode(const std::uint8_t* data, std::size_t size,
   pool_ids_.clear();
   wallet_owner_.clear();
   seen_txs_.clear();
-  pair_memo_size_ = ~std::size_t{0};
+  pair_counter_.clear();
+  pairs_counted_ = 0;
 
   if (!r.u64(last_seq_) || !r.u64(total_blocks_) || !r.u64(total_txs_) ||
       !r.u64(unidentified_) || !r.u64(snapshot_count_) ||

@@ -99,8 +99,9 @@ class AuditAccumulators {
   /// A sealed, self-consistent report of everything applied so far.
   /// `version` is last_seq(), so a restarted daemon that reaches the
   /// same stream position seals the same version. Pair-violation stats
-  /// are exact (recomputed from the event log via the Fenwick counter,
-  /// memoized per stream position).
+  /// are exact: equal to core::count_pair_violations over the event log,
+  /// kept by a running counter that each seal feeds only the entries
+  /// appended since the last one.
   struct Report {
     std::uint64_t version = 0;  ///< last applied stream seq
     std::uint64_t blocks = 0;
@@ -158,13 +159,13 @@ class AuditAccumulators {
   std::uint64_t max_total_vsize_ = 0;
   std::uint64_t congestion_levels_[4] = {0, 0, 0, 0};
 
-  /// Event-sourced pair-violation log (checkpointed). Exact stats are
-  /// recomputed at seal time by core::count_pair_violations and
-  /// memoized by log length — an online 2D dominance structure would
-  /// buy nothing while the log has to be durable anyway.
+  /// Event-sourced pair-violation log (checkpointed).
   std::vector<core::SeenTx> seen_txs_;
-  mutable std::size_t pair_memo_size_ = ~std::size_t{0};
-  mutable core::PairViolationStats pair_memo_;
+  /// Running count over seen_txs_[0, pairs_counted_). Derived state, not
+  /// checkpointed: decode() empties it and the next seal counts the
+  /// whole restored log.
+  mutable core::PairViolationCounter pair_counter_;
+  mutable std::size_t pairs_counted_ = 0;
 };
 
 }  // namespace cn::daemon

@@ -17,10 +17,10 @@
 //
 // Overload behavior (the robustness headline): when the queue depth
 // crosses the shed watermark the daemon stops re-sealing reports
-// (sealing does the O(n log^2 n) pair recount — the expensive query
-// work) and serves the last sealed body with degraded/staleness stamps
-// in HTTP headers. Bodies stay byte-deterministic; only freshness
-// degrades.
+// (sealing counts the new blocks' pair violations against the whole
+// log and renders the JSON — query work that apply can skip) and
+// serves the last sealed body with degraded/staleness stamps in HTTP
+// headers. Bodies stay byte-deterministic; only freshness degrades.
 //
 // Thread discipline: accumulators_ is touched exclusively by the apply
 // side (run_to_end caller or the apply thread); queries read only the

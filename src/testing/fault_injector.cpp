@@ -122,7 +122,7 @@ bool FaultInjector::inject_file(const std::string& src, const std::string& dst,
   std::vector<FaultKind> row_kinds;
   for (FaultKind k : options.kinds) {
     if (k != FaultKind::kTruncateFile && k != FaultKind::kDeleteSnapshotWindow &&
-        k != FaultKind::kCorruptSection) {
+        k != FaultKind::kCorruptSection && k != FaultKind::kTornWrite) {
       row_kinds.push_back(k);
     }
   }
@@ -195,6 +195,7 @@ bool FaultInjector::inject_file(const std::string& src, const std::string& dst,
       case FaultKind::kTruncateFile:
       case FaultKind::kDeleteSnapshotWindow:
       case FaultKind::kCorruptSection:
+      case FaultKind::kTornWrite:
         out.push_back(line);  // not row faults; unreachable via row_kinds
         break;
     }

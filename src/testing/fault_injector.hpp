@@ -84,8 +84,9 @@ struct InjectionLog {
 struct FaultOptions {
   /// Per-data-row probability of receiving a row fault.
   double row_corruption_rate = 0.01;
-  /// Row-fault kinds to draw from (uniformly). kTruncateFile and
-  /// kDeleteSnapshotWindow are not row faults and are ignored here.
+  /// Row-fault kinds to draw from (uniformly). kTruncateFile,
+  /// kDeleteSnapshotWindow, kCorruptSection and kTornWrite are not row
+  /// faults and are ignored here.
   std::vector<FaultKind> kinds = {FaultKind::kCorruptField, FaultKind::kDropRow,
                                   FaultKind::kDuplicateRow, FaultKind::kSwapRows};
   /// Additionally cut the file mid-record at a random data row.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace cn::core {
 namespace {
 
@@ -120,6 +122,32 @@ TEST(PairViolations, EmptyAndSingleton) {
   EXPECT_EQ(count_pair_violations({seen(0, 1.0, 1)}, 0, false).predicted_pairs, 0u);
 }
 
+TEST(PairViolationCounter, RefusesABatchThatIsNotStrictlyLater) {
+  PairViolationCounter counter(0, /*exclude_cpfp=*/true);
+  const std::vector<SeenTx> first = {seen(100, 2.0, 4), seen(0, 10.0, 5)};
+  ASSERT_TRUE(counter.add(first));
+  EXPECT_EQ(counter.stats().violations, 1u);
+
+  // Height 5 is already counted: refused, and nothing changes.
+  const std::vector<SeenTx> replay = {seen(50, 9.0, 6), seen(60, 1.0, 5)};
+  EXPECT_FALSE(counter.add(replay));
+  EXPECT_EQ(counter.stats().predicted_pairs, 1u);
+  EXPECT_EQ(counter.stats().violations, 1u);
+
+  // A CPFP entry the filter drops does not count against the order.
+  const std::vector<SeenTx> later = {seen(50, 9.0, 6), seen(60, 1.0, 2, true)};
+  ASSERT_TRUE(counter.add(later));
+  // New pairs: (t=0, fee 10, block 5) before (t=50, fee 9, block 6) is
+  // compliant; (t=50, fee 9, block 6) before (t=100, fee 2, block 4) is a
+  // violation.
+  EXPECT_EQ(counter.stats().predicted_pairs, 3u);
+  EXPECT_EQ(counter.stats().violations, 2u);
+
+  counter.clear();
+  EXPECT_EQ(counter.stats().predicted_pairs, 0u);
+  EXPECT_TRUE(counter.add(replay));
+}
+
 // --- Fenwick vs brute-force cross-validation -------------------------------
 
 namespace property {
@@ -152,6 +180,28 @@ std::vector<SeenTx> random_workload(unsigned seed, std::size_t n,
   return txs;
 }
 
+/// Feeds @p txs to a PairViolationCounter in ascending-height batches of
+/// uneven size (1, 2, 3, ... distinct heights per batch) and returns the
+/// final count.
+PairViolationStats count_in_height_batches(std::vector<SeenTx> txs,
+                                           SimTime epsilon, bool exclude_cpfp) {
+  std::stable_sort(txs.begin(), txs.end(), [](const SeenTx& a, const SeenTx& b) {
+    return a.block_height < b.block_height;
+  });
+  PairViolationCounter counter(epsilon, exclude_cpfp);
+  std::size_t begin = 0;
+  for (std::size_t heights_per_batch = 1; begin < txs.size(); ++heights_per_batch) {
+    std::size_t end = begin;
+    for (std::size_t h = 0; h < heights_per_batch && end < txs.size(); ++h) {
+      const std::uint64_t height = txs[end].block_height;
+      while (end < txs.size() && txs[end].block_height == height) ++end;
+    }
+    EXPECT_TRUE(counter.add(std::span<const SeenTx>(txs).subspan(begin, end - begin)));
+    begin = end;
+  }
+  return counter.stats();
+}
+
 void expect_algorithms_agree(const std::vector<SeenTx>& txs, SimTime epsilon,
                              bool exclude_cpfp, const char* label) {
   const auto fast = count_pair_violations(txs, epsilon, exclude_cpfp, 0,
@@ -160,6 +210,10 @@ void expect_algorithms_agree(const std::vector<SeenTx>& txs, SimTime epsilon,
                                           PairAlgorithm::kBruteForce);
   EXPECT_EQ(fast.predicted_pairs, slow.predicted_pairs) << label;
   EXPECT_EQ(fast.violations, slow.violations) << label;
+
+  const auto running = count_in_height_batches(txs, epsilon, exclude_cpfp);
+  EXPECT_EQ(running.predicted_pairs, slow.predicted_pairs) << label;
+  EXPECT_EQ(running.violations, slow.violations) << label;
 
   const auto fast_by_block =
       violations_by_block(txs, epsilon, exclude_cpfp, 0, PairAlgorithm::kFenwick);
@@ -224,6 +278,9 @@ TEST(PairViolationsProperty, NegativeEpsilonClampedToZero) {
                                           PairAlgorithm::kBruteForce);
   EXPECT_EQ(clamped.predicted_pairs, zero.predicted_pairs);
   EXPECT_EQ(clamped.violations, zero.violations);
+  const auto running = property::count_in_height_batches(txs, -50, false);
+  EXPECT_EQ(running.predicted_pairs, zero.predicted_pairs);
+  EXPECT_EQ(running.violations, zero.violations);
 }
 
 TEST(PairViolationsProperty, DownsamplingStillSupportedOptIn) {

@@ -3,20 +3,27 @@
 // after applying a chain block-by-block are bitwise equal to
 // core::neutrality_reports over the same chain; self-interest tallies
 // are prequential (wallets count only from the block that announced
-// them); sealing is deterministic and idempotent; and the checkpoint
+// them); sealing is deterministic and idempotent; the sealed pair
+// violations equal a full core recount of the event log at every seal,
+// across checkpoints and out-of-order feeds; and the checkpoint
 // encoding round-trips the full state byte-exactly while rejecting
 // garbage with a message instead of crashing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "../helpers.hpp"
 #include "btc/coinbase_tags.hpp"
+#include "core/congestion.hpp"
 #include "core/neutrality.hpp"
+#include "core/pair_violations.hpp"
 #include "core/wallet_inference.hpp"
 #include "daemon/accumulators.hpp"
+#include "sim/dataset.hpp"
 
 namespace cn::daemon {
 namespace {
@@ -241,6 +248,148 @@ TEST(AuditAccumulators, DecodeRejectsGarbageWithoutCrashing) {
   AuditAccumulators victim(registry, test_options());
   std::string error;
   EXPECT_FALSE(victim.decode(padded.data(), padded.size(), &error));
+}
+
+// --- pair violations, seal by seal ----------------------------------------
+
+/// A small simulated world: observer first-seen times, in-block CPFP,
+/// a few dozen blocks.
+const sim::SimResult& seen_world() {
+  static const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kA, 5, 0.07);
+  return world;
+}
+
+core::FirstSeenFn world_first_seen() {
+  return [](const btc::Txid& id) { return seen_world().observer.first_seen(id); };
+}
+
+/// Applies blocks to an accumulator while keeping the event log it should
+/// hold (built by core's collect_seen_txs), and checks a seal against a
+/// full core recount of that log.
+class PairLogChecker {
+ public:
+  explicit PairLogChecker(AccumulatorOptions options) : options_(options) {}
+
+  void apply(AuditAccumulators& acc, const btc::Block& block) {
+    acc.apply_block(block, first_seen_, ++seq_);
+    btc::Chain one(block.height());
+    one.append(block);
+    for (const core::SeenTx& t : core::collect_seen_txs(one, first_seen_)) {
+      log_.push_back(t);
+    }
+  }
+
+  void expect_seal_matches_recount(const AuditAccumulators& acc,
+                                   const std::string& label) const {
+    const core::PairViolationStats want = core::count_pair_violations(
+        log_, options_.pair_epsilon, options_.pair_exclude_cpfp);
+    const core::PairViolationStats got = acc.seal().pairs;
+    EXPECT_EQ(got.predicted_pairs, want.predicted_pairs) << label;
+    EXPECT_EQ(got.violations, want.violations) << label;
+  }
+
+ private:
+  AccumulatorOptions options_;
+  core::FirstSeenFn first_seen_ = world_first_seen();
+  std::vector<core::SeenTx> log_;
+  std::uint64_t seq_ = 0;
+};
+
+/// epsilon 0 and 10 with CPFP excluded (the daemon default), plus
+/// epsilon 0 with CPFP kept.
+std::vector<AccumulatorOptions> pair_option_grid() {
+  std::vector<AccumulatorOptions> grid(3, test_options());
+  grid[1].pair_epsilon = 10;
+  grid[2].pair_exclude_cpfp = false;
+  return grid;
+}
+
+std::string pair_label(const AccumulatorOptions& options, std::size_t every,
+                       std::size_t block) {
+  return "eps " + std::to_string(options.pair_epsilon) + " exclude_cpfp " +
+         std::to_string(options.pair_exclude_cpfp) + " seal every " +
+         std::to_string(every) + " after block " + std::to_string(block);
+}
+
+TEST(AuditAccumulators, SealedPairsMatchAFullRecountAtEverySeal) {
+  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
+  const std::span<const btc::Block> blocks = seen_world().chain.blocks();
+  ASSERT_GE(blocks.size(), 40u);
+
+  for (const AccumulatorOptions& options : pair_option_grid()) {
+    for (const std::size_t every : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
+      AuditAccumulators acc(registry, options);
+      PairLogChecker checker(options);
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        checker.apply(acc, blocks[i]);
+        if ((i + 1) % every == 0) {
+          checker.expect_seal_matches_recount(acc, pair_label(options, every, i));
+        }
+      }
+      checker.expect_seal_matches_recount(acc, pair_label(options, every, blocks.size()));
+    }
+  }
+
+  // The world exercises what the count depends on: CPFP flags to filter
+  // and violations to find.
+  const std::vector<core::SeenTx> log =
+      core::collect_seen_txs(seen_world().chain, world_first_seen());
+  EXPECT_TRUE(std::any_of(log.begin(), log.end(),
+                          [](const core::SeenTx& t) { return t.cpfp || t.cpfp_parent; }));
+  EXPECT_GT(core::count_pair_violations(log, 0, true).violations, 0u);
+}
+
+TEST(AuditAccumulators, SealedPairsStayExactAcrossACheckpoint) {
+  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
+  const std::span<const btc::Block> blocks = seen_world().chain.blocks();
+  const std::size_t cut = blocks.size() / 2;
+
+  for (const AccumulatorOptions& options : pair_option_grid()) {
+    for (const std::size_t every : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
+      AuditAccumulators acc(registry, options);
+      PairLogChecker checker(options);
+      for (std::size_t i = 0; i < cut; ++i) {
+        checker.apply(acc, blocks[i]);
+        if ((i + 1) % every == 0) acc.seal();
+      }
+      std::vector<std::uint8_t> encoded;
+      acc.encode(encoded);
+      AuditAccumulators restored(registry, options);
+      std::string error;
+      ASSERT_TRUE(restored.decode(encoded.data(), encoded.size(), &error)) << error;
+
+      // The restored accumulator keeps sealing exactly; the original keeps
+      // pace so the final bytes can be compared.
+      for (std::size_t i = cut; i < blocks.size(); ++i) {
+        acc.apply_block(blocks[i], world_first_seen(), i + 1);
+        checker.apply(restored, blocks[i]);
+        if ((i + 1) % every == 0) {
+          checker.expect_seal_matches_recount(restored,
+                                              "restored, " + pair_label(options, every, i));
+        }
+      }
+      EXPECT_EQ(AuditAccumulators::to_json(restored.seal()),
+                AuditAccumulators::to_json(acc.seal()));
+    }
+  }
+}
+
+TEST(AuditAccumulators, SealedPairsStayExactOnANonMonotoneFeed) {
+  // Chain offsets 10, 11, 5, 11: the third and fourth seals see a block
+  // that is not above everything counted, then the feed resumes in order.
+  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
+  const std::span<const btc::Block> blocks = seen_world().chain.blocks();
+  ASSERT_GE(blocks.size(), 20u);
+  const std::vector<std::size_t> order = {10, 11, 5, 11, 12, 13, 14, 15};
+
+  for (const AccumulatorOptions& options : pair_option_grid()) {
+    AuditAccumulators acc(registry, options);
+    PairLogChecker checker(options);
+    for (const std::size_t index : order) {
+      checker.apply(acc, blocks[index]);
+      checker.expect_seal_matches_recount(acc, pair_label(options, 1, index));
+    }
+  }
 }
 
 TEST(AuditAccumulators, OptionsFingerprintSeparatesThresholds) {

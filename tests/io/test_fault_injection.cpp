@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -226,6 +228,35 @@ TEST_F(FaultInjectionTest, QualityAwareAuditIsByteIdenticalAcrossThreads) {
   const std::string serial = rendered(1);
   EXPECT_EQ(serial, rendered(4));
   EXPECT_NE(serial.find("data quality:"), std::string::npos);
+}
+
+// File-level kinds listed in FaultOptions::kinds are not row faults:
+// inject_file must pass every row through and log nothing for them,
+// not drop rows silently.
+TEST(FaultInjection, FileLevelKindsLeaveEveryRowInPlace) {
+  const std::string stem = ::testing::TempDir() + "/cn_fi_file_level_kinds";
+  const std::string src = stem + "_in.csv";
+  const std::string dst = stem + "_out.csv";
+  const std::string rows = "height,fee\n1,10\n2,20\n3,30\n4,40\n";
+  std::ofstream(src, std::ios::binary) << rows;
+
+  for (const cn::testing::FaultKind kind :
+       {cn::testing::FaultKind::kTruncateFile,
+        cn::testing::FaultKind::kDeleteSnapshotWindow,
+        cn::testing::FaultKind::kCorruptSection,
+        cn::testing::FaultKind::kTornWrite}) {
+    cn::testing::FaultOptions options;
+    options.row_corruption_rate = 1.0;
+    options.kinds = {kind};
+    cn::testing::InjectionLog log;
+    ASSERT_TRUE(cn::testing::FaultInjector(3).inject_file(src, dst, options, log));
+    std::stringstream written;
+    written << std::ifstream(dst, std::ios::binary).rdbuf();
+    EXPECT_EQ(written.str(), rows) << cn::testing::to_string(kind);
+    EXPECT_TRUE(log.faults.empty()) << cn::testing::to_string(kind);
+  }
+  std::filesystem::remove(src);
+  std::filesystem::remove(dst);
 }
 
 }  // namespace
