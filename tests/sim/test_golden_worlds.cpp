@@ -18,6 +18,15 @@
 // a change anywhere between the stored bytes and the printed report is
 // seen too. A report digest that changes without a world digest change
 // means the audit's output changed: intended changes re-pin it.
+//
+// The same world exported as CSV (chain, snapshots and first-seen files)
+// and loaded strictly must render that same report. A seeded
+// FaultInjector copy of the export (every row-fault kind plus a cut
+// tail) loaded leniently pins two more digests: one over its LoadReport
+// (row counts and every defect's kind, file, line, detail and repair
+// flag) and one over the report rendered from what survived. Those two
+// show that a change to the CSV reader or the importers kept every skip,
+// repair and diagnostic.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -31,10 +40,12 @@
 #include "core/audit_pipeline.hpp"
 #include "core/data_quality.hpp"
 #include "io/cnb.hpp"
+#include "io/dataset_io.hpp"
 #include "io/dataset_source.hpp"
 #include "io/world_cache.hpp"
 #include "sim/engine.hpp"
 #include "sim/world_spec.hpp"
+#include "testing/fault_injector.hpp"
 #include "util/hex.hpp"
 #include "util/sha256.hpp"
 
@@ -49,11 +60,18 @@ constexpr std::uint64_t kSeed = 42;
 // The sim::kWorldSpecVersion the digests below were pinned at.
 constexpr std::uint32_t kPinnedSpecVersion = 1;
 
+// The fault-injected copy of each CSV export: every row-fault kind at this
+// rate, plus a tail cut mid-record in every file.
+constexpr std::uint64_t kFaultSeed = 7;
+constexpr double kFaultRate = 0.01;
+
 struct GoldenWorld {
   const char* name;
   sim::WorldSpec spec;
   const char* cnb_sha256;
   const char* report_sha256;
+  const char* lenient_load_sha256;    ///< LoadReport of the faulted CSV export
+  const char* lenient_report_sha256;  ///< report rendered from that load
 };
 
 sim::WorldSpec scenario(sim::DatasetKind kind, const char* label) {
@@ -92,43 +110,69 @@ const std::vector<GoldenWorld>& corpus() {
     return new std::vector<GoldenWorld>{
         {"baseline-A", sim::baseline_spec(DatasetKind::kA, kSeed, kScale),
          "a79c176da633857cedfff6ea4fc599c33c31aadefa50a7d7e391bcbab3307ae3",
-         "4ab8223a000484bb528763f167d5ffb1ae3b27d1d27d4e3dc02c4f195f9f22e2"},
+         "4ab8223a000484bb528763f167d5ffb1ae3b27d1d27d4e3dc02c4f195f9f22e2",
+         "80fe70e8b1cee4e4dcb6a8115b0e600f5be9a66ce2c8bdee40819ef45cc15b20",
+         "2df6ec40865b06f1ae8d91f3b8055d5c33802317f7de8ed99f70f3a1e0f8e8ec"},
         {"baseline-B", sim::baseline_spec(DatasetKind::kB, kSeed, kScale),
          "1eef54b8fe837f36191f4e2e37602ad6c48c6c2f17ff459fecbe839e7ab94b94",
-         "a3db8184afc6108fdbaef5142b35f0ca3d5c069706ea26e70a7bdac0964825c3"},
+         "a3db8184afc6108fdbaef5142b35f0ca3d5c069706ea26e70a7bdac0964825c3",
+         "764a00b6ea79a003418889511f60d797975220cf99cea1bb1a08774162ea78e6",
+         "1f408931ae1d3ec45f7f877583b456e0d84b3e6c28af0a292891d476410bda0a"},
         {"baseline-C", sim::baseline_spec(DatasetKind::kC, kSeed, kScale),
          "efbef403aab7c83f107eefa005a4271acb0f977731e76e5f622e53785cdc23b5",
-         "c87c615a7989c8d1625e593e0eca28570cfc5d7ffb1586ca60d02f54f2b97c7f"},
+         "c87c615a7989c8d1625e593e0eca28570cfc5d7ffb1586ca60d02f54f2b97c7f",
+         "d7ff41bde4c07660b6e8c2879d40de3fb27150428151d6f060cf96060054f571",
+         "56e95a74dd3bb679d9b395a90de898d74f71206a0d6d330fd1334686a3e48bb0"},
         {"era-legacy", scenario(DatasetKind::kA, "era-legacy").set("builder", 1.0),
          "eba08b82ca4c20dbf466010cbf9313e92fbf1d086607ceb025fe2d0e22956cb1",
-         "46657b8b10eb121b20a09b93f23638a782f8ee3e74981e6e1354b8ef3da6826c"},
+         "46657b8b10eb121b20a09b93f23638a782f8ee3e74981e6e1354b8ef3da6826c",
+         "dd295aad397050e9b5b8c150bd359c6ccba8942794a581db68b75aade2641925",
+         "bdca956bb8049042ba2849e5444e8302e05766d585417c6d834bf25aa571e876"},
         {"aging-0.2", scenario(DatasetKind::kA, "aging").set("age_weight_per_hour", 0.2),
          "5acc05e20f149f6102dfcfe19e96fe8f6b3df22bd3a3454694276bd75717cded",
-         "cfaa5490f1a284289ce54166fb62967a79bd4e906f80b5065765938aa465d040"},
+         "cfaa5490f1a284289ce54166fb62967a79bd4e906f80b5065765938aa465d040",
+         "29c66f8849e4e85bb67a25a648fe5221bf9d76baace5970b454a8a0f0eb1af1a",
+         "031937352abc98aa4ebe572c93e3884d2e91841f87a89c74cb2d219b4d37e088"},
         {"aging-1.0", scenario(DatasetKind::kA, "aging").set("age_weight_per_hour", 1.0),
          "310f472cc0e42aea947ba5fdc34754011f74ef79463a0844b8885e0fbd3738f5",
-         "cb59eedb798ded8d634ab72610f05a3752b2d812ce26f0dac3c8d10c2d79e4bd"},
+         "cb59eedb798ded8d634ab72610f05a3752b2d812ce26f0dac3c8d10c2d79e4bd",
+         "e097565a0e5ae75dd403a1adc1033e1231788f50e2c2045b30661c88c3197a25",
+         "af009585317954df64b848752028d609901bfd01aca49f69b256a8bb5e4da8bc"},
         {"selfish", selfish(true),
          "50ddd09f215b449eb54762adae31c7fb8b3f870fbd85646a65fa0e3b514a716b",
-         "6d97225d06aede707b952ef70cf5cfeefeadf70218840dea5a17785c487c2fb3"},
+         "6d97225d06aede707b952ef70cf5cfeefeadf70218840dea5a17785c487c2fb3",
+         "2db0b2272945ed0863c721485c9c94411018cbf9cba303f830cfb58a14f1319d",
+         "9cd9054eb93614f6de302112cb3a82b06b72dffd267928880257001d4b0761c2"},
         {"selfish-no-propagation", selfish(false),
          "31c8be13f5c3304d008858e56e598358bdaa5036acf7b6383d9043d7f585b160",
-         "af185901772a31dd37522d3fb7b9a01cd5ca9538db226013261d81f2d940eba3"},
+         "af185901772a31dd37522d3fb7b9a01cd5ca9538db226013261d81f2d940eba3",
+         "cbd0f7c75825891ff2a8ed0306268f4e45b24e5489289d2c855797249422bbff",
+         "37c906dca3ba5841d9f413095917bca66f1e9a7a8cb124215f4ca4f12e2269cf"},
         {"evasion-0.5", detection(true).set("evasion_theta", 0.5),
          "9e5a3d62362c0e8f6a4ef6fc3fd7d620e51e77d32fef471cc72286c78015c133",
-         "b852484aa63258488a1d929040eaf139677e8ad3212b0bf0d2ce52a5c265ee62"},
+         "b852484aa63258488a1d929040eaf139677e8ad3212b0bf0d2ce52a5c265ee62",
+         "df4d640b3b3fd496799ce2549fe5a4eda4f764ecca0a8ac0d359cfb7e798ab2e",
+         "410a7d93722e274af45c5ef761734cd25bb650c904d497a496c24aea2c3f4ae7"},
         {"withholding-120s", withholding,
          "237205ca155813b8085229ceb3d1565b4e1b4aeed4d644023c2e15963b105406",
-         "adc2cf65912535391232d3376e9fe8ec3b8b268706aa8e10d388f4466c214e33"},
+         "adc2cf65912535391232d3376e9fe8ec3b8b268706aa8e10d388f4466c214e33",
+         "df679378d20b060202e1209a033f4087a523aea26eb06d7139a751c796bf9326",
+         "cae567edf2e82226e291e660709b34bf541bfa5f5b24e060095b3834fbb682d9"},
         {"fair-queue", scenario(DatasetKind::kC, "fair-queue").set("fair_queue", 1.0),
          "04d9c74d7d683d7e1234e2057a913e7b28e38782706c348869136329d4b6232a",
-         "c365f6d7f0335f93872d95623bf5f6a09e4bff05244759b10792ad91cc682535"},
+         "c365f6d7f0335f93872d95623bf5f6a09e4bff05244759b10792ad91cc682535",
+         "cce6107699f7e6a1800d51ce8214bdc694bda9165d8f009e01d2574750891245",
+         "bd6b5c1fecd36bf504392f008ba6e3302d972ed5d31ea2116530a649bfe68dc7"},
         {"fee-only", scenario(DatasetKind::kC, "fee-only").set("fee_only", 1.0),
          "01c48290b5d994d3d1bc91b6d1b633c84c5235756b7e0c4a0572d25b7c4ff77d",
-         "c87c615a7989c8d1625e593e0eca28570cfc5d7ffb1586ca60d02f54f2b97c7f"},
+         "c87c615a7989c8d1625e593e0eca28570cfc5d7ffb1586ca60d02f54f2b97c7f",
+         "d7ff41bde4c07660b6e8c2879d40de3fb27150428151d6f060cf96060054f571",
+         "56e95a74dd3bb679d9b395a90de898d74f71206a0d6d330fd1334686a3e48bb0"},
         {"year-slice-2017", year,
          "20165caa6169e2a723f52637c588efd4ad0246bb112c10fcd4f5b2e131735582",
-         "79337dd156394723d10aba70d2a44ae8a8c8e0540f56e44cc503d8320f98cd61"},
+         "79337dd156394723d10aba70d2a44ae8a8c8e0540f56e44cc503d8320f98cd61",
+         "9d5aabc8a830bf7f575ff4848a59ad5c24bdae6d37a8478dacdff501e2514de5",
+         "68abcbe432a12a54438ca1525c1ba138609eb99ab9b01048df2304b61600cb20"},
     };
   }();
   return *worlds;
@@ -142,11 +186,10 @@ std::string file_sha256(const std::filesystem::path& path) {
   return hex_encode(sha256(bytes));
 }
 
-/// Simulates @p world and returns the SHA-256 of its CNB1 file, written
-/// exactly as io::WorldCache::generate writes a cache entry.
-std::string world_sha256(const GoldenWorld& world, const std::filesystem::path& path) {
-  const sim::SimResult result = sim::Engine(world.spec.config()).run();
-
+/// Writes @p result as @p world's CNB1 file, exactly as
+/// io::WorldCache::generate writes a cache entry, and returns its SHA-256.
+std::string world_sha256(const GoldenWorld& world, const sim::SimResult& result,
+                         const std::filesystem::path& path) {
   io::SimWorldInfo truth;
   truth.spec_fingerprint = world.spec.fingerprint();
   truth.scam_address = result.scam_address;
@@ -172,9 +215,24 @@ std::string rendered(const core::AuditReport& report) {
   return out;
 }
 
-/// Audits the CNB1 file at @p path as the pipeline benchmark's audit
-/// workload does (strict load, data quality, run_full_audit watching the
-/// world's scam address) and returns the SHA-256 of the rendered report.
+/// Audits a loaded data set as the pipeline benchmark's audit workload
+/// does (data quality, run_full_audit watching @p scam) and returns the
+/// SHA-256 of the rendered report. A series the load dropped is absent
+/// from the quality assessment, as in cnaudit.
+std::string audit_sha256(const io::DatasetHandle& data, btc::Address scam) {
+  const node::SnapshotSeries* snapshots = data.snapshots ? &*data.snapshots : nullptr;
+  const io::FirstSeenMap* first_seen = data.first_seen ? &*data.first_seen : nullptr;
+  const core::DataQualityReport quality =
+      core::assess_data_quality(data.chain, snapshots, first_seen);
+  core::AuditOptions options;
+  options.watch_addresses.push_back(scam);
+  options.first_seen = first_seen;
+  options.interned_addresses = &data.addresses;
+  return hex_encode(sha256(rendered(core::run_full_audit(
+      data.chain, btc::CoinbaseTagRegistry::paper_registry(), &quality, options))));
+}
+
+/// Strict-loads the CNB1 file at @p path and returns its report digest.
 std::string report_sha256(const std::filesystem::path& path) {
   const auto loaded =
       io::open_dataset(path.string(), io::LoadPolicy::kStrict, io::DatasetFormat::kCnb);
@@ -182,15 +240,75 @@ std::string report_sha256(const std::filesystem::path& path) {
     ADD_FAILURE() << path << ": " << loaded.report.summary();
     return "";
   }
-  const io::DatasetHandle& data = *loaded;
-  const core::DataQualityReport quality =
-      core::assess_data_quality(data.chain, &*data.snapshots, &*data.first_seen);
-  core::AuditOptions options;
-  options.watch_addresses.push_back(data.sim_world->scam_address);
-  options.first_seen = &*data.first_seen;
-  options.interned_addresses = &data.addresses;
-  return hex_encode(sha256(rendered(core::run_full_audit(
-      data.chain, btc::CoinbaseTagRegistry::paper_registry(), &quality, options))));
+  return audit_sha256(*loaded, loaded->sim_world->scam_address);
+}
+
+/// Exports @p result as a CSV data set under @p dir.
+void export_csv(const sim::SimResult& result, const std::filesystem::path& dir) {
+  const std::string base = dir.string();
+  std::string error;
+  EXPECT_TRUE(io::export_chain(result.chain, base, &error) &&
+              io::export_snapshots(result.observer.snapshots(),
+                                   base + "/snapshots.csv", &error) &&
+              io::export_first_seen(result.observer.first_seen_map(),
+                                    base + "/first_seen.csv", &error))
+      << error;
+}
+
+/// Strict-loads the CSV data set under @p dir and returns its report
+/// digest, watching @p scam (CSV carries no simulator ground truth).
+std::string csv_report_sha256(const std::filesystem::path& dir, btc::Address scam) {
+  const auto loaded =
+      io::open_dataset(dir.string(), io::LoadPolicy::kStrict, io::DatasetFormat::kCsv);
+  if (!loaded || !loaded->snapshots || !loaded->first_seen) {
+    ADD_FAILURE() << dir << ": " << loaded.report.summary();
+    return "";
+  }
+  return audit_sha256(*loaded, scam);
+}
+
+/// SHA-256 over everything a LoadReport says: the row counts and, per
+/// defect, its kind, file name (not the temporary directory), line,
+/// detail and repair flag.
+std::string load_report_sha256(const io::LoadReport& report) {
+  std::string text = "read " + std::to_string(report.rows_read) + " skipped " +
+                     std::to_string(report.rows_skipped) + " repaired " +
+                     std::to_string(report.rows_repaired) + " ok " +
+                     std::to_string(report.ok) + "\n";
+  for (const io::LoadError& e : report.errors) {
+    text += std::string(io::to_string(e.kind)) + '|' +
+            std::filesystem::path(e.file).filename().string() + '|' +
+            std::to_string(e.line) + '|' + e.detail + '|' +
+            std::to_string(e.repaired) + '\n';
+  }
+  return hex_encode(sha256(text));
+}
+
+struct LenientDigests {
+  std::string load;
+  std::string report;
+};
+
+/// Copies the CSV data set at @p clean into @p dirty with the corpus's
+/// seeded faults, loads the copy leniently and digests the outcome.
+LenientDigests lenient_sha256(const std::filesystem::path& clean,
+                              const std::filesystem::path& dirty, btc::Address scam) {
+  cn::testing::FaultOptions faults;
+  faults.row_corruption_rate = kFaultRate;
+  faults.truncate_tail = true;
+  cn::testing::FaultInjector(kFaultSeed)
+      .inject_dataset(clean.string(), dirty.string(), faults);
+  const auto loaded =
+      io::open_dataset(dirty.string(), io::LoadPolicy::kLenient, io::DatasetFormat::kCsv);
+  LenientDigests out;
+  out.load = load_report_sha256(loaded.report);
+  if (!loaded) {
+    ADD_FAILURE() << dirty << ": lenient load produced no data set: "
+                  << loaded.report.summary();
+    return out;
+  }
+  out.report = audit_sha256(*loaded, scam);
+  return out;
 }
 
 std::filesystem::path fresh_dir(const char* name) {
@@ -206,8 +324,9 @@ TEST(GoldenWorlds, CnbAndReportBytesMatchPins) {
          "every digest in this file and set kPinnedSpecVersion to match.";
   const std::filesystem::path dir = fresh_dir("cn_golden_worlds");
   for (const GoldenWorld& world : corpus()) {
+    const sim::SimResult result = sim::Engine(world.spec.config()).run();
     const std::filesystem::path path = dir / (std::string(world.name) + ".cnb");
-    EXPECT_EQ(world_sha256(world, path), world.cnb_sha256)
+    EXPECT_EQ(world_sha256(world, result, path), world.cnb_sha256)
         << world.name << " (" << world.spec.label()
         << "): the world bytes changed. If the change is intended, bump "
            "sim::kWorldSpecVersion and re-pin every digest in this file "
@@ -217,6 +336,21 @@ TEST(GoldenWorlds, CnbAndReportBytesMatchPins) {
         << "): the rendered audit report changed. If the change is "
            "intended, re-pin this report digest; otherwise it is a "
            "regression between the stored world and the printed report.";
+
+    const std::filesystem::path csv = dir / (std::string(world.name) + "-csv");
+    export_csv(result, csv);
+    EXPECT_EQ(csv_report_sha256(csv, result.scam_address), world.report_sha256)
+        << world.name << ": the report audited from the world's CSV export "
+           "differs from the one audited from its CNB1 file.";
+
+    const LenientDigests lenient = lenient_sha256(
+        csv, dir / (std::string(world.name) + "-faulted"), result.scam_address);
+    EXPECT_EQ(lenient.load, world.lenient_load_sha256)
+        << world.name << ": the lenient load of the fault-injected CSV export "
+           "reported different rows, skips, repairs or diagnostics.";
+    EXPECT_EQ(lenient.report, world.lenient_report_sha256)
+        << world.name << ": the report rendered from the lenient load of the "
+           "fault-injected CSV export changed.";
   }
   std::filesystem::remove_all(dir);
 }
