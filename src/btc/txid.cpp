@@ -1,6 +1,5 @@
 #include "btc/txid.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "util/hex.hpp"
@@ -13,10 +12,8 @@ std::string Txid::to_hex() const {
 }
 
 std::optional<Txid> Txid::from_hex(std::string_view hex) {
-  const auto bytes = hex_decode(hex);
-  if (!bytes.has_value() || bytes->size() != 32) return std::nullopt;
   Txid id;
-  std::copy(bytes->begin(), bytes->end(), id.bytes.begin());
+  if (!hex_decode(hex, id.bytes)) return std::nullopt;
   return id;
 }
 

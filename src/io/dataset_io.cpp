@@ -4,6 +4,7 @@
 #include <charconv>
 #include <filesystem>
 #include <map>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -15,14 +16,14 @@ namespace cn::io {
 
 namespace {
 
-std::optional<std::int64_t> to_i64(const std::string& s) {
+std::optional<std::int64_t> to_i64(std::string_view s) {
   std::int64_t v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
   return v;
 }
 
-std::optional<std::uint64_t> to_u64(const std::string& s) {
+std::optional<std::uint64_t> to_u64(std::string_view s) {
   std::uint64_t v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
@@ -85,6 +86,13 @@ bool commit_exports(std::initializer_list<TmpCsv*> files, std::string* error) {
 // ---------------------------------------------------------------------------
 // Import: policy-aware row consumption.
 // ---------------------------------------------------------------------------
+
+/// Hash of a txs.csv (height, position) slot.
+struct SlotHash {
+  std::size_t operator()(const std::pair<std::uint64_t, std::uint64_t>& slot) const noexcept {
+    return static_cast<std::size_t>((slot.first * 0x9e3779b97f4a7c15ULL) ^ slot.second);
+  }
+};
 
 /// Shared defect-recording state for one import.
 struct Loader {
@@ -238,7 +246,7 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
                                          btc::AddressTable* addresses) {
   LoadResult<btc::Chain> result;
   Loader ld(policy);
-  std::vector<std::string> row;
+  std::vector<std::string_view> row;
 
   // --- blocks.csv --------------------------------------------------------
   struct RawBlock {
@@ -283,14 +291,14 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
       }
       if (blocks.count(*height) != 0) {
         if (!ld.defect(LoadErrorKind::kDuplicateHeight, blocks_path, line,
-                       "height " + row[0] + " already seen")) break;
+                       "height " + std::string(row[0]) + " already seen")) break;
         continue;
       }
       if (last_height && *height < *last_height) {
         // The export writes strictly increasing heights; re-sorting (the
         // height-keyed map) repairs this in lenient mode.
         if (!ld.defect(LoadErrorKind::kOutOfOrderRow, blocks_path, line,
-                       "height " + row[0] + " after " +
+                       "height " + std::string(row[0]) + " after " +
                            std::to_string(*last_height),
                        Loader::Fix::kRepairRow)) break;
       }
@@ -310,16 +318,21 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
   }
 
   // --- txs.csv -----------------------------------------------------------
+  // Every distinct txid gets a dense index in first-seen order, and the
+  // row that introduced it is tx_rows[index]. A row rejected after that
+  // (a taken slot) keeps its index so a later row with the same txid is
+  // still a duplicate, but no height lists it.
   struct RawTxRow {
     std::uint64_t position = 0;
-    std::string id_hex;
     btc::Txid id{};
     SimTime issued = 0;
     std::uint32_t vsize = 0;
     btc::Satoshi fee{};
     std::size_t line = 0;
   };
-  std::map<std::uint64_t, std::vector<RawTxRow>> txs_by_height;
+  std::vector<RawTxRow> tx_rows;
+  std::unordered_map<btc::Txid, std::uint32_t> tx_index;
+  std::map<std::uint64_t, std::vector<std::uint32_t>> txs_by_height;  ///< indices
   const std::string txs_path = dir + "/txs.csv";
   {
     CsvReader in(txs_path);
@@ -328,8 +341,10 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
     } else if (!in.next_row(row)) {
       ld.fatal_defect(LoadErrorKind::kMissingHeader, txs_path, "empty file");
     }
-    std::unordered_set<std::string> seen_txids;
-    std::unordered_map<std::uint64_t, std::unordered_set<std::uint64_t>> seen_positions;
+    tx_rows.reserve(in.newline_count());
+    tx_index.reserve(in.newline_count());
+    std::unordered_set<std::pair<std::uint64_t, std::uint64_t>, SlotHash> seen_positions;
+    seen_positions.reserve(in.newline_count());
     std::optional<std::uint64_t> last_height;
     std::optional<std::uint64_t> last_position;
     while (!ld.fatal && in.next_row(row)) {
@@ -358,18 +373,22 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
       const auto id = btc::Txid::from_hex(row[2]);
       if (!id) {
         if (!ld.defect(LoadErrorKind::kBadTxid, txs_path, line,
-                       "bad txid '" + row[2] + "'")) break;
+                       "bad txid '" + std::string(row[2]) + "'")) break;
         continue;
       }
-      if (!seen_txids.insert(row[2]).second) {
+      const auto index = static_cast<std::uint32_t>(tx_rows.size());
+      if (!tx_index.try_emplace(*id, index).second) {
         if (!ld.defect(LoadErrorKind::kDuplicateTxid, txs_path, line,
-                       "txid " + row[2].substr(0, 16) + "... already seen")) break;
+                       "txid " + std::string(row[2].substr(0, 16)) +
+                           "... already seen")) break;
         continue;
       }
-      if (!seen_positions[*height].insert(*position).second) {
+      tx_rows.push_back(RawTxRow{*position, *id, *issued, static_cast<std::uint32_t>(*vsize),
+                                 btc::Satoshi{*fee}, line});
+      if (!seen_positions.emplace(*height, *position).second) {
         if (!ld.defect(LoadErrorKind::kDuplicateTxPosition, txs_path, line,
-                       "(height " + row[0] + ", position " + row[1] +
-                           ") already seen")) break;
+                       "(height " + std::string(row[0]) + ", position " +
+                           std::string(row[1]) + ") already seen")) break;
         continue;
       }
       if (last_height &&
@@ -378,16 +397,14 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
             *position < *last_position))) {
         // Repaired by the position sort at block assembly.
         if (!ld.defect(LoadErrorKind::kOutOfOrderRow, txs_path, line,
-                       "row for (height " + row[0] + ", position " + row[1] +
-                           ") out of export order",
+                       "row for (height " + std::string(row[0]) + ", position " +
+                           std::string(row[1]) + ") out of export order",
                        Loader::Fix::kRepairRow)) break;
       }
       if (last_height != *height) last_position.reset();
       last_height = *height;
       if (!last_position || *position > *last_position) last_position = *position;
-      txs_by_height[*height].push_back(
-          RawTxRow{*position, row[2], *id, *issued,
-                   static_cast<std::uint32_t>(*vsize), btc::Satoshi{*fee}, line});
+      txs_by_height[*height].push_back(index);
     }
   }
   if (ld.fatal) {
@@ -396,7 +413,21 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
   }
 
   // --- inputs.csv / outputs.csv ------------------------------------------
-  std::unordered_map<std::string, std::vector<btc::TxInput>> inputs_by_tx;
+  // Rows attach to their transaction by txid value. A row whose txid has
+  // no txs.csv row is dropped without a defect, after interning its
+  // address (so address ids do not depend on which rows found a home).
+  // The export lists each transaction's rows together and in txs.csv
+  // order, so a row's transaction is nearly always the previous row's or
+  // the next one; only the other rows pay a hash lookup.
+  constexpr std::uint32_t kOrphan = ~std::uint32_t{0};
+  const auto index_of = [&tx_rows, &tx_index](const btc::Txid& id, std::uint32_t& hint) {
+    for (const std::uint32_t guess : {hint, hint + 1}) {
+      if (guess < tx_rows.size() && tx_rows[guess].id == id) return hint = guess;
+    }
+    const auto it = tx_index.find(id);
+    return it == tx_index.end() ? kOrphan : (hint = it->second);
+  };
+  std::vector<std::vector<btc::TxInput>> inputs_by_tx(tx_rows.size());
   const std::string inputs_path = dir + "/inputs.csv";
   {
     CsvReader in(inputs_path);
@@ -405,6 +436,8 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
     } else if (!in.next_row(row)) {
       ld.fatal_defect(LoadErrorKind::kMissingHeader, inputs_path, "empty file");
     }
+    if (addresses != nullptr) addresses->reserve(addresses->size() + in.newline_count());
+    std::uint32_t hint = 0;
     while (!ld.fatal && in.next_row(row)) {
       ++ld.report.rows_read;
       const std::size_t line = in.line();
@@ -418,9 +451,10 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
                        "expected 4 fields, found " + std::to_string(row.size()))) break;
         continue;
       }
-      if (!btc::Txid::from_hex(row[0])) {
+      const auto id = btc::Txid::from_hex(row[0]);
+      if (!id) {
         if (!ld.defect(LoadErrorKind::kBadTxid, inputs_path, line,
-                       "bad txid '" + row[0] + "'")) break;
+                       "bad txid '" + std::string(row[0]) + "'")) break;
         continue;
       }
       const auto prev = btc::Txid::from_hex(row[1]);
@@ -428,7 +462,7 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
       const auto owner = to_u64(row[3]);
       if (!prev) {
         if (!ld.defect(LoadErrorKind::kBadTxid, inputs_path, line,
-                       "bad prev_txid '" + row[1] + "'")) break;
+                       "bad prev_txid '" + std::string(row[1]) + "'")) break;
         continue;
       }
       if (!vout || !owner) {
@@ -438,7 +472,9 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
       }
       const btc::Address owner_addr{*owner};
       if (addresses != nullptr) addresses->intern(owner_addr);
-      inputs_by_tx[row[0]].push_back(
+      const std::uint32_t tx = index_of(*id, hint);
+      if (tx == kOrphan) continue;
+      inputs_by_tx[tx].push_back(
           btc::TxInput{*prev, static_cast<std::uint32_t>(*vout), owner_addr});
     }
   }
@@ -447,7 +483,7 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
     return result;
   }
 
-  std::unordered_map<std::string, std::vector<btc::TxOutput>> outputs_by_tx;
+  std::vector<std::vector<btc::TxOutput>> outputs_by_tx(tx_rows.size());
   const std::string outputs_path = dir + "/outputs.csv";
   {
     CsvReader in(outputs_path);
@@ -456,6 +492,8 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
     } else if (!in.next_row(row)) {
       ld.fatal_defect(LoadErrorKind::kMissingHeader, outputs_path, "empty file");
     }
+    if (addresses != nullptr) addresses->reserve(addresses->size() + in.newline_count());
+    std::uint32_t hint = 0;
     while (!ld.fatal && in.next_row(row)) {
       ++ld.report.rows_read;
       const std::size_t line = in.line();
@@ -469,9 +507,10 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
                        "expected 3 fields, found " + std::to_string(row.size()))) break;
         continue;
       }
-      if (!btc::Txid::from_hex(row[0])) {
+      const auto id = btc::Txid::from_hex(row[0]);
+      if (!id) {
         if (!ld.defect(LoadErrorKind::kBadTxid, outputs_path, line,
-                       "bad txid '" + row[0] + "'")) break;
+                       "bad txid '" + std::string(row[0]) + "'")) break;
         continue;
       }
       const auto to = to_u64(row[1]);
@@ -483,8 +522,9 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
       }
       const btc::Address to_addr{*to};
       if (addresses != nullptr) addresses->intern(to_addr);
-      outputs_by_tx[row[0]].push_back(
-          btc::TxOutput{to_addr, btc::Satoshi{*value}});
+      const std::uint32_t tx = index_of(*id, hint);
+      if (tx == kOrphan) continue;
+      outputs_by_tx[tx].push_back(btc::TxOutput{to_addr, btc::Satoshi{*value}});
     }
   }
   if (ld.fatal) {
@@ -540,40 +580,37 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
   }
 
   btc::Chain chain;
+  chain.reserve_txs(tx_rows.size());
   for (auto& [height, raw] : blocks) {
     if (ld.fatal) break;
     std::vector<btc::Transaction> txs;
     const auto it = txs_by_height.find(height);
     if (it != txs_by_height.end()) {
-      std::vector<RawTxRow>& rows = it->second;
-      std::sort(rows.begin(), rows.end(),
-                [](const RawTxRow& a, const RawTxRow& b) {
-                  return a.position != b.position ? a.position < b.position
-                                                  : a.line < b.line;
-                });
+      std::vector<std::uint32_t>& rows = it->second;
+      std::sort(rows.begin(), rows.end(), [&tx_rows](std::uint32_t a, std::uint32_t b) {
+        const RawTxRow& x = tx_rows[a];
+        const RawTxRow& y = tx_rows[b];
+        return x.position != y.position ? x.position < y.position : x.line < y.line;
+      });
       // After the sort, positions must form 0..n-1 (duplicates were
       // rejected above, so any deviation is a gap).
       for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (rows[i].position == i) continue;
-        if (!ld.defect(LoadErrorKind::kBadPositionSequence, txs_path,
-                       rows[i].line,
+        RawTxRow& r = tx_rows[rows[i]];
+        if (r.position == i) continue;
+        if (!ld.defect(LoadErrorKind::kBadPositionSequence, txs_path, r.line,
                        "height " + std::to_string(height) + ": position " +
-                           std::to_string(rows[i].position) +
+                           std::to_string(r.position) +
                            " where " + std::to_string(i) + " was expected",
                        Loader::Fix::kRepairRow)) break;
-        rows[i].position = i;  // lenient: renumber, preserving sorted order
+        r.position = i;  // lenient: renumber, preserving sorted order
       }
       if (ld.fatal) break;
       txs.reserve(rows.size());
-      for (RawTxRow& r : rows) {
-        auto ins = inputs_by_tx.find(r.id_hex) != inputs_by_tx.end()
-                       ? std::move(inputs_by_tx[r.id_hex])
-                       : std::vector<btc::TxInput>{};
-        auto outs = outputs_by_tx.find(r.id_hex) != outputs_by_tx.end()
-                        ? std::move(outputs_by_tx[r.id_hex])
-                        : std::vector<btc::TxOutput>{};
+      for (const std::uint32_t index : rows) {
+        const RawTxRow& r = tx_rows[index];
         txs.push_back(btc::Transaction::restore(r.id, r.issued, r.vsize, r.fee,
-                                                std::move(ins), std::move(outs)));
+                                                std::move(inputs_by_tx[index]),
+                                                std::move(outputs_by_tx[index])));
       }
     }
     if (txs.size() != raw.tx_count && !raw.reconstructed) {
@@ -626,7 +663,7 @@ LoadResult<node::SnapshotSeries> import_snapshots_impl(const std::string& path,
   LoadResult<node::SnapshotSeries> result;
   Loader ld(policy);
   CsvReader in(path);
-  std::vector<std::string> row;
+  std::vector<std::string_view> row;
   if (!in.ok()) {
     ld.fatal_defect(LoadErrorKind::kFileOpen, path, "cannot open");
   } else if (!in.next_row(row)) {
@@ -638,6 +675,7 @@ LoadResult<node::SnapshotSeries> import_snapshots_impl(const std::string& path,
     std::size_t line = 0;
   };
   std::vector<RawStat> stats;
+  stats.reserve(in.newline_count());
   bool needs_sort = false;
   while (!ld.fatal && in.next_row(row)) {
     ++ld.report.rows_read;
@@ -664,7 +702,7 @@ LoadResult<node::SnapshotSeries> import_snapshots_impl(const std::string& path,
       // SnapshotSeries requires strictly increasing times; lenient
       // re-sorts and drops exact-duplicate timestamps.
       if (!ld.defect(LoadErrorKind::kOutOfOrderRow, path, line,
-                     "time " + row[0] + " not after " +
+                     "time " + std::string(row[0]) + " not after " +
                          std::to_string(stats.back().stat.time),
                      Loader::Fix::kRepairRow)) break;
       needs_sort = true;
@@ -728,13 +766,14 @@ LoadResult<FirstSeenMap> import_first_seen_impl(const std::string& path,
   LoadResult<FirstSeenMap> result;
   Loader ld(policy);
   CsvReader in(path);
-  std::vector<std::string> row;
+  std::vector<std::string_view> row;
   if (!in.ok()) {
     ld.fatal_defect(LoadErrorKind::kFileOpen, path, "cannot open");
   } else if (!in.next_row(row)) {
     ld.fatal_defect(LoadErrorKind::kMissingHeader, path, "empty file");
   }
   FirstSeenMap out;
+  out.reserve(in.newline_count());
   while (!ld.fatal && in.next_row(row)) {
     ++ld.report.rows_read;
     const std::size_t line = in.line();
@@ -751,7 +790,7 @@ LoadResult<FirstSeenMap> import_first_seen_impl(const std::string& path,
     const auto id = btc::Txid::from_hex(row[0]);
     if (!id) {
       if (!ld.defect(LoadErrorKind::kBadTxid, path, line,
-                     "bad txid '" + row[0] + "'")) break;
+                     "bad txid '" + std::string(row[0]) + "'")) break;
       continue;
     }
     const auto time = to_i64(row[1]);
@@ -762,7 +801,8 @@ LoadResult<FirstSeenMap> import_first_seen_impl(const std::string& path,
     }
     if (!out.emplace(*id, *time).second) {
       if (!ld.defect(LoadErrorKind::kDuplicateTxid, path, line,
-                     "txid " + row[0].substr(0, 16) + "... already seen")) break;
+                     "txid " + std::string(row[0].substr(0, 16)) +
+                         "... already seen")) break;
       continue;  // lenient: first occurrence wins
     }
   }

@@ -1,17 +1,24 @@
 #include "util/hex.hpp"
 
+#include <array>
+
 namespace cn {
 
 namespace {
 
 constexpr char kDigits[] = "0123456789abcdef";
 
-int nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
+// Value of each byte as a hex digit, -1 for non-digits.
+constexpr std::array<std::int8_t, 256> kNibble = [] {
+  std::array<std::int8_t, 256> t{};
+  t.fill(-1);
+  for (int c = '0'; c <= '9'; ++c) t[c] = static_cast<std::int8_t>(c - '0');
+  for (int c = 'a'; c <= 'f'; ++c) t[c] = static_cast<std::int8_t>(c - 'a' + 10);
+  for (int c = 'A'; c <= 'F'; ++c) t[c] = static_cast<std::int8_t>(c - 'A' + 10);
+  return t;
+}();
+
+int nibble(char c) { return kNibble[static_cast<unsigned char>(c)]; }
 
 }  // namespace
 
@@ -25,17 +32,15 @@ std::string hex_encode(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
-std::optional<std::vector<std::uint8_t>> hex_decode(std::string_view hex) {
-  if (hex.size() % 2 != 0) return std::nullopt;
-  std::vector<std::uint8_t> out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
+bool hex_decode(std::string_view hex, std::span<std::uint8_t> out) {
+  if (hex.size() != 2 * out.size()) return false;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const int hi = nibble(hex[2 * i]);
+    const int lo = nibble(hex[2 * i + 1]);
+    if (hi < 0 || lo < 0) return false;
+    out[i] = static_cast<std::uint8_t>((hi << 4) | lo);
   }
-  return out;
+  return true;
 }
 
 bool is_hex(std::string_view hex) {

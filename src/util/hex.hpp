@@ -2,20 +2,19 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace cn {
 
 /// Lower-case hex encoding of @p bytes (2 chars per byte).
 std::string hex_encode(std::span<const std::uint8_t> bytes);
 
-/// Decodes a lower- or upper-case hex string. Returns std::nullopt on odd
-/// length or any non-hex character.
-std::optional<std::vector<std::uint8_t>> hex_decode(std::string_view hex);
+/// Decodes lower- or upper-case @p hex into @p out, which must hold
+/// exactly hex.size() / 2 bytes. Returns false, leaving @p out in an
+/// unspecified state, on any other length or a non-hex character.
+bool hex_decode(std::string_view hex, std::span<std::uint8_t> out);
 
 /// True if @p hex is non-empty, even-length, and all hex digits.
 bool is_hex(std::string_view hex);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -32,6 +33,22 @@ void write_file_lines(const std::string& path,
 void append_line(const std::string& path, const std::string& line) {
   std::ofstream out(path, std::ios::app);
   out << line << '\n';
+}
+
+std::string upper_case(std::string text) {
+  for (char& c : text) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  return text;
+}
+
+/// Rewrites the first (txid) field of every data row of @p path in upper
+/// case: the same txid, spelled differently.
+void upper_case_txid_column(const std::string& path) {
+  auto lines = file_lines(path);
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const std::size_t comma = lines[i].find(',');
+    lines[i] = upper_case(lines[i].substr(0, comma)) + lines[i].substr(comma);
+  }
+  write_file_lines(path, lines);
 }
 
 class DatasetIoTest : public ::testing::Test {
@@ -171,7 +188,7 @@ TEST(CsvReader, ParsesQuotedFields) {
     csv.end_row();
   }
   cn::CsvReader reader(path);
-  std::vector<std::string> row;
+  std::vector<std::string_view> row;
   ASSERT_TRUE(reader.next_row(row));
   ASSERT_EQ(row.size(), 3u);
   EXPECT_EQ(row[0], "a,b");
@@ -238,6 +255,89 @@ TEST_F(DatasetIoTest, DuplicateTxidIsSurfacedNotSwallowed) {
   const auto lenient = import_chain(dir_, LoadPolicy::kLenient);
   ASSERT_TRUE(lenient.has_value());
   EXPECT_EQ(lenient->total_tx_count(), three_block_chain().total_tx_count());
+}
+
+TEST_F(DatasetIoTest, DuplicateTxidIsFoundByValueNotSpelling) {
+  const auto original = three_block_chain();
+  ASSERT_TRUE(export_chain(original, dir_));
+  const std::string txs = dir_ + "/txs.csv";
+  const std::size_t line = file_lines(txs).size() + 1;
+  // Height 100's first txid again, upper case, in a free slot.
+  append_line(txs, "102,1," + upper_case(original.blocks()[0].txs()[0].id().to_hex()) +
+                       ",0,250,1000");
+
+  const auto strict = import_chain(dir_, LoadPolicy::kStrict);
+  EXPECT_FALSE(strict.has_value());
+  ASSERT_NE(strict.report.first_error(), nullptr);
+  EXPECT_EQ(strict.report.first_error()->kind, LoadErrorKind::kDuplicateTxid);
+  EXPECT_EQ(strict.report.first_error()->file, txs);
+  EXPECT_EQ(strict.report.first_error()->line, line);
+
+  const auto lenient = import_chain(dir_, LoadPolicy::kLenient);
+  ASSERT_TRUE(lenient.has_value());
+  EXPECT_EQ(lenient->total_tx_count(), original.total_tx_count());
+  EXPECT_EQ(lenient.report.rows_skipped, 1u);
+}
+
+TEST_F(DatasetIoTest, UpperCaseTxidsAttachInputsAndOutputs) {
+  const auto original = three_block_chain();
+  ASSERT_TRUE(export_chain(original, dir_));
+  upper_case_txid_column(dir_ + "/inputs.csv");
+  upper_case_txid_column(dir_ + "/outputs.csv");
+
+  const auto loaded = import_chain(dir_, LoadPolicy::kStrict);
+  ASSERT_TRUE(loaded.has_value()) << loaded.report.summary();
+  EXPECT_TRUE(loaded.report.clean());
+  for (std::size_t b = 0; b < original.size(); ++b) {
+    for (std::size_t i = 0; i < original.blocks()[b].txs().size(); ++i) {
+      const btc::Transaction& want = original.blocks()[b].txs()[i];
+      const btc::Transaction& got = loaded->blocks()[b].txs()[i];
+      ASSERT_FALSE(want.inputs().empty());
+      ASSERT_EQ(got.inputs().size(), want.inputs().size());
+      EXPECT_EQ(got.inputs()[0].prev_txid, want.inputs()[0].prev_txid);
+      EXPECT_EQ(got.inputs()[0].owner, want.inputs()[0].owner);
+      ASSERT_EQ(got.outputs().size(), want.outputs().size());
+      EXPECT_EQ(got.outputs()[0].to, want.outputs()[0].to);
+    }
+  }
+  EXPECT_EQ(loaded->tip_hash(), original.tip_hash());
+}
+
+TEST_F(DatasetIoTest, OrphanInputAndOutputRowsAreDroppedAfterInterning) {
+  const auto original = three_block_chain();
+  ASSERT_TRUE(export_chain(original, dir_));
+  const std::string stranger = btc::Txid::hash_of("not in txs.csv").to_hex();
+  const btc::Address owner = btc::Address::derive("orphan owner");
+  const btc::Address payee = btc::Address::derive("orphan payee");
+  append_line(dir_ + "/inputs.csv", stranger + "," + stranger + ",0," +
+                                        std::to_string(owner.value));
+  append_line(dir_ + "/outputs.csv", stranger + "," + std::to_string(payee.value) + ",5");
+
+  btc::AddressTable addresses;
+  const auto loaded = import_chain(dir_, LoadPolicy::kStrict, &addresses);
+  ASSERT_TRUE(loaded.has_value()) << loaded.report.summary();
+  EXPECT_TRUE(loaded.report.clean());  // dropped without a defect
+  EXPECT_EQ(loaded->tip_hash(), original.tip_hash());
+  // Interned where the rows stand: the orphan input owner after every
+  // input owner, the orphan payee last.
+  EXPECT_NE(addresses.lookup(owner), btc::kNoAddressId);
+  EXPECT_EQ(addresses.lookup(payee), addresses.size() - 1);
+}
+
+TEST_F(DatasetIoTest, BlocksCsvThatIsADirectoryIsAMissingHeader) {
+  ASSERT_TRUE(export_chain(three_block_chain(), dir_));
+  const std::string blocks = dir_ + "/blocks.csv";
+  std::filesystem::remove(blocks);
+  std::filesystem::create_directories(blocks);
+
+  for (const LoadPolicy policy : {LoadPolicy::kStrict, LoadPolicy::kLenient}) {
+    const auto loaded = import_chain(dir_, policy);
+    EXPECT_FALSE(loaded.has_value());
+    ASSERT_NE(loaded.report.first_error(), nullptr);
+    EXPECT_EQ(loaded.report.first_error()->kind, LoadErrorKind::kMissingHeader);
+    EXPECT_EQ(loaded.report.first_error()->file, blocks);
+    EXPECT_EQ(loaded.report.first_error()->detail, "empty file");
+  }
 }
 
 TEST_F(DatasetIoTest, LenientRepairsOutOfOrderBlockRows) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 namespace cn {
 namespace {
 
@@ -15,37 +18,46 @@ TEST(Hex, EncodesBytes) {
 }
 
 TEST(Hex, DecodesLowerAndUpperCase) {
-  const auto lower = hex_decode("deadbeef");
-  const auto upper = hex_decode("DEADBEEF");
-  ASSERT_TRUE(lower.has_value());
-  ASSERT_TRUE(upper.has_value());
-  EXPECT_EQ(*lower, *upper);
-  EXPECT_EQ((*lower)[0], 0xde);
-  EXPECT_EQ((*lower)[3], 0xef);
+  std::array<std::uint8_t, 4> lower{}, upper{};
+  ASSERT_TRUE(hex_decode("deadbeef", lower));
+  ASSERT_TRUE(hex_decode("DEADBEEF", upper));
+  EXPECT_EQ(lower, upper);
+  EXPECT_EQ(lower[0], 0xde);
+  EXPECT_EQ(lower[3], 0xef);
 }
 
 TEST(Hex, RoundTrips) {
   std::vector<std::uint8_t> bytes;
   for (int i = 0; i < 256; ++i) bytes.push_back(static_cast<std::uint8_t>(i));
-  const auto decoded = hex_decode(hex_encode(bytes));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, bytes);
+  std::vector<std::uint8_t> decoded(bytes.size());
+  ASSERT_TRUE(hex_decode(hex_encode(bytes), decoded));
+  EXPECT_EQ(decoded, bytes);
 }
 
 TEST(Hex, RejectsOddLength) {
-  EXPECT_FALSE(hex_decode("abc").has_value());
+  std::array<std::uint8_t, 1> one{};
+  std::array<std::uint8_t, 2> two{};
+  EXPECT_FALSE(hex_decode("abc", one));
+  EXPECT_FALSE(hex_decode("abc", two));
 }
 
 TEST(Hex, RejectsNonHexCharacters) {
-  EXPECT_FALSE(hex_decode("zz").has_value());
-  EXPECT_FALSE(hex_decode("0g").has_value());
-  EXPECT_FALSE(hex_decode("0x12").has_value());
+  std::array<std::uint8_t, 1> one{};
+  std::array<std::uint8_t, 2> two{};
+  EXPECT_FALSE(hex_decode("zz", one));
+  EXPECT_FALSE(hex_decode("0g", one));
+  EXPECT_FALSE(hex_decode("0x12", two));
+}
+
+TEST(Hex, RejectsLengthOtherThanTheOutput) {
+  std::array<std::uint8_t, 2> two{};
+  EXPECT_FALSE(hex_decode("ab", two));
+  EXPECT_FALSE(hex_decode("abcdef", two));
+  EXPECT_TRUE(hex_decode("abcd", two));
 }
 
 TEST(Hex, DecodesEmptyToEmpty) {
-  const auto decoded = hex_decode("");
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->empty());
+  EXPECT_TRUE(hex_decode("", std::span<std::uint8_t>{}));
 }
 
 TEST(Hex, IsHexPredicate) {
