@@ -89,8 +89,16 @@ int main(int argc, char** argv) {
   // dataset: the CSV side parses text, attributes pools, and builds the
   // columnar view; the CNB1 side verifies checksums and copies columns
   // out — the derived sections ride inside the file. The hard gate
-  // asserts the binary path ingests the same rows at >= 20x the CSV
-  // throughput, so a regression in either loader fails this bench.
+  // asserts the binary path ingests the same rows at >= kIngestGate times
+  // the CSV throughput. A slower CNB1 loader lowers the ratio and fails
+  // it; a slower CSV loader raises the ratio, so CSV regressions are
+  // gated by the pipeline benchmark's ingest-csv job time instead.
+  //
+  // The gate was 20x against the char-at-a-time CSV reader. The buffered
+  // reader cut the median ingest_seconds_csv from 2.39 s to 0.637 s (6
+  // alternating runs each at the default scale, RelWithDebInfo, 4-core
+  // host), so the gate became ceil(20 * 0.637 / 2.39) = 6: CNB1 keeps
+  // the time budget of about csv_old / 20 it had before.
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
   namespace fs = std::filesystem;
   const fs::path ingest_dir = fs::path(cn::bench::out_dir()) / "ingest";
@@ -192,12 +200,13 @@ int main(int argc, char** argv) {
   const double cnb_bytes = static_cast<double>(fs::file_size(cnb_path, ec));
   const double load_speedup = load_csv_s / load_cnb_s;
   const double ingest_speedup = ingest_csv_s / ingest_cnb_s;
-  const bool ingest_ok = ingest_speedup >= 20.0;
+  constexpr double kIngestGate = 6.0;
+  const bool ingest_ok = ingest_speedup >= kIngestGate;
   std::printf("\n--- ingest: CSV directory vs CNB1 binary ---\n");
   std::printf("  raw load    csv: %8.3f s   cnb: %8.3f s   (%.1fx)\n",
               load_csv_s, load_cnb_s, load_speedup);
-  std::printf("  audit-ready csv: %8.3f s   cnb: %8.3f s   (%.1fx, gate 20x %s)\n",
-              ingest_csv_s, ingest_cnb_s, ingest_speedup,
+  std::printf("  audit-ready csv: %8.3f s   cnb: %8.3f s   (%.1fx, gate %.0fx %s)\n",
+              ingest_csv_s, ingest_cnb_s, ingest_speedup, kIngestGate,
               ingest_ok ? "OK" : "FAILED");
   std::printf("  throughput  csv: %8.0f rows/s   cnb: %8.0f rows/s\n",
               rows / ingest_csv_s, rows / ingest_cnb_s);
@@ -212,13 +221,14 @@ int main(int argc, char** argv) {
   json.metric("ingest_rows_per_s_csv", rows / ingest_csv_s);
   json.metric("ingest_rows_per_s_cnb", rows / ingest_cnb_s);
   json.metric("ingest_speedup", ingest_speedup);
+  json.metric("ingest_speedup_gate", kIngestGate);
   json.metric("ingest_speedup_ok", ingest_ok ? 1.0 : 0.0);
   json.metric("cnb_file_bytes", cnb_bytes);
   json.metric("cnb_bytes_per_tx", txs > 0 ? cnb_bytes / txs : 0.0);
   if (!ingest_ok) {
     std::fprintf(stderr,
-                 "FATAL: CNB1 ingest speedup %.1fx is below the 20x gate\n",
-                 ingest_speedup);
+                 "FATAL: CNB1 ingest speedup %.1fx is below the %.0fx gate\n",
+                 ingest_speedup, kIngestGate);
     return 1;
   }
 

@@ -9,10 +9,10 @@
 # tests (the ThreadPool, the lock-free obs registry, the parallel audit
 # pipeline, the columnar-vs-legacy differential suite, and the
 # fault-injection property suite) under tsan, runs the fault-injection
-# suite under asan plus the ingestion throughput bench, exercises the
-# CNB1 leg (round-trip suite under asan, cnconvert-built fixtures feeding
-# the legacy-vs-columnar differential from a binary source, and the 20x
-# ingest-throughput gate from bench_dataset_build), runs the cnauditd
+# and CSV reader suites under asan plus the ingestion throughput bench,
+# exercises the CNB1 leg (round-trip suite under asan, cnconvert-built
+# fixtures feeding the legacy-vs-columnar differential from a binary
+# source, and the CNB1-vs-CSV ingest gate from bench_dataset_build), runs the cnauditd
 # daemon leg (the labelled suite plus the kill-point chaos harness under
 # asan, and the >=10x incremental-update gate from bench_daemon), runs
 # the cnsweep smoke matrix cold then warm (warm must be all cache hits,
@@ -106,7 +106,11 @@ EOF
 echo "=== fault injection: property tests under asan + ingest bench ==="
 # Lenient import must survive any seeded corruption asan-clean; strict
 # import must pinpoint injected faults (see tests/io/test_fault_injection.cpp).
-run ./build-asan/tests/cn_tests_io --gtest_filter='FaultInjection*'
+# CsvReader unescapes quoted fields in place inside its file buffer, where
+# an out-of-bounds write would hide: its edge cases and the differential
+# against the char-at-a-time reader (tests/util/test_csv.cpp) run here too.
+run ./build-asan/tests/cn_tests_io --gtest_filter='FaultInjection*:CsvReader*'
+run ./build-asan/tests/cn_tests_util --gtest_filter='CsvReader*'
 # Strict-vs-lenient ingestion throughput at 1% corruption; emits
 # bench_out/BENCH_fault_ingest.json for the perf trajectory.
 run ./build-release/bench/bench_fault_ingest
@@ -141,7 +145,8 @@ run ./build-release/tools/cnconvert --input "${CNB_WORK}/world.cnb" \
 run cmp "${CNB_WORK}/columnar.txt" "${CNB_WORK}/columnar2.txt"
 
 echo "=== CNB1 ingest throughput gate (bench_dataset_build) ==="
-# The bench exits non-zero below the 20x audit-ready ingest target; the
+# The bench exits non-zero when audit-ready CNB1 ingest is not its gate's
+# multiple of CSV ingest (the threshold is in the bench and its JSON); the
 # json check guards the emitted bit so a silent edit to the bench's own
 # gate cannot slip through CI.
 run ./build-release/bench/bench_dataset_build --benchmark_filter='^$'
@@ -157,7 +162,7 @@ if report.get("scale") != 0.5:
              "expected the bench default 0.5")
 if metrics.get("ingest_speedup_ok") != 1.0:
     sys.exit(f"CNB1 ingest gate failed: {metrics.get('ingest_speedup')}x "
-             "(need >= 20x)")
+             f"(need >= {metrics.get('ingest_speedup_gate')}x)")
 print(f"CNB1 ingest {metrics['ingest_speedup']:.1f}x CSV "
       f"(raw load {metrics['load_speedup']:.1f}x, "
       f"{metrics['cnb_bytes_per_tx']:.0f} B/tx)")
