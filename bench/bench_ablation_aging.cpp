@@ -13,6 +13,7 @@
 #include "common.hpp"
 #include "worlds.hpp"
 
+#include "core/audit_dataset.hpp"
 #include "core/congestion.hpp"
 #include "core/ppe.hpp"
 #include "stats/descriptive.hpp"
@@ -40,9 +41,10 @@ Outcome run_with_aging(double age_weight, std::uint64_t seed, double scale) {
       bench::world_for(bench::worlds::aging(age_weight, seed, scale));
 
   Outcome out;
+  const core::AuditDataset dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
   const auto seen = core::collect_seen_txs(
-      world.chain,
-      [&](const btc::Txid& id) { return world.first_seen(id); });
+      dataset, [&](const btc::Txid& id) { return world.first_seen(id); });
   const auto delays = core::commit_delays_blocks(world.chain, seen);
   const auto low = core::delays_for_band(seen, delays, core::FeeBand::kLow);
   if (!low.empty()) {
@@ -56,7 +58,7 @@ Outcome run_with_aging(double age_weight, std::uint64_t seed, double scale) {
   btc::Satoshi fees{};
   for (const auto& block : world.chain.blocks()) fees += block.total_fees();
   out.total_fees_btc = fees.btc();
-  out.mean_ppe = stats::mean(core::chain_ppe(world.chain));
+  out.mean_ppe = stats::mean(core::chain_ppe(dataset));
   out.txs = world.chain.total_tx_count();
   out.blocks = world.chain.size();
   return out;

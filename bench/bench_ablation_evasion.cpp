@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "core/audit_dataset.hpp"
 #include "core/prio_test.hpp"
 #include "core/report.hpp"
 #include "core/wallet_inference.hpp"
@@ -37,12 +38,15 @@ using namespace cn;
 constexpr double kAlpha = 0.001;
 constexpr double kSelfPerBlock = 0.5;
 
+/// F2Pool's self-interest test; a world with no F2Pool block has nothing
+/// to test (p stays 1).
 core::PrioTestResult f2pool_test(const io::World& world) {
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(world.chain, registry);
-  const auto txs = core::self_interest_txs(world.chain, attribution, "F2Pool");
-  return core::test_differential_prioritization(world.chain, attribution,
-                                                "F2Pool", txs);
+  const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
+  const core::PoolId f2pool = dataset.pool_id("F2Pool");
+  if (f2pool == core::kNoPoolId) return {};
+  return core::test_differential_prioritization(dataset, f2pool,
+                                                dataset.self_interest_txs(f2pool));
 }
 
 struct ThetaPoint {

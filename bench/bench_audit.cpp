@@ -1,7 +1,7 @@
-// Columnar-vs-legacy run_full_audit: wall time of the staged pipeline
-// over the AuditDataset against the pre-refactor object-graph monolith
-// (AuditEngine::kLegacy), with a byte-equality check of the rendered
-// reports — the speedup only counts if the output is provably unchanged.
+// run_full_audit wall time: the staged columnar pipeline end to end with
+// its per-stage split, plus two gates on it — the observability overhead
+// (obs on vs off, byte-identical reports, <= 2%) and the CNB1 prebuilt
+// dataset (byte-identical report, build stage < 5% of the audit).
 #include "common.hpp"
 #include "worlds.hpp"
 
@@ -34,25 +34,14 @@ std::string rendered(const core::AuditReport& report) {
   return out;
 }
 
-core::AuditOptions options_for(core::AuditEngine engine) {
+core::AuditOptions audit_options() {
   core::AuditOptions options;
-  options.engine = engine;
   options.watch_addresses.push_back(g_world->scam_address());
   return options;
 }
 
-void BM_AuditLegacy(benchmark::State& state) {
-  const auto options = options_for(core::AuditEngine::kLegacy);
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  for (auto _ : state) {
-    auto report = core::run_full_audit(g_world->chain, registry, options);
-    benchmark::DoNotOptimize(report);
-  }
-}
-BENCHMARK(BM_AuditLegacy)->Unit(benchmark::kMillisecond);
-
 void BM_AuditColumnar(benchmark::State& state) {
-  const auto options = options_for(core::AuditEngine::kColumnar);
+  const auto options = audit_options();
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
   for (auto _ : state) {
     auto report = core::run_full_audit(g_world->chain, registry, options);
@@ -65,7 +54,7 @@ BENCHMARK(BM_AuditColumnar)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   cn::bench::JsonReport json("audit");
-  cn::bench::banner("run_full_audit: staged columnar pipeline vs legacy monolith",
+  cn::bench::banner("run_full_audit: the staged columnar pipeline",
                     "(engineering bench; the paper's §4-§5 methodology end to end)");
 
   const std::uint64_t seed = cn::bench::seed_from_env();
@@ -79,45 +68,28 @@ int main(int argc, char** argv) {
   json.metric("txs", static_cast<double>(world.chain.total_tx_count()));
 
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const auto timed = [&](core::AuditEngine engine, core::AuditReport* out) {
-    constexpr int kReps = 3;
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      auto report = core::run_full_audit(g_world->chain, registry,
-                                         options_for(engine));
-      best = std::min(
-          best, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0)
-                    .count());
-      if (out != nullptr) *out = std::move(report);
-    }
-    return best;
+  const auto timed_once = [&](core::AuditReport* out) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto report = core::run_full_audit(g_world->chain, registry, audit_options());
+    const double s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    if (out != nullptr) *out = std::move(report);
+    return s;
   };
 
-  core::AuditReport legacy_report, columnar_report;
-  const double legacy_s = timed(core::AuditEngine::kLegacy, &legacy_report);
-  const double columnar_s = timed(core::AuditEngine::kColumnar, &columnar_report);
-  const bool bytes_equal = rendered(legacy_report) == rendered(columnar_report);
-
-  std::printf("  legacy monolith:   %8.3f s\n", legacy_s);
-  std::printf("  columnar pipeline: %8.3f s   (%.2fx, reports %s)\n",
-              columnar_s, legacy_s / columnar_s,
-              bytes_equal ? "byte-identical" : "DIVERGED");
+  core::AuditReport columnar_report;
+  double columnar_s = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    columnar_s = std::min(columnar_s, timed_once(&columnar_report));
+  }
+  std::printf("  columnar pipeline: %8.3f s\n", columnar_s);
   std::printf("\n--- columnar stage timings ---\n");
   for (const core::AuditStage& s : columnar_report.stages) {
     std::printf("  %-14s %8.3f s\n", s.name.c_str(), s.seconds);
     json.metric("stage_" + s.name + "_seconds", s.seconds);
   }
-
-  json.metric("legacy_seconds", legacy_s);
   json.metric("columnar_seconds", columnar_s);
-  json.metric("speedup", legacy_s / columnar_s);
-  json.metric("reports_byte_identical", bytes_equal ? 1.0 : 0.0);
-  if (!bytes_equal) {
-    std::fprintf(stderr, "FATAL: columnar report diverged from the legacy oracle\n");
-    return 1;
-  }
 
   // Observability overhead gate (DESIGN.md §10): the instrumented audit
   // must stay within 2% of the same audit with the runtime obs switch
@@ -125,16 +97,6 @@ int main(int argc, char** argv) {
   // reps are interleaved and each side takes its minimum, so clock
   // drift, frequency scaling and cache warmth cancel instead of being
   // billed to the instrumentation.
-  const auto timed_once = [&](core::AuditReport* out) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto report = core::run_full_audit(g_world->chain, registry,
-                                       options_for(core::AuditEngine::kColumnar));
-    const double s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (out != nullptr) *out = std::move(report);
-    return s;
-  };
   core::AuditReport lit_report, dark_report;
   double lit_s = 1e300;
   double dark_s = 1e300;
@@ -205,7 +167,7 @@ int main(int argc, char** argv) {
   core::AuditReport prebuilt_report;
   double prebuilt_s = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
-    auto options = options_for(core::AuditEngine::kColumnar);
+    auto options = audit_options();
     options.prebuilt_dataset = prebuilt;
     const auto t0 = std::chrono::steady_clock::now();
     auto report = core::run_full_audit(loaded->chain, registry, options);
@@ -243,8 +205,8 @@ int main(int argc, char** argv) {
   json.metric("cnb_reports_byte_identical", cnb_bytes_equal ? 1.0 : 0.0);
   if (!cnb_bytes_equal) {
     std::fprintf(stderr,
-                 "FATAL: CNB1 prebuilt report diverged from the columnar "
-                 "oracle\n");
+                 "FATAL: CNB1 prebuilt report diverged from the in-memory "
+                 "audit\n");
     return 1;
   }
   if (!build_fraction_ok) {

@@ -11,6 +11,7 @@
 #include "common.hpp"
 #include "worlds.hpp"
 
+#include "core/audit_dataset.hpp"
 #include "core/ppe.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/ecdf.hpp"
@@ -40,9 +41,10 @@ void BM_BlockPpe(benchmark::State& state) {
 BENCHMARK(BM_BlockPpe);
 
 void BM_ChainPpe(benchmark::State& state) {
-  const auto& chain = micro_chain();
+  const auto dataset = cn::core::AuditDataset::build(
+      micro_chain(), cn::btc::CoinbaseTagRegistry::paper_registry());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cn::core::chain_ppe(chain));
+    benchmark::DoNotOptimize(cn::core::chain_ppe(dataset));
   }
 }
 BENCHMARK(BM_ChainPpe);
@@ -67,8 +69,11 @@ int main(int argc, char** argv) {
   json.metric("blocks",
               static_cast<double>(modern.chain.size() + legacy.chain.size()));
 
-  const std::vector<double> modern_ppe = core::chain_ppe(modern.chain);
-  const std::vector<double> legacy_ppe = core::chain_ppe(legacy.chain);
+  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
+  const std::vector<double> modern_ppe =
+      core::chain_ppe(core::AuditDataset::build(modern.chain, registry));
+  const std::vector<double> legacy_ppe =
+      core::chain_ppe(core::AuditDataset::build(legacy.chain, registry));
   const stats::Ecdf modern_cdf{std::span<const double>(modern_ppe)};
   const stats::Ecdf legacy_cdf{std::span<const double>(legacy_ppe)};
 

@@ -8,8 +8,8 @@
 #include "common.hpp"
 #include "worlds.hpp"
 
+#include "core/audit_dataset.hpp"
 #include "core/congestion.hpp"
-#include "core/wallet_inference.hpp"
 #include "stats/ecdf.hpp"
 #include "stats/ks.hpp"
 #include "util/csv.hpp"
@@ -20,9 +20,11 @@ namespace {
 void BM_CollectSeenTxs(benchmark::State& state) {
   using namespace cn;
   static const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kA, 3, 0.1);
+  static const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
   const auto lookup = [&](const btc::Txid& id) { return world.observer.first_seen(id); };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::collect_seen_txs(world.chain, lookup));
+    benchmark::DoNotOptimize(core::collect_seen_txs(dataset, lookup));
   }
 }
 BENCHMARK(BM_CollectSeenTxs)->Unit(benchmark::kMillisecond);
@@ -31,7 +33,8 @@ void BM_CommitDelays(benchmark::State& state) {
   using namespace cn;
   static const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kA, 3, 0.1);
   static const auto seen = core::collect_seen_txs(
-      world.chain, [&](const btc::Txid& id) { return world.observer.first_seen(id); });
+      core::AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry()),
+      [&](const btc::Txid& id) { return world.observer.first_seen(id); });
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::commit_delays_blocks(world.chain, seen));
   }
@@ -55,10 +58,10 @@ int main(int argc, char** argv) {
         std::tuple{sim::DatasetKind::kB, "B", "60%"}}) {
     const io::World world =
         bench::world_for(bench::worlds::baseline(kind, seed, scale));
-    const auto first_seen = [&](const btc::Txid& id) {
-      return world.first_seen(id);
-    };
-    const auto seen = core::collect_seen_txs(world.chain, first_seen);
+    const auto registry = btc::CoinbaseTagRegistry::paper_registry();
+    const core::AuditDataset dataset = core::AuditDataset::build(world.chain, registry);
+    const auto seen = core::collect_seen_txs(
+        dataset, [&](const btc::Txid& id) { return world.first_seen(id); });
     json.add("txs", static_cast<double>(world.chain.total_tx_count()));
     json.add("blocks", static_cast<double>(world.chain.size()));
     const auto delays = core::commit_delays_blocks(world.chain, seen);
@@ -110,21 +113,20 @@ int main(int argc, char** argv) {
     // The paper argues visually that the distributions barely differ;
     // the KS statistic across pool pairs formalizes that.
     if (kind == sim::DatasetKind::kA) {
-      const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-      const core::PoolAttribution attribution(world.chain, registry);
       std::printf("  per-pool fee-rate medians (Fig 10; should be similar):\n");
-      const auto order = attribution.pools_by_blocks();
+      const auto order = dataset.pools_by_blocks();
+      const std::uint64_t first_height = dataset.block_heights()[0];
       std::vector<std::vector<double>> pool_rate_sets;
       for (std::size_t i = 0; i < order.size() && i < 5; ++i) {
         auto pool_rates = core::fee_rates_of_pool(
             seen, [&](std::uint64_t h) {
-              const auto p = attribution.pool_of(h);
-              return p.has_value() && *p == order[i];
+              return dataset.block_pool()[h - first_height] == order[i];
             });
         if (pool_rates.empty()) continue;
         const stats::Ecdf cdf{std::span<const double>(pool_rates)};
-        std::printf("    %-14s median=%-8.2f p75=%.2f\n", order[i].c_str(),
-                    cdf.quantile(0.5), cdf.quantile(0.75));
+        std::printf("    %-14s median=%-8.2f p75=%.2f\n",
+                    dataset.pool_name(order[i]).c_str(), cdf.quantile(0.5),
+                    cdf.quantile(0.75));
         pool_rate_sets.push_back(std::move(pool_rates));
       }
       double max_ks = 0.0;

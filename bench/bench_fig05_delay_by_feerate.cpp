@@ -6,6 +6,7 @@
 #include "common.hpp"
 #include "worlds.hpp"
 
+#include "core/audit_dataset.hpp"
 #include "core/congestion.hpp"
 #include "stats/ecdf.hpp"
 #include "util/strings.hpp"
@@ -16,7 +17,8 @@ void BM_DelaysForBand(benchmark::State& state) {
   using namespace cn;
   static const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kA, 3, 0.1);
   static const auto seen = core::collect_seen_txs(
-      world.chain, [&](const btc::Txid& id) { return world.observer.first_seen(id); });
+      core::AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry()),
+      [&](const btc::Txid& id) { return world.observer.first_seen(id); });
   static const auto delays = core::commit_delays_blocks(world.chain, seen);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -41,7 +43,7 @@ int main(int argc, char** argv) {
     const io::World world =
         bench::world_for(bench::worlds::baseline(kind, seed, scale));
     const auto seen = core::collect_seen_txs(
-        world.chain,
+        core::AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry()),
         [&](const btc::Txid& id) { return world.first_seen(id); });
     const auto delays = core::commit_delays_blocks(world.chain, seen);
     json.add("txs", static_cast<double>(world.chain.total_tx_count()));

@@ -8,8 +8,8 @@
 #include "common.hpp"
 #include "worlds.hpp"
 
+#include "core/audit_dataset.hpp"
 #include "core/ppe.hpp"
-#include "core/wallet_inference.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/ecdf.hpp"
 #include "util/strings.hpp"
@@ -43,7 +43,9 @@ int main(int argc, char** argv) {
   json.metric("txs", static_cast<double>(world.chain.total_tx_count()));
   json.metric("blocks", static_cast<double>(world.chain.size()));
 
-  const std::vector<double> all_ppe = core::chain_ppe(world.chain);
+  const core::AuditDataset dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
+  const std::vector<double> all_ppe = core::chain_ppe(dataset);
   const auto summary = stats::summarize(all_ppe);
   const stats::Ecdf cdf{std::span<const double>(all_ppe)};
 
@@ -55,25 +57,22 @@ int main(int argc, char** argv) {
   core::write_cdf_csv(bench::out_dir() + "/fig07_ppe_all.csv", cdf, "ppe_percent");
 
   // Per-pool CDFs for the six largest pools (Fig 7b).
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(world.chain, registry);
-  const auto order = attribution.pools_by_blocks();
+  const auto order = dataset.pools_by_blocks();
   std::printf("\n  per-pool PPE (top-6 by hash rate):\n");
   for (std::size_t i = 0; i < order.size() && i < 6; ++i) {
     std::vector<double> pool_ppe;
-    for (const auto& block : world.chain.blocks()) {
-      const auto owner = attribution.pool_of(block.height());
-      if (!owner.has_value() || *owner != order[i]) continue;
-      const auto ppe = core::block_ppe(block);
-      if (ppe.has_value()) pool_ppe.push_back(*ppe);
+    for (const std::uint32_t b : dataset.blocks_of_pool(order[i])) {
+      const double ppe = dataset.block_ppe()[b];
+      if (!std::isnan(ppe)) pool_ppe.push_back(ppe);
     }
     if (pool_ppe.empty()) continue;
+    const std::string& pool = dataset.pool_name(order[i]);
     const auto s = stats::summarize(pool_ppe);
-    std::printf("    %-16s blocks=%-6zu mean=%-6.2f p80=%.2f\n", order[i].c_str(),
+    std::printf("    %-16s blocks=%-6zu mean=%-6.2f p80=%.2f\n", pool.c_str(),
                 pool_ppe.size(), s.mean,
                 stats::quantile(pool_ppe, 0.8));
     const stats::Ecdf pool_cdf{std::span<const double>(pool_ppe)};
-    core::write_cdf_csv(bench::out_dir() + "/fig07_ppe_" + order[i] + ".csv",
+    core::write_cdf_csv(bench::out_dir() + "/fig07_ppe_" + pool + ".csv",
                         pool_cdf, "ppe_percent");
   }
   std::printf("\nCSV: %s/fig07_ppe_*.csv\n", bench::out_dir().c_str());

@@ -9,23 +9,27 @@
 #include "common.hpp"
 #include "worlds.hpp"
 
+#include "core/audit_dataset.hpp"
 #include "core/wallet_inference.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
-void BM_SelfInterestScan(benchmark::State& state) {
+// Every pool's self-interest list comes out of the one dataset build.
+void BM_SelfInterestLists(benchmark::State& state) {
   using namespace cn;
   static const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kC, 3, 0.1);
   static const auto registry = btc::CoinbaseTagRegistry::paper_registry();
   static const core::PoolAttribution attribution(world.chain, registry);
+  util::ThreadPool workers(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::self_interest_txs(world.chain, attribution, "F2Pool"));
+        core::AuditDataset::build(world.chain, attribution, workers));
   }
 }
-BENCHMARK(BM_SelfInterestScan)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SelfInterestLists)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
@@ -44,6 +48,8 @@ int main(int argc, char** argv) {
   json.metric("blocks", static_cast<double>(world.chain.size()));
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
   const core::PoolAttribution attribution(world.chain, registry);
+  util::ThreadPool workers(0);
+  const auto dataset = core::AuditDataset::build(world.chain, attribution, workers);
 
   CsvWriter csv(bench::out_dir() + "/fig08_wallets.csv");
   csv.header({"pool", "blocks", "reward_wallets", "self_interest_txs"});
@@ -52,8 +58,9 @@ int main(int argc, char** argv) {
                            {16, 9, 9, 10});
   table.print_header();
   std::uint64_t total_self = 0;
-  for (const auto& pool : attribution.pools_by_blocks()) {
-    const auto txs = core::self_interest_txs(world.chain, attribution, pool);
+  for (const core::PoolId id : dataset.pools_by_blocks()) {
+    const std::string& pool = dataset.pool_name(id);
+    const auto txs = dataset.self_interest_txs(id);
     total_self += txs.size();
     table.print_row({pool, with_commas(attribution.blocks_of(pool)),
                      std::to_string(attribution.wallets_of(pool).size()),

@@ -8,6 +8,7 @@
 #include "common.hpp"
 #include "worlds.hpp"
 
+#include "core/audit_dataset.hpp"
 #include "core/congestion.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/ecdf.hpp"
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
   json.metric("txs", static_cast<double>(world.chain.total_tx_count()));
   json.metric("blocks", static_cast<double>(world.chain.size()));
   const auto seen = core::collect_seen_txs(
-      world.chain,
+      core::AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry()),
       [&](const btc::Txid& id) { return world.first_seen(id); });
   const SimTime snapshot_time = world.config.duration / 2;
   const auto pending = core::pending_at(seen, world.chain, snapshot_time);

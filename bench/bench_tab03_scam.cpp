@@ -10,8 +10,8 @@
 
 #include <algorithm>
 
+#include "core/audit_dataset.hpp"
 #include "core/prio_test.hpp"
-#include "core/wallet_inference.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -19,8 +19,10 @@ namespace {
 void BM_TxsPayingTo(benchmark::State& state) {
   using namespace cn;
   static const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kC, 3, 0.1);
+  static const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::txs_paying_to(world.chain, world.scam_address));
+    benchmark::DoNotOptimize(dataset.txs_paying_to(world.scam_address));
   }
 }
 BENCHMARK(BM_TxsPayingTo)->Unit(benchmark::kMillisecond);
@@ -40,39 +42,38 @@ int main(int argc, char** argv) {
       bench::worlds::baseline(sim::DatasetKind::kC, seed, scale));
   json.metric("txs", static_cast<double>(world.chain.total_tx_count()));
   json.metric("blocks", static_cast<double>(world.chain.size()));
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
+  const core::AuditDataset dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
 
   // Scam-window slice (the paper tests within July 14 - Aug 9 blocks).
   const auto& scam_cfg = *world.config.workload.scam;
   std::uint64_t first_h = 0, last_h = 0;
-  for (const auto& block : world.chain.blocks()) {
-    if (block.mined_at() < scam_cfg.start) continue;
-    if (block.mined_at() >= scam_cfg.end + 2 * kDay) break;  // commit tail
-    if (first_h == 0) first_h = block.height();
-    last_h = block.height();
+  for (std::size_t b = 0; b < dataset.block_count(); ++b) {
+    const SimTime mined_at = dataset.block_mined_at()[b];
+    if (mined_at < scam_cfg.start) continue;
+    if (mined_at >= scam_cfg.end + 2 * kDay) break;  // commit tail
+    if (first_h == 0) first_h = dataset.block_heights()[b];
+    last_h = dataset.block_heights()[b];
   }
 
-  const auto scam_all = core::txs_paying_to(world.chain, world.scam_address());
-  const auto scam_refs = core::restrict_to_heights(scam_all, first_h, last_h);
-  const std::uint64_t c_blocks = core::count_c_blocks(scam_refs);
+  const auto scam_all = dataset.txs_paying_to(world.scam_address());
+  const auto scam_refs = core::restrict_to_heights(dataset, scam_all, first_h, last_h);
+  const std::uint64_t c_blocks = core::count_c_blocks(dataset, scam_refs);
 
   bench::compare("scam payments confirmed", "386", with_commas(scam_all.size()));
   bench::compare("blocks containing them", "53", with_commas(c_blocks));
 
   // Window-local attribution (hash shares within the scam window, as the
   // paper's Fig 13 reports them).
-  const core::PoolAttribution attribution(world.chain, registry);
-
   core::TablePrinter table({"pool", "theta0", "x", "y", "p-accel", "p-decel",
                             "SPPE"},
                            {16, 9, 6, 6, 9, 9, 10});
   table.print_header();
   int flagged = 0;
-  const auto order = attribution.pools_by_blocks();
+  const auto order = dataset.pools_by_blocks();
   for (std::size_t i = 0; i < order.size() && i < 9; ++i) {
-    const auto r = core::test_differential_prioritization(
-        world.chain, attribution, order[i], scam_refs);
-    table.print_row({order[i], fixed(r.theta0, 4), std::to_string(r.x),
+    const auto r = core::test_differential_prioritization(dataset, order[i], scam_refs);
+    table.print_row({r.pool, fixed(r.theta0, 4), std::to_string(r.x),
                      std::to_string(r.y), core::format_p_value(r.p_accelerate),
                      core::format_p_value(r.p_decelerate), fixed(r.sppe, 2)});
     if (r.p_accelerate < 0.001 || r.p_decelerate < 0.001) ++flagged;

@@ -13,6 +13,7 @@
 #include "worlds.hpp"
 
 #include "btc/rewards.hpp"
+#include "core/audit_dataset.hpp"
 #include "core/fee_revenue.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
@@ -33,8 +34,10 @@ cn::io::World run_year_slice(std::uint64_t genesis, const YearRegime& regime,
 void BM_FeeShareSummary(benchmark::State& state) {
   using namespace cn;
   static const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kC, 3, 0.1);
+  static const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::fee_share_summary(world.chain, 0.1));
+    benchmark::DoNotOptimize(core::fee_share_summary(dataset, 0.1));
   }
 }
 BENCHMARK(BM_FeeShareSummary)->Unit(benchmark::kMillisecond);
@@ -67,7 +70,9 @@ int main(int argc, char** argv) {
     json.add("blocks", static_cast<double>(world.chain.size()));
     const double subsidy_scale =
         static_cast<double>(world.config.max_block_vsize) / 1'000'000.0;
-    const auto s = core::fee_share_summary(world.chain, subsidy_scale);
+    const auto s = core::fee_share_summary(
+        core::AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry()),
+        subsidy_scale);
     table.print_row({std::to_string(regime.year), with_commas(world.chain.size()),
                      fixed(s.mean, 2), fixed(s.stddev, 2), fixed(s.median, 2),
                      fixed(s.p75, 2), fixed(s.max, 2),
@@ -88,7 +93,9 @@ int main(int argc, char** argv) {
     json.add("blocks", static_cast<double>(world.chain.size()));
     const double subsidy_scale =
         static_cast<double>(world.config.max_block_vsize) / 1'000'000.0;
-    const auto s = core::fee_share_summary(world.chain, subsidy_scale);
+    const auto s = core::fee_share_summary(
+        core::AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry()),
+        subsidy_scale);
     bench::compare("post-halving mean fee share", "8.90% (std 6.54)",
                    fixed(s.mean, 2) + "% (std " + fixed(s.stddev, 2) + ")");
   }

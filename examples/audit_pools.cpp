@@ -17,10 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "core/audit_dataset.hpp"
 #include "core/prio_test.hpp"
 #include "core/report.hpp"
-#include "core/sppe.hpp"
-#include "core/wallet_inference.hpp"
 #include "sim/dataset.hpp"
 #include "util/strings.hpp"
 
@@ -35,14 +34,13 @@ int main(int argc, char** argv) {
   std::printf("  %zu blocks, %llu committed transactions\n\n", world.chain.size(),
               static_cast<unsigned long long>(world.chain.total_tx_count()));
 
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(world.chain, registry);
+  const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
 
   // Audit every ordered (tx-owner, miner) pair among the large pools.
-  const auto pools = attribution.pools_by_blocks();
-  std::vector<std::string> large;
-  for (const auto& pool : pools) {
-    if (attribution.hash_share(pool) >= 0.03) large.push_back(pool);
+  std::vector<core::PoolId> large;
+  for (const core::PoolId pool : dataset.pools_by_blocks()) {
+    if (dataset.hash_share(pool) >= 0.03) large.push_back(pool);
   }
 
   std::printf("Cross-pool acceleration audit (rows: whose txs; cols: who mined "
@@ -53,17 +51,17 @@ int main(int argc, char** argv) {
   table.print_header();
 
   int findings = 0;
-  for (const auto& owner : large) {
-    const auto txs = core::self_interest_txs(world.chain, attribution, owner);
+  for (const core::PoolId owner : large) {
+    const auto txs = dataset.self_interest_txs(owner);
     if (txs.size() < 10) continue;
-    for (const auto& miner : large) {
-      const auto r = core::test_differential_prioritization(world.chain,
-                                                            attribution, miner, txs);
+    for (const core::PoolId miner : large) {
+      const auto r = core::test_differential_prioritization(dataset, miner, txs);
       const bool flagged = r.p_accelerate < 0.001 && r.sppe > 25.0;
       if (!flagged) continue;
       ++findings;
       const char* verdict = owner == miner ? "SELFISH" : "COLLUSION";
-      table.print_row({owner, miner, std::to_string(r.x), std::to_string(r.y),
+      table.print_row({dataset.pool_name(owner), r.pool, std::to_string(r.x),
+                       std::to_string(r.y),
                        core::format_p_value(r.p_accelerate), fixed(r.sppe, 1),
                        verdict});
     }
@@ -74,15 +72,15 @@ int main(int argc, char** argv) {
   std::printf("\nDeceleration screen (censorship would show up here; the paper "
               "— and this simulation — plant none):\n");
   int decel_findings = 0;
-  for (const auto& owner : large) {
-    const auto txs = core::self_interest_txs(world.chain, attribution, owner);
+  for (const core::PoolId owner : large) {
+    const auto txs = dataset.self_interest_txs(owner);
     if (txs.size() < 20) continue;
-    for (const auto& miner : large) {
-      const auto r = core::test_differential_prioritization(world.chain,
-                                                            attribution, miner, txs);
+    for (const core::PoolId miner : large) {
+      const auto r = core::test_differential_prioritization(dataset, miner, txs);
       if (r.p_decelerate < 0.001) {
-        std::printf("  %s decelerates %s's txs (p=%s)\n", miner.c_str(),
-                    owner.c_str(), core::format_p_value(r.p_decelerate).c_str());
+        std::printf("  %s decelerates %s's txs (p=%s)\n", r.pool.c_str(),
+                    dataset.pool_name(owner).c_str(),
+                    core::format_p_value(r.p_decelerate).c_str());
         ++decel_findings;
       }
     }

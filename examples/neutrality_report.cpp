@@ -10,10 +10,12 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/audit_dataset.hpp"
 #include "core/neutrality.hpp"
 #include "core/report.hpp"
 #include "sim/dataset.hpp"
 #include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace cn;
@@ -23,10 +25,10 @@ int main(int argc, char** argv) {
   std::printf("Simulating a year-2020-style network (seed %llu)...\n\n",
               static_cast<unsigned long long>(seed));
   const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kC, seed, scale);
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(world.chain, registry);
-
-  const auto reports = core::neutrality_reports(world.chain, attribution);
+  util::ThreadPool workers;
+  const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
+  const auto reports = core::neutrality_reports(dataset, {}, workers);
 
   std::printf("Chain-neutrality scorecard (worst first):\n\n");
   core::TablePrinter table({"pool", "blocks", "PPE%", "boost%", "self-p",

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/audit_dataset.hpp"
 #include "core/darkfee.hpp"
 #include "core/ppe.hpp"
 #include "core/prio_test.hpp"
@@ -23,6 +24,7 @@
 #include "sim/dataset.hpp"
 #include "stats/descriptive.hpp"
 #include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
@@ -37,8 +39,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(world.issued_count));
 
   // 2. Attribute blocks from coinbase markers (no ground truth involved).
+  // The columnar audit view every detector below reads, built once.
   const auto registry = cn::btc::CoinbaseTagRegistry::paper_registry();
   const cn::core::PoolAttribution attribution(world.chain, registry);
+  cn::util::ThreadPool workers;
+  const auto dataset = cn::core::AuditDataset::build(world.chain, attribution, workers);
   std::printf("Top pools by mined blocks:\n");
   const auto pools = attribution.pools_by_blocks();
   for (std::size_t i = 0; i < pools.size() && i < 5; ++i) {
@@ -52,7 +57,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(attribution.unidentified_blocks()));
 
   // 3. Norm adherence: position prediction error.
-  const std::vector<double> ppe = cn::core::chain_ppe(world.chain);
+  const std::vector<double> ppe = cn::core::chain_ppe(dataset);
   const auto ppe_summary = cn::stats::summarize(ppe);
   std::printf("PPE (fee-rate ordering error): mean %.2f%%, p75 %.2f%%\n\n",
               ppe_summary.mean, ppe_summary.p75);
@@ -62,12 +67,13 @@ int main(int argc, char** argv) {
   cn::core::TablePrinter table({"pool", "theta0", "x", "y", "p-accel", "SPPE"},
                                {16, 9, 7, 7, 10, 9});
   table.print_header();
-  for (std::size_t i = 0; i < pools.size() && i < 8; ++i) {
-    const auto txs = cn::core::self_interest_txs(world.chain, attribution, pools[i]);
+  const auto pool_ids = dataset.pools_by_blocks();
+  for (std::size_t i = 0; i < pool_ids.size() && i < 8; ++i) {
+    const auto txs = dataset.self_interest_txs(pool_ids[i]);
     if (txs.empty()) continue;
-    const auto result = cn::core::test_differential_prioritization(
-        world.chain, attribution, pools[i], txs);
-    table.print_row({pools[i], cn::fixed(result.theta0, 4),
+    const auto result =
+        cn::core::test_differential_prioritization(dataset, pool_ids[i], txs);
+    table.print_row({result.pool, cn::fixed(result.theta0, 4),
                      std::to_string(result.x), std::to_string(result.y),
                      cn::core::format_p_value(result.p_accelerate),
                      cn::fixed(result.sppe, 2)});

@@ -152,10 +152,9 @@ AuditDataset AuditDataset::build(const btc::Chain& chain,
   ds.out_begin_.push_back(out_off);
 
   // Pass 3 (parallel per block): cached norm statistics and CPFP flags.
-  // Each task calls the object-graph primitives (core/ppe.hpp,
+  // Each task calls the per-block primitives (core/ppe.hpp,
   // core/sppe.hpp) exactly once per block and writes only its own slots,
-  // so the cached doubles are bitwise identical to what the legacy
-  // pipeline recomputes on demand, at every thread count.
+  // so the cached doubles are bitwise identical at every thread count.
   workers.parallel_for(nblocks, [&](std::size_t b) {
     const btc::Block& block = chain.blocks()[b];
     const TxIdx begin = ds.tx_begin_[b];
@@ -190,6 +189,14 @@ AuditDataset AuditDataset::build(const btc::Chain& chain,
                                : static_cast<double>(bytes) /
                                      static_cast<double>(ntxs));
   return ds;
+}
+
+AuditDataset AuditDataset::build(const btc::Chain& chain,
+                                 const btc::CoinbaseTagRegistry& registry,
+                                 unsigned threads) {
+  const PoolAttribution attribution(chain, registry);
+  util::ThreadPool workers(threads);
+  return build(chain, attribution, workers);
 }
 
 AuditDataset AuditDataset::restore(AuditDatasetColumns&& columns) {
@@ -230,6 +237,13 @@ AuditDataset AuditDataset::restore(AuditDatasetColumns&& columns) {
 const std::string& AuditDataset::pool_name(PoolId id) const {
   CN_ASSERT(id < pool_names_.size());
   return pool_names_[id];
+}
+
+PoolId AuditDataset::pool_id(std::string_view name) const noexcept {
+  for (PoolId id = 0; id < pool_names_.size(); ++id) {
+    if (pool_names_[id] == name) return id;
+  }
+  return kNoPoolId;
 }
 
 double AuditDataset::hash_share(PoolId id) const noexcept {

@@ -2,11 +2,10 @@
 //
 // The audit's analyses (§4-§6) are embarrassingly columnar: every one of
 // them scans {fee_rate, vsize, first_seen, position} over contiguous
-// block ranges and filters by pool identity. Walking btc::Chain object
-// graphs and keying hot-path state on std::string pool names re-hashes
-// the same strings millions of times; AuditDataset is built ONCE per
-// chain and replaces all of that with flat arrays addressed by dense
-// interned ids:
+// block ranges and filters by pool identity. AuditDataset is built ONCE
+// per chain and is the only input of every detector with a per-pool or
+// per-transaction statistic: flat arrays addressed by dense interned
+// ids instead of btc::Chain object graphs and pool-name strings:
 //
 //   * PoolId    — interned pool name (core/wallet_inference.hpp);
 //   * TxIdx     — chain-global transaction ordinal, assigned in
@@ -23,9 +22,7 @@
 //     which downstream code exploits for run-length c-block counting;
 //   * block_ppe()[b] and sppe()[t] cache the values of core/ppe.hpp and
 //     core/sppe.hpp verbatim, with quiet NaN standing in for "undefined"
-//     (fewer than 2 retained/total transactions) — consumers skip NaN
-//     exactly where the object-graph path skipped the missing value, so
-//     reports stay byte-identical to the legacy pipeline.
+//     (fewer than 2 retained/total transactions); consumers skip NaN.
 //
 // The build fans out per block over a util::ThreadPool: each block's
 // task writes only its own slots, so the dataset is bit-identical for
@@ -35,6 +32,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "btc/chain.hpp"
@@ -98,6 +96,13 @@ class AuditDataset {
                             util::ThreadPool& workers,
                             const btc::AddressTable* interned_addresses = nullptr);
 
+  /// For callers holding only a chain: attributes its blocks under
+  /// @p registry and builds on @p threads lanes (0 = hardware
+  /// concurrency; the dataset is the same at every count).
+  static AuditDataset build(const btc::Chain& chain,
+                            const btc::CoinbaseTagRegistry& registry,
+                            unsigned threads = 0);
+
   /// Rebuilds a dataset from deserialized columns without touching a
   /// chain: every column is adopted as-is and tx_block_ is derived from
   /// the tx_begin CSR, so a restored dataset is indistinguishable from
@@ -112,6 +117,9 @@ class AuditDataset {
 
   // --- pool tables (mirrors PoolAttribution) -------------------------
   const std::string& pool_name(PoolId id) const;
+  /// Id of the pool named @p name; kNoPoolId when no block is
+  /// attributed to it.
+  PoolId pool_id(std::string_view name) const noexcept;
   std::uint64_t blocks_of(PoolId id) const noexcept {
     return id < pool_blocks_.size() ? pool_blocks_[id].size() : 0;
   }
@@ -170,11 +178,6 @@ class AuditDataset {
   /// Ascending TxIdx of transactions paying to @p address (scam-wallet
   /// filter); empty when the address was never seen.
   std::vector<TxIdx> txs_paying_to(btc::Address address) const;
-
-  /// TxRef view of a TxIdx (bridging to object-graph call sites).
-  TxRef ref_of(TxIdx t) const noexcept {
-    return TxRef{height_of(t), position_of(t)};
-  }
 
   /// Approximate heap footprint of every column, for telemetry
   /// (BENCH_dataset_build.json reports this as bytes/tx).

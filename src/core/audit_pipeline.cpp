@@ -1,8 +1,7 @@
 // The staged columnar audit pipeline (DESIGN.md §9). Every stage reads
 // the shared immutable AuditContext — attribution, AuditDataset, tested
 // pools, per-pool coverage — and writes only its own report section, in
-// index order, so the report is byte-identical at every thread count and
-// to the legacy object-graph oracle (audit_pipeline_legacy.cpp).
+// index order, so the report is byte-identical at every thread count.
 #include "core/audit_pipeline.hpp"
 
 #include <algorithm>
@@ -73,10 +72,18 @@ StageMetrics& stage_metrics(std::size_t stage_index) {
   return (*all)[stage_index];
 }
 
-AuditReport run_full_audit_columnar(const btc::Chain& chain,
-                                    const btc::CoinbaseTagRegistry& registry,
-                                    const DataQualityReport* quality,
-                                    const AuditOptions& options) {
+}  // namespace
+
+AuditReport run_full_audit(const btc::Chain& chain,
+                           const btc::CoinbaseTagRegistry& registry,
+                           const AuditOptions& options) {
+  return run_full_audit(chain, registry, nullptr, options);
+}
+
+AuditReport run_full_audit(const btc::Chain& chain,
+                           const btc::CoinbaseTagRegistry& registry,
+                           const DataQualityReport* quality,
+                           const AuditOptions& options) {
   static obs::Counter audit_runs("audit.runs");
   const obs::Span run_span("audit.run_full_audit");
   audit_runs.add();
@@ -184,8 +191,7 @@ AuditReport run_full_audit_columnar(const btc::Chain& chain,
 
   // pool-tests: §5.2 cross-pool differential prioritization of
   // self-interest txs. The per-pool tx lists were precomputed by the
-  // build stage in one chain scan (the legacy path re-scanned the chain
-  // once per pool).
+  // build stage in one chain scan.
   stage("pool-tests", false, [&] {
     const std::vector<PoolId>& pools = ctx.pools;
     // Candidate (owner, miner) pairs in the serial nested-loop order.
@@ -314,24 +320,6 @@ AuditReport run_full_audit_columnar(const btc::Chain& chain,
   });
 
   return report;
-}
-
-}  // namespace
-
-AuditReport run_full_audit(const btc::Chain& chain,
-                           const btc::CoinbaseTagRegistry& registry,
-                           const AuditOptions& options) {
-  return run_full_audit(chain, registry, nullptr, options);
-}
-
-AuditReport run_full_audit(const btc::Chain& chain,
-                           const btc::CoinbaseTagRegistry& registry,
-                           const DataQualityReport* quality,
-                           const AuditOptions& options) {
-  if (options.engine == AuditEngine::kLegacy) {
-    return detail::run_full_audit_legacy(chain, registry, quality, options);
-  }
-  return run_full_audit_columnar(chain, registry, quality, options);
 }
 
 void print_audit_report(const AuditReport& report, std::FILE* out,

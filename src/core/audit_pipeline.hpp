@@ -23,10 +23,12 @@
 //
 // Stages are individually timed (AuditReport::stages) and selectable via
 // AuditOptions::stages (cnaudit --stages); a deselected stage is
-// reported as [SKIPPED] rather than silently absent. The pre-refactor
-// object-graph monolith is kept, bit-for-bit, behind
-// AuditEngine::kLegacy as a differential-testing oracle: both engines
-// render byte-identical reports at every thread count.
+// reported as [SKIPPED] rather than silently absent. Every stage reads
+// the same columnar dataset the single-detector entry points
+// (core/prio_test.hpp, neutrality.hpp, ...) take, so a report and a
+// per-detector run agree by construction. The rendered report is
+// byte-identical at every thread count; golden digests pin it
+// (tests/sim/test_golden_worlds.cpp, test_audit_differential.cpp).
 #pragma once
 
 #include <cstdio>
@@ -47,14 +49,6 @@
 #include "stats/descriptive.hpp"
 
 namespace cn::core {
-
-/// Which implementation computes the report. Both produce byte-identical
-/// output; kLegacy is the pre-columnar monolith kept as the differential
-/// oracle (tests/core/test_audit_differential.cpp).
-enum class AuditEngine {
-  kColumnar,  ///< staged pipeline over the AuditDataset (default)
-  kLegacy,    ///< object-graph monolith (oracle)
-};
 
 struct AuditOptions {
   /// Significance level for all hypothesis tests (paper: 0.001 implied by
@@ -82,11 +76,9 @@ struct AuditOptions {
   /// "insufficient data". Only applies when a DataQualityReport is
   /// passed to run_full_audit.
   double min_coverage = 0.5;
-  /// Implementation selector (see AuditEngine).
-  AuditEngine engine = AuditEngine::kColumnar;
   /// Analysis stages to run (names from audit_stage_names()); empty =
   /// all. "build" and "quality-mask" always run — they are the report's
-  /// spine. Columnar engine only; the legacy oracle ignores it.
+  /// spine.
   std::vector<std::string> stages;
   /// Optional address table an importer produced during load
   /// (io::import_chain); reused by the build stage so the address
@@ -99,8 +91,7 @@ struct AuditOptions {
   /// dominant cost of an audit; nothing is copied. The caller
   /// guarantees it was built from this chain under this registry (the
   /// fingerprint gate in prebuilt_for enforces the registry half); it
-  /// must outlive the run_full_audit call. Columnar engine only; the
-  /// legacy oracle never touches a dataset.
+  /// must outlive the run_full_audit call.
   const AuditDataset* prebuilt_dataset = nullptr;
   /// Optional observer first-seen log (txid -> first-seen time; the
   /// underlying type of io::FirstSeenMap — core stays io-free). When
@@ -112,8 +103,7 @@ struct AuditOptions {
   WithholdingOptions withholding;
 };
 
-/// One named pipeline stage with its wall-clock cost (columnar engine
-/// only; the legacy oracle reports no stages).
+/// One named pipeline stage with its wall-clock cost.
 struct AuditStage {
   std::string name;
   double seconds = 0.0;
@@ -202,8 +192,7 @@ struct AuditReport {
   std::uint64_t masked_blocks = 0;  ///< blocks below min_coverage
   std::vector<std::uint64_t> low_coverage_heights;  ///< ascending
 
-  /// Per-stage telemetry in execution order (columnar engine; empty for
-  /// the legacy oracle).
+  /// Per-stage telemetry in execution order.
   std::vector<AuditStage> stages;
 
   /// True when the named stage was deselected via AuditOptions::stages.
@@ -233,14 +222,5 @@ AuditReport run_full_audit(const btc::Chain& chain,
 /// stay deterministic for the byte-identity tests.
 void print_audit_report(const AuditReport& report, std::FILE* out = stdout,
                         bool with_timings = false);
-
-namespace detail {
-/// The pre-columnar monolith, verbatim (audit_pipeline_legacy.cpp).
-/// Reached via AuditOptions::engine = AuditEngine::kLegacy.
-AuditReport run_full_audit_legacy(const btc::Chain& chain,
-                                  const btc::CoinbaseTagRegistry& registry,
-                                  const DataQualityReport* quality,
-                                  const AuditOptions& options);
-}  // namespace detail
 
 }  // namespace cn::core

@@ -1,51 +1,11 @@
 #include "core/congestion.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "core/audit_dataset.hpp"
 #include "util/assert.hpp"
 
 namespace cn::core {
-
-std::vector<SeenTx> collect_seen_txs(const btc::Chain& chain,
-                                     const FirstSeenFn& first_seen) {
-  std::vector<SeenTx> out;
-  out.reserve(chain.total_tx_count());
-  for (const btc::Block& block : chain.blocks()) {
-    const std::vector<std::size_t> cpfp = block.cpfp_positions();
-
-    // Parents of in-block CPFP children.
-    std::unordered_set<std::size_t> parent_positions;
-    if (!cpfp.empty()) {
-      std::unordered_set<btc::Txid> parents;
-      for (std::size_t pos : cpfp) {
-        for (const btc::TxInput& in : block.txs()[pos].inputs()) {
-          if (!in.prev_txid.is_null()) parents.insert(in.prev_txid);
-        }
-      }
-      for (std::size_t i = 0; i < block.txs().size(); ++i) {
-        if (parents.contains(block.txs()[i].id())) parent_positions.insert(i);
-      }
-    }
-
-    std::size_t next_cpfp = 0;
-    for (std::size_t i = 0; i < block.txs().size(); ++i) {
-      const bool is_cpfp = next_cpfp < cpfp.size() && cpfp[next_cpfp] == i;
-      if (is_cpfp) ++next_cpfp;
-      const auto seen = first_seen(block.txs()[i].id());
-      if (!seen.has_value()) continue;
-      SeenTx t;
-      t.first_seen = *seen;
-      t.fee_rate = block.txs()[i].fee_rate().sat_per_vbyte();
-      t.block_height = block.height();
-      t.cpfp = is_cpfp;
-      t.cpfp_parent = parent_positions.contains(i);
-      out.push_back(t);
-    }
-  }
-  return out;
-}
 
 std::vector<SeenTx> collect_seen_txs(const AuditDataset& dataset,
                                      const FirstSeenFn& first_seen) {

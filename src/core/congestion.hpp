@@ -20,14 +20,9 @@ class AuditDataset;
 using FirstSeenFn = std::function<std::optional<SimTime>(const btc::Txid&)>;
 
 /// Builds the per-committed-transaction view (arrival, fee-rate, block,
-/// CPFP flags) used by the violation and delay analyses. Transactions the
-/// observer never saw pending are omitted.
-std::vector<SeenTx> collect_seen_txs(const btc::Chain& chain,
-                                     const FirstSeenFn& first_seen);
-
-/// Columnar variant: reads the dataset's cached fee-rate / height / CPFP
-/// flag columns instead of re-deriving them per block. Same entries in
-/// the same order as the chain overload.
+/// CPFP flags) used by the violation and delay analyses, in commit order
+/// from the dataset's columns. Transactions the observer never saw
+/// pending are omitted.
 std::vector<SeenTx> collect_seen_txs(const AuditDataset& dataset,
                                      const FirstSeenFn& first_seen);
 

@@ -8,23 +8,6 @@
 
 namespace cn::core {
 
-namespace {
-
-/// Visits every (block, position, sppe) of the pool's blocks.
-template <typename Fn>
-void for_each_pool_tx_sppe(const btc::Chain& chain,
-                           const PoolAttribution& attribution,
-                           const std::string& pool, Fn&& fn) {
-  for (const btc::Block& block : chain.blocks()) {
-    const auto owner = attribution.pool_of(block.height());
-    if (!owner.has_value() || *owner != pool) continue;
-    const std::vector<double> sppe = block_sppe(block);
-    for (std::size_t i = 0; i < sppe.size(); ++i) fn(block, i, sppe[i]);
-  }
-}
-
-}  // namespace
-
 std::vector<DarkFeeBucket> darkfee_buckets(const btc::Chain& chain,
                                            const PoolAttribution& attribution,
                                            const std::string& pool,
@@ -34,16 +17,19 @@ std::vector<DarkFeeBucket> darkfee_buckets(const btc::Chain& chain,
   buckets.reserve(thresholds.size());
   for (double t : thresholds) buckets.push_back(DarkFeeBucket{t, 0, 0});
 
-  for_each_pool_tx_sppe(
-      chain, attribution, pool,
-      [&](const btc::Block& block, std::size_t pos, double sppe) {
-        for (DarkFeeBucket& bucket : buckets) {
-          if (sppe >= bucket.sppe_threshold) {
-            ++bucket.tx_count;
-            if (is_accelerated(block.txs()[pos].id())) ++bucket.accelerated;
-          }
+  for (const btc::Block& block : chain.blocks()) {
+    const auto owner = attribution.pool_of(block.height());
+    if (!owner.has_value() || *owner != pool) continue;
+    const std::vector<double> sppe = block_sppe(block);
+    for (std::size_t pos = 0; pos < sppe.size(); ++pos) {
+      for (DarkFeeBucket& bucket : buckets) {
+        if (sppe[pos] >= bucket.sppe_threshold) {
+          ++bucket.tx_count;
+          if (is_accelerated(block.txs()[pos].id())) ++bucket.accelerated;
         }
-      });
+      }
+    }
+  }
   return buckets;
 }
 
@@ -71,19 +57,6 @@ std::uint64_t accelerated_in_random_sample(const btc::Chain& chain,
     if (is_accelerated(ids[i])) ++hits;
   }
   return hits;
-}
-
-std::vector<TxRef> detect_accelerated(const btc::Chain& chain,
-                                      const PoolAttribution& attribution,
-                                      const std::string& pool, double threshold) {
-  std::vector<TxRef> out;
-  for_each_pool_tx_sppe(chain, attribution, pool,
-                        [&](const btc::Block& block, std::size_t pos, double sppe) {
-                          if (sppe >= threshold) {
-                            out.push_back(TxRef{block.height(), pos});
-                          }
-                        });
-  return out;
 }
 
 std::vector<TxIdx> detect_accelerated(const AuditDataset& dataset, PoolId pool,

@@ -53,15 +53,9 @@ std::uint64_t accelerated_in_random_sample(const btc::Chain& chain,
                                            std::size_t sample_size,
                                            std::uint64_t seed);
 
-/// Classifier wrapper: flags every transaction of @p pool whose SPPE
-/// meets @p threshold. Returns refs of flagged transactions.
-std::vector<TxRef> detect_accelerated(const btc::Chain& chain,
-                                      const PoolAttribution& attribution,
-                                      const std::string& pool, double threshold);
-
-/// Columnar classifier: flags every transaction in @p pool's blocks whose
-/// cached SPPE meets @p threshold. Same transactions, same order as
-/// detect_accelerated (NaN entries — 1-tx blocks — never qualify).
+/// Classifier: flags every transaction in @p pool's blocks whose cached
+/// SPPE meets @p threshold, in ascending TxIdx (NaN entries — 1-tx
+/// blocks — never qualify).
 std::vector<TxIdx> detect_accelerated(const AuditDataset& dataset, PoolId pool,
                                       double threshold);
 

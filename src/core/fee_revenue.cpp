@@ -6,30 +6,6 @@
 
 namespace cn::core {
 
-namespace {
-
-double fee_share_percent(const btc::Block& block, double subsidy_scale) {
-  const double fees = static_cast<double>(block.total_fees().value);
-  const double subsidy =
-      static_cast<double>(btc::block_subsidy(block.height()).value) * subsidy_scale;
-  const double total = fees + subsidy;
-  if (total <= 0.0) return 0.0;
-  return fees / total * 100.0;
-}
-
-}  // namespace
-
-std::vector<double> per_block_fee_share_percent(const btc::Chain& chain,
-                                                double subsidy_scale) {
-  CN_ASSERT(subsidy_scale > 0.0);
-  std::vector<double> out;
-  out.reserve(chain.size());
-  for (const btc::Block& block : chain.blocks()) {
-    out.push_back(fee_share_percent(block, subsidy_scale));
-  }
-  return out;
-}
-
 std::vector<double> per_block_fee_share_percent(const AuditDataset& dataset,
                                                 double subsidy_scale) {
   CN_ASSERT(subsidy_scale > 0.0);
@@ -47,25 +23,20 @@ std::vector<double> per_block_fee_share_percent(const AuditDataset& dataset,
   return out;
 }
 
-stats::Summary fee_share_summary(const btc::Chain& chain, double subsidy_scale) {
-  const std::vector<double> shares =
-      per_block_fee_share_percent(chain, subsidy_scale);
-  return stats::summarize(shares);
-}
-
 stats::Summary fee_share_summary(const AuditDataset& dataset, double subsidy_scale) {
   return stats::summarize(per_block_fee_share_percent(dataset, subsidy_scale));
 }
 
-stats::Summary fee_share_summary(const btc::Chain& chain,
+stats::Summary fee_share_summary(const AuditDataset& dataset,
                                  std::uint64_t first_height,
                                  std::uint64_t last_height,
                                  double subsidy_scale) {
-  CN_ASSERT(subsidy_scale > 0.0);
+  const std::vector<double> all = per_block_fee_share_percent(dataset, subsidy_scale);
+  const std::span<const std::uint64_t> heights = dataset.block_heights();
   std::vector<double> shares;
-  for (const btc::Block& block : chain.blocks()) {
-    if (block.height() >= first_height && block.height() <= last_height) {
-      shares.push_back(fee_share_percent(block, subsidy_scale));
+  for (std::size_t b = 0; b < all.size(); ++b) {
+    if (heights[b] >= first_height && heights[b] <= last_height) {
+      shares.push_back(all[b]);
     }
   }
   return stats::summarize(shares);

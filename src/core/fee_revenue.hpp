@@ -7,37 +7,28 @@
 // directly comparable to the paper's.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "btc/chain.hpp"
 #include "stats/descriptive.hpp"
 
 namespace cn::core {
 
 class AuditDataset;
 
-/// Per-block fee share of total revenue, in percent:
-/// fees / (fees + subsidy(height) * subsidy_scale) * 100.
-std::vector<double> per_block_fee_share_percent(const btc::Chain& chain,
-                                                double subsidy_scale = 1.0);
-
-/// Columnar variant over the dataset's cached per-block fee totals;
-/// identical values to the chain overload.
+/// Per-block fee share of total revenue, in percent, from the dataset's
+/// block fee totals: fees / (fees + subsidy(height) * subsidy_scale) * 100.
 std::vector<double> per_block_fee_share_percent(const AuditDataset& dataset,
                                                 double subsidy_scale = 1.0);
 
 /// Summary of the above (the mean/std/min/percentiles/max columns of
 /// Table 5).
-stats::Summary fee_share_summary(const btc::Chain& chain,
-                                 double subsidy_scale = 1.0);
-
-/// Columnar variant of the summary.
 stats::Summary fee_share_summary(const AuditDataset& dataset,
                                  double subsidy_scale = 1.0);
 
 /// Fee share restricted to a height range (inclusive) — the paper's
 /// per-year and post-halving slices.
-stats::Summary fee_share_summary(const btc::Chain& chain,
+stats::Summary fee_share_summary(const AuditDataset& dataset,
                                  std::uint64_t first_height,
                                  std::uint64_t last_height,
                                  double subsidy_scale = 1.0);

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "core/audit_dataset.hpp"
-#include "core/ppe.hpp"
 #include "core/prio_test.hpp"
 #include "core/sppe.hpp"
 #include "util/assert.hpp"
@@ -32,77 +30,9 @@ double neutrality_score(const NeutralityReport& report,
 
 namespace {
 
-/// One pool's scorecard — the per-pool body of neutrality_reports. Each
-/// call scans the chain independently of every other pool, which is what
-/// the pool-parallel overload exploits.
-NeutralityReport report_for_pool(const btc::Chain& chain,
-                                 const PoolAttribution& attribution,
-                                 const std::string& pool,
-                                 const NeutralityOptions& options) {
-  NeutralityReport report;
-  report.pool = pool;
-
-  double ppe_sum = 0.0;
-  std::uint64_t ppe_blocks = 0;
-  std::uint64_t boosted = 0;
-  std::uint64_t floor_blocks = 0;
-
-  for (const btc::Block& block : chain.blocks()) {
-    const auto owner = attribution.pool_of(block.height());
-    if (!owner.has_value() || *owner != pool) continue;
-    ++report.blocks;
-    report.txs += block.tx_count();
-
-    if (const auto ppe = block_ppe(block); ppe.has_value()) {
-      ppe_sum += *ppe;
-      ++ppe_blocks;
-    }
-    for (double s : block_sppe(block)) {
-      if (s >= options.sppe_boost_threshold) ++boosted;
-    }
-    // Floor discipline: a sub-floor transaction is a norm-III deviation
-    // only when it is NOT the parent of an in-block CPFP child — GBT
-    // legitimately admits sub-floor parents inside a paying package.
-    std::unordered_set<btc::Txid> rescued_parents;
-    for (std::size_t pos : block.cpfp_positions()) {
-      for (const btc::TxInput& in : block.txs()[pos].inputs()) {
-        if (!in.prev_txid.is_null()) rescued_parents.insert(in.prev_txid);
-      }
-    }
-    for (const btc::Transaction& tx : block.txs()) {
-      if (tx.fee_rate() < btc::FeeRate::from_sat_per_vb(1) &&
-          !rescued_parents.contains(tx.id())) {
-        ++floor_blocks;
-        break;
-      }
-    }
-  }
-  if (ppe_blocks > 0) report.mean_ppe = ppe_sum / static_cast<double>(ppe_blocks);
-  if (report.txs > 0) {
-    report.boosted_tx_rate =
-        static_cast<double>(boosted) / static_cast<double>(report.txs);
-  }
-  report.below_floor_block_rate =
-      static_cast<double>(floor_blocks) / static_cast<double>(report.blocks);
-
-  const auto own_txs = self_interest_txs(chain, attribution, pool);
-  if (!own_txs.empty()) {
-    const auto test =
-        test_differential_prioritization(chain, attribution, pool, own_txs);
-    report.self_dealing_p = test.p_accelerate;
-    report.self_dealing_sppe = test.sppe;
-    report.self_dealing_flagged =
-        test.p_accelerate < options.alpha && test.y >= options.min_blocks;
-  }
-
-  report.score = neutrality_score(report, options);
-  return report;
-}
-
-/// Columnar twin of report_for_pool: identical arithmetic over the
-/// dataset's cached columns. The per-block PPE/SPPE values are the ones
-/// block_ppe/block_sppe produced at build time, so every accumulated
-/// double is bitwise equal to the object-graph scan's.
+/// One pool's scorecard over the dataset's cached columns. The per-block
+/// PPE/SPPE values are the ones block_ppe/block_sppe produced at build
+/// time.
 NeutralityReport report_for_pool(const AuditDataset& dataset, PoolId pool,
                                  const NeutralityOptions& options) {
   NeutralityReport report;
@@ -159,49 +89,7 @@ NeutralityReport report_for_pool(const AuditDataset& dataset, PoolId pool,
   return report;
 }
 
-/// Pools clearing the min_blocks bar, in attribution (hash-share) order.
-std::vector<std::string> eligible_pools(const PoolAttribution& attribution,
-                                        const NeutralityOptions& options) {
-  std::vector<std::string> pools;
-  for (const std::string& pool : attribution.pools_by_blocks()) {
-    if (attribution.blocks_of(pool) >= options.min_blocks) pools.push_back(pool);
-  }
-  return pools;
-}
-
-/// Worst-first ordering shared by both overloads.
-void sort_reports(std::vector<NeutralityReport>& out) {
-  std::sort(out.begin(), out.end(),
-            [](const NeutralityReport& a, const NeutralityReport& b) {
-              if (a.score != b.score) return a.score < b.score;
-              return a.pool < b.pool;
-            });
-}
-
 }  // namespace
-
-std::vector<NeutralityReport> neutrality_reports(
-    const btc::Chain& chain, const PoolAttribution& attribution,
-    const NeutralityOptions& options) {
-  std::vector<NeutralityReport> out;
-  for (const std::string& pool : eligible_pools(attribution, options)) {
-    out.push_back(report_for_pool(chain, attribution, pool, options));
-  }
-  sort_reports(out);
-  return out;
-}
-
-std::vector<NeutralityReport> neutrality_reports(
-    const btc::Chain& chain, const PoolAttribution& attribution,
-    const NeutralityOptions& options, util::ThreadPool& workers) {
-  const std::vector<std::string> pools = eligible_pools(attribution, options);
-  std::vector<NeutralityReport> out =
-      workers.parallel_map(pools.size(), [&](std::size_t i) {
-        return report_for_pool(chain, attribution, pools[i], options);
-      });
-  sort_reports(out);
-  return out;
-}
 
 std::vector<NeutralityReport> neutrality_reports(const AuditDataset& dataset,
                                                  const NeutralityOptions& options,
@@ -214,7 +102,12 @@ std::vector<NeutralityReport> neutrality_reports(const AuditDataset& dataset,
       workers.parallel_map(pools.size(), [&](std::size_t i) {
         return report_for_pool(dataset, pools[i], options);
       });
-  sort_reports(out);
+  // Worst first.
+  std::sort(out.begin(), out.end(),
+            [](const NeutralityReport& a, const NeutralityReport& b) {
+              if (a.score != b.score) return a.score < b.score;
+              return a.pool < b.pool;
+            });
   return out;
 }
 

@@ -17,11 +17,9 @@
 // pools fall well below.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
-
-#include "btc/chain.hpp"
-#include "core/wallet_inference.hpp"
 
 namespace cn::util {
 class ThreadPool;
@@ -60,22 +58,11 @@ struct NeutralityReport {
 };
 
 /// Builds per-pool scorecards for every pool with at least
-/// options.min_blocks attributed blocks, ordered worst-first.
-std::vector<NeutralityReport> neutrality_reports(
-    const btc::Chain& chain, const PoolAttribution& attribution,
-    const NeutralityOptions& options = {});
-
-/// Same scorecards, with the per-pool chain scans fanned out over
-/// @p workers. The result is identical to the serial overload for any
-/// pool size (each pool's report is independent; ordering is restored
-/// by the final worst-first sort).
-std::vector<NeutralityReport> neutrality_reports(
-    const btc::Chain& chain, const PoolAttribution& attribution,
-    const NeutralityOptions& options, util::ThreadPool& workers);
-
-/// Columnar variant: each pool's scorecard reads the dataset's cached
-/// PPE/SPPE columns, precomputed block lists, and flag bits instead of
-/// rescanning the chain. Byte-identical reports to the overloads above.
+/// options.min_blocks attributed blocks, ordered worst-first. Each
+/// pool's scorecard reads the dataset's cached PPE/SPPE columns,
+/// precomputed block lists and flag bits; the pools fan out over
+/// @p workers, and the final worst-first sort makes the result the same
+/// at every thread count.
 std::vector<NeutralityReport> neutrality_reports(const AuditDataset& dataset,
                                                  const NeutralityOptions& options,
                                                  util::ThreadPool& workers);

@@ -66,16 +66,6 @@ std::optional<double> block_ppe(const btc::Block& block, bool exclude_cpfp) {
   return sum / static_cast<double>(n);
 }
 
-std::vector<double> chain_ppe(const btc::Chain& chain, bool exclude_cpfp) {
-  std::vector<double> out;
-  out.reserve(chain.size());
-  for (const btc::Block& block : chain.blocks()) {
-    const auto ppe = block_ppe(block, exclude_cpfp);
-    if (ppe.has_value()) out.push_back(*ppe);
-  }
-  return out;
-}
-
 std::vector<double> chain_ppe(const AuditDataset& dataset) {
   std::vector<double> out;
   out.reserve(dataset.block_count());

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "btc/block.hpp"
-#include "btc/chain.hpp"
 
 namespace cn::core {
 
@@ -38,13 +37,9 @@ std::vector<PositionPair> predicted_positions(const btc::Block& block,
 /// transactions (no ordering to audit).
 std::optional<double> block_ppe(const btc::Block& block, bool exclude_cpfp = true);
 
-/// PPE per block over a whole chain (blocks without a defined PPE are
-/// skipped).
-std::vector<double> chain_ppe(const btc::Chain& chain, bool exclude_cpfp = true);
-
-/// Columnar variant: gathers the dataset's cached per-block PPE column
-/// (NaN entries skipped). Identical values to chain_ppe on the same
-/// chain — the cache is filled by block_ppe itself.
+/// PPE per block over a whole chain, in block order: the dataset's
+/// cached block_ppe column (filled by block_ppe itself) with the blocks
+/// that have no defined PPE skipped.
 std::vector<double> chain_ppe(const AuditDataset& dataset);
 
 }  // namespace cn::core

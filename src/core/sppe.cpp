@@ -34,42 +34,6 @@ double tx_sppe(const btc::Block& block, std::size_t position) {
   return all[position];
 }
 
-std::vector<double> sppe_values(const btc::Chain& chain,
-                                const std::vector<TxRef>& txs,
-                                const PoolAttribution& attribution,
-                                const std::string& pool) {
-  std::vector<double> out;
-  std::uint64_t cached_height = 0;
-  std::vector<double> cached;
-  bool have_cache = false;
-
-  for (const TxRef& ref : txs) {
-    if (!pool.empty()) {
-      const auto owner = attribution.pool_of(ref.block_height);
-      if (!owner.has_value() || *owner != pool) continue;
-    }
-    if (!have_cache || cached_height != ref.block_height) {
-      cached = block_sppe(chain.at_height(ref.block_height));
-      cached_height = ref.block_height;
-      have_cache = true;
-    }
-    if (ref.position >= cached.size()) continue;  // 1-tx block: no SPPE
-    out.push_back(cached[ref.position]);
-  }
-  return out;
-}
-
-double mean_sppe(const btc::Chain& chain, const std::vector<TxRef>& txs,
-                 const PoolAttribution& attribution, const std::string& pool,
-                 std::size_t* count) {
-  const std::vector<double> values = sppe_values(chain, txs, attribution, pool);
-  if (count != nullptr) *count = values.size();
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  for (double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
-}
-
 std::vector<double> sppe_values(const AuditDataset& dataset,
                                 std::span<const TxIdx> txs, PoolId pool) {
   std::vector<double> out;

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "btc/block.hpp"
-#include "btc/chain.hpp"
 #include "core/audit_dataset.hpp"
 #include "core/wallet_inference.hpp"
 
@@ -27,29 +26,16 @@ std::vector<double> block_sppe(const btc::Block& block);
 /// with at least 2 transactions.
 double tx_sppe(const btc::Block& block, std::size_t position);
 
-/// Mean SPPE of a set of committed transactions, optionally restricted to
-/// blocks attributed to @p pool (empty pool string = no restriction).
-/// Returns 0 with *count = 0 when no transaction qualifies.
-double mean_sppe(const btc::Chain& chain, const std::vector<TxRef>& txs,
-                 const PoolAttribution& attribution, const std::string& pool,
-                 std::size_t* count = nullptr);
-
-/// Per-transaction SPPE values for the same selection (order follows
-/// @p txs, entries without a defined SPPE skipped). Useful for
-/// uncertainty estimates (bootstrap) on top of the mean.
-std::vector<double> sppe_values(const btc::Chain& chain,
-                                const std::vector<TxRef>& txs,
-                                const PoolAttribution& attribution,
-                                const std::string& pool);
-
-/// Columnar variants: gather the dataset's cached per-tx SPPE column for
-/// a TxIdx selection, optionally restricted to blocks of @p pool
-/// (kNoPoolId = no restriction). Values and order are identical to the
-/// object-graph overloads on the same selection — NaN entries (1-tx
-/// blocks) are skipped exactly where the legacy path skipped them.
+/// Per-transaction SPPE of a TxIdx selection, read from the dataset's
+/// cached column and optionally restricted to blocks of @p pool
+/// (kNoPoolId = no restriction). Order follows @p txs; transactions of
+/// 1-tx blocks (NaN, no SPPE) are skipped. Useful for uncertainty
+/// estimates (bootstrap) on top of the mean.
 std::vector<double> sppe_values(const AuditDataset& dataset,
                                 std::span<const TxIdx> txs, PoolId pool);
 
+/// Mean of sppe_values. Returns 0 with *count = 0 when no transaction
+/// qualifies.
 double mean_sppe(const AuditDataset& dataset, std::span<const TxIdx> txs,
                  PoolId pool, std::size_t* count = nullptr);
 

@@ -106,44 +106,4 @@ std::vector<std::string> PoolAttribution::pools_by_blocks() const {
   return names;
 }
 
-std::vector<TxRef> self_interest_txs(const btc::Chain& chain,
-                                     const PoolAttribution& attribution,
-                                     const std::string& pool) {
-  std::vector<TxRef> out;
-  const auto& wallets = attribution.wallets_of(pool);
-  if (wallets.empty()) return out;
-  for (const btc::Block& block : chain.blocks()) {
-    for (std::size_t i = 0; i < block.txs().size(); ++i) {
-      const btc::Transaction& tx = block.txs()[i];
-      bool involved = false;
-      for (const btc::TxInput& in : tx.inputs()) {
-        if (wallets.contains(in.owner)) {
-          involved = true;
-          break;
-        }
-      }
-      if (!involved) {
-        for (const btc::TxOutput& o : tx.outputs()) {
-          if (wallets.contains(o.to)) {
-            involved = true;
-            break;
-          }
-        }
-      }
-      if (involved) out.push_back(TxRef{block.height(), i});
-    }
-  }
-  return out;
-}
-
-std::vector<TxRef> txs_paying_to(const btc::Chain& chain, btc::Address address) {
-  std::vector<TxRef> out;
-  for (const btc::Block& block : chain.blocks()) {
-    for (std::size_t i = 0; i < block.txs().size(); ++i) {
-      if (block.txs()[i].pays_to(address)) out.push_back(TxRef{block.height(), i});
-    }
-  }
-  return out;
-}
-
 }  // namespace cn::core

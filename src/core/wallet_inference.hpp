@@ -4,7 +4,8 @@
 // paper does, it (1) attributes each block to a pool by its coinbase
 // marker, (2) collects the reward wallets each pool names in its Coinbase
 // transactions, and (3) flags as "self-interest" every committed
-// transaction spending from or paying to one of those wallets.
+// transaction spending from or paying to one of those wallets (the
+// per-pool lists core::AuditDataset builds from this attribution).
 //
 // Pool names are interned on first sight: every pool gets a dense PoolId
 // so downstream accumulators can be plain vectors indexed by id instead
@@ -23,12 +24,6 @@
 #include "btc/coinbase_tags.hpp"
 
 namespace cn::core {
-
-/// A committed transaction reference.
-struct TxRef {
-  std::uint64_t block_height = 0;
-  std::size_t position = 0;
-};
 
 /// Dense interned pool id, assigned in block-attribution order.
 using PoolId = std::uint32_t;
@@ -92,15 +87,5 @@ class PoolAttribution {
   std::uint64_t unidentified_ = 0;
   std::uint64_t total_blocks_ = 0;
 };
-
-/// All committed transactions that involve (spend from or pay to) any of
-/// @p pool's inferred wallets. Coinbase rewards are not transactions in
-/// the block body and are naturally excluded.
-std::vector<TxRef> self_interest_txs(const btc::Chain& chain,
-                                     const PoolAttribution& attribution,
-                                     const std::string& pool);
-
-/// Committed transactions paying to @p address (the scam-wallet filter).
-std::vector<TxRef> txs_paying_to(const btc::Chain& chain, btc::Address address);
 
 }  // namespace cn::core

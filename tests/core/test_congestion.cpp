@@ -10,6 +10,7 @@ namespace cn::core {
 namespace {
 
 using cn::test::block_with_rates;
+using cn::test::dataset_of;
 using cn::test::tx_with_rate;
 
 /// Chain of 4 blocks at times 600, 1200, 1800, 2400.
@@ -40,13 +41,13 @@ FirstSeenFn seen_map(const btc::Chain& chain,
 
 TEST(CollectSeenTxs, OmitsUnseen) {
   const auto chain = four_block_chain();
-  const auto seen = collect_seen_txs(chain, seen_map(chain, {{1, 100}, {3, 1500}}));
+  const auto seen = collect_seen_txs(dataset_of(chain), seen_map(chain, {{1, 100}, {3, 1500}}));
   EXPECT_EQ(seen.size(), 4u);  // blocks 1 and 3 only, 2 txs each
 }
 
 TEST(CollectSeenTxs, RecordsRateAndBlock) {
   const auto chain = four_block_chain();
-  const auto seen = collect_seen_txs(chain, seen_map(chain, {{2, 700}}));
+  const auto seen = collect_seen_txs(dataset_of(chain), seen_map(chain, {{2, 700}}));
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0].block_height, 2u);
   EXPECT_DOUBLE_EQ(seen[0].fee_rate, 20.0);
@@ -63,7 +64,7 @@ TEST(CollectSeenTxs, FlagsCpfpAndParent) {
   chain.append(btc::Block(1, 600, cb,
                           {parent, child, tx_with_rate(5.0, 250, 0, 6003)}));
   const auto seen = collect_seen_txs(
-      chain, [](const btc::Txid&) -> std::optional<SimTime> { return 0; });
+      dataset_of(chain), [](const btc::Txid&) -> std::optional<SimTime> { return 0; });
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_TRUE(seen[0].cpfp_parent);
   EXPECT_FALSE(seen[0].cpfp);
@@ -75,7 +76,7 @@ TEST(CollectSeenTxs, FlagsCpfpAndParent) {
 TEST(CommitDelays, NextBlockIsOne) {
   const auto chain = four_block_chain();
   // Seen at t=100 (before block 1 at 600): delay = 1 block.
-  const auto seen = collect_seen_txs(chain, seen_map(chain, {{1, 100}}));
+  const auto seen = collect_seen_txs(dataset_of(chain), seen_map(chain, {{1, 100}}));
   const auto delays = commit_delays_blocks(chain, seen);
   ASSERT_EQ(delays.size(), 2u);
   EXPECT_DOUBLE_EQ(delays[0], 1.0);
@@ -84,7 +85,7 @@ TEST(CommitDelays, NextBlockIsOne) {
 TEST(CommitDelays, SkippedBlocksCount) {
   const auto chain = four_block_chain();
   // Seen at t=100 but committed in block 3 (t=1800): blocks 1,2 passed.
-  const auto seen = collect_seen_txs(chain, seen_map(chain, {{3, 100}}));
+  const auto seen = collect_seen_txs(dataset_of(chain), seen_map(chain, {{3, 100}}));
   const auto delays = commit_delays_blocks(chain, seen);
   ASSERT_EQ(delays.size(), 2u);
   EXPECT_DOUBLE_EQ(delays[0], 3.0);
@@ -93,14 +94,14 @@ TEST(CommitDelays, SkippedBlocksCount) {
 TEST(CommitDelays, RaceClampsToOne) {
   const auto chain = four_block_chain();
   // Observer saw it after its commit block was mined (propagation race).
-  const auto seen = collect_seen_txs(chain, seen_map(chain, {{1, 650}}));
+  const auto seen = collect_seen_txs(dataset_of(chain), seen_map(chain, {{1, 650}}));
   const auto delays = commit_delays_blocks(chain, seen);
   EXPECT_DOUBLE_EQ(delays[0], 1.0);
 }
 
 TEST(PendingAt, FiltersByLifetime) {
   const auto chain = four_block_chain();
-  const auto seen = collect_seen_txs(chain, seen_map(chain, {{2, 700}, {4, 700}}));
+  const auto seen = collect_seen_txs(dataset_of(chain), seen_map(chain, {{2, 700}, {4, 700}}));
   // At t=1000: both block-2 txs (commit at 1200) and block-4 txs (commit
   // at 2400) are pending.
   EXPECT_EQ(pending_at(seen, chain, 1000).size(), 4u);
@@ -120,7 +121,7 @@ TEST(FeeBand, PaperThresholds) {
 
 TEST(FeeRatesAtLevel, UsesSnapshotSeries) {
   const auto chain = four_block_chain();
-  const auto seen = collect_seen_txs(chain, seen_map(chain, {{1, 100}, {2, 700}}));
+  const auto seen = collect_seen_txs(dataset_of(chain), seen_map(chain, {{1, 100}, {2, 700}}));
   node::SnapshotSeries series;
   series.record({50, 10, 50'000});    // none (unit 100k)
   series.record({650, 10, 350'000});  // high-ish: level medium
@@ -134,7 +135,7 @@ TEST(FeeRatesAtLevel, UsesSnapshotSeries) {
 
 TEST(DelaysForBand, AlignedFiltering) {
   const auto chain = four_block_chain();
-  const auto seen = collect_seen_txs(chain, seen_map(chain, {{1, 100}}));
+  const auto seen = collect_seen_txs(dataset_of(chain), seen_map(chain, {{1, 100}}));
   const auto delays = commit_delays_blocks(chain, seen);
   // Rates are 20 (high band) and 5 (low band).
   EXPECT_EQ(delays_for_band(seen, delays, FeeBand::kHigh).size(), 1u);
@@ -145,7 +146,7 @@ TEST(DelaysForBand, AlignedFiltering) {
 TEST(FeeRatesOfPool, FiltersByBlockPredicate) {
   const auto chain = four_block_chain();
   const auto seen = collect_seen_txs(
-      chain, [](const btc::Txid&) -> std::optional<SimTime> { return 0; });
+      dataset_of(chain), [](const btc::Txid&) -> std::optional<SimTime> { return 0; });
   const auto rates = fee_rates_of_pool(
       seen, [](std::uint64_t height) { return height <= 2; });
   EXPECT_EQ(rates.size(), 4u);

@@ -71,10 +71,12 @@ TEST(DarkFee, OnlyAuditedPoolsBlocksAreScanned) {
 
 TEST(DarkFee, DetectAcceleratedReturnsRefs) {
   DarkFeeWorld world;
-  const PoolAttribution attribution(world.chain, world.registry);
-  const auto refs = detect_accelerated(world.chain, attribution, "BTC.com", 99.0);
-  ASSERT_EQ(refs.size(), 10u);
-  for (const auto& ref : refs) EXPECT_EQ(ref.position, 0u);
+  const AuditDataset dataset = cn::test::dataset_of(world.chain, world.registry);
+  const PoolId btc_com = dataset.pool_id("BTC.com");
+  const auto flagged = detect_accelerated(dataset, btc_com, 99.0);
+  ASSERT_EQ(flagged.size(), 10u);
+  for (const TxIdx t : flagged) EXPECT_EQ(dataset.position_of(t), 0u);
+  EXPECT_EQ(count_accelerated(dataset, btc_com, 99.0), 10u);
 }
 
 TEST(DarkFee, RandomSampleControlFindsAlmostNothing) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/audit_dataset.hpp"
 #include "core/congestion.hpp"
 #include "sim/dataset.hpp"
 
@@ -86,9 +87,9 @@ TEST(DelayModel, SparseBinsBorrowNeighbours) {
 
 TEST(DelayModel, EndToEndOnSimulatedData) {
   const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kA, 21, 0.15);
-  const auto seen = collect_seen_txs(world.chain, [&](const btc::Txid& id) {
-    return world.observer.first_seen(id);
-  });
+  const auto seen = collect_seen_txs(
+      AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry()),
+      [&](const btc::Txid& id) { return world.observer.first_seen(id); });
   const auto delays = commit_delays_blocks(world.chain, seen);
   const auto model = DelayModel::fit(seen, delays, world.observer.snapshots(),
                                      world.config.max_block_vsize);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../helpers.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cn::core {
 namespace {
@@ -45,12 +46,16 @@ struct ScoreWorld {
       }
     }
   }
+
+  std::vector<NeutralityReport> reports(const NeutralityOptions& options = {}) const {
+    util::ThreadPool workers(1);
+    return neutrality_reports(cn::test::dataset_of(chain, registry), options, workers);
+  }
 };
 
 TEST(Neutrality, MisbehaverRanksBelowHonest) {
   ScoreWorld world;
-  const PoolAttribution attribution(world.chain, world.registry);
-  const auto reports = neutrality_reports(world.chain, attribution);
+  const auto reports = world.reports();
   ASSERT_EQ(reports.size(), 2u);
   // Worst first.
   EXPECT_EQ(reports[0].pool, "Hoister");
@@ -61,8 +66,7 @@ TEST(Neutrality, MisbehaverRanksBelowHonest) {
 
 TEST(Neutrality, HonestPoolHasCleanComponents) {
   ScoreWorld world;
-  const PoolAttribution attribution(world.chain, world.registry);
-  const auto reports = neutrality_reports(world.chain, attribution);
+  const auto reports = world.reports();
   const auto& honest = reports[1];
   EXPECT_DOUBLE_EQ(honest.mean_ppe, 0.0);
   EXPECT_DOUBLE_EQ(honest.boosted_tx_rate, 0.0);
@@ -72,8 +76,7 @@ TEST(Neutrality, HonestPoolHasCleanComponents) {
 
 TEST(Neutrality, MisbehaverComponentsReflectHoisting) {
   ScoreWorld world;
-  const PoolAttribution attribution(world.chain, world.registry);
-  const auto reports = neutrality_reports(world.chain, attribution);
+  const auto reports = world.reports();
   const auto& hoister = reports[0];
   EXPECT_GT(hoister.mean_ppe, 0.0);
   EXPECT_GT(hoister.boosted_tx_rate, 0.1);  // 1 of 5 txs per block hoisted
@@ -84,10 +87,9 @@ TEST(Neutrality, MisbehaverComponentsReflectHoisting) {
 
 TEST(Neutrality, MinBlocksFilterSkipsSmallPools) {
   ScoreWorld world;
-  const PoolAttribution attribution(world.chain, world.registry);
   NeutralityOptions options;
   options.min_blocks = 100;  // both pools have only 20
-  EXPECT_TRUE(neutrality_reports(world.chain, attribution, options).empty());
+  EXPECT_TRUE(world.reports(options).empty());
 }
 
 TEST(Neutrality, ScoreMonotoneInPenalties) {

@@ -87,7 +87,7 @@ TEST(Ppe, ChainAggregatesSkipTinyBlocks) {
   chain.append(block_with_rates(2, {}));      // skipped
   chain.append(block_with_rates(3, {2.0}));   // skipped
   chain.append(block_with_rates(4, {1, 9}));  // violation
-  const auto ppes = chain_ppe(chain);
+  const auto ppes = chain_ppe(cn::test::dataset_of(chain));
   ASSERT_EQ(ppes.size(), 2u);
   EXPECT_DOUBLE_EQ(ppes[0], 0.0);
   EXPECT_GT(ppes[1], 0.0);

@@ -59,22 +59,22 @@ TEST(MeanSppe, RestrictsToPool) {
   btc::CoinbaseTagRegistry registry;
   registry.add("Selfish", "/Selfish/");
   registry.add("Honest", "/Honest/");
-  const PoolAttribution attribution(chain, registry);
+  const AuditDataset dataset = cn::test::dataset_of(chain, registry);
 
-  // c-txs: position 0 in both blocks.
-  const std::vector<TxRef> txs = {{1, 0}, {2, 0}};
+  // c-txs: position 0 in both blocks (TxIdx counts 3 per block).
+  const std::vector<TxIdx> txs = {0, 3};
 
   std::size_t count = 0;
-  const double selfish = mean_sppe(chain, txs, attribution, "Selfish", &count);
+  const double selfish = mean_sppe(dataset, txs, dataset.pool_id("Selfish"), &count);
   EXPECT_EQ(count, 1u);
   EXPECT_DOUBLE_EQ(selfish, 100.0);
 
-  const double honest = mean_sppe(chain, txs, attribution, "Honest", &count);
+  const double honest = mean_sppe(dataset, txs, dataset.pool_id("Honest"), &count);
   EXPECT_EQ(count, 1u);
   EXPECT_DOUBLE_EQ(honest, 0.0);
 
   // No pool restriction: averages both.
-  const double all = mean_sppe(chain, txs, attribution, "", &count);
+  const double all = mean_sppe(dataset, txs, kNoPoolId, &count);
   EXPECT_EQ(count, 2u);
   EXPECT_DOUBLE_EQ(all, 50.0);
 }
@@ -82,10 +82,8 @@ TEST(MeanSppe, RestrictsToPool) {
 TEST(MeanSppe, EmptySetYieldsZeroCount) {
   btc::Chain chain(1);
   chain.append(block_with_rates(1, {5, 3}));
-  btc::CoinbaseTagRegistry registry;
-  const PoolAttribution attribution(chain, registry);
   std::size_t count = 99;
-  const double m = mean_sppe(chain, {}, attribution, "", &count);
+  const double m = mean_sppe(cn::test::dataset_of(chain), {}, kNoPoolId, &count);
   EXPECT_EQ(count, 0u);
   EXPECT_DOUBLE_EQ(m, 0.0);
 }

@@ -96,12 +96,12 @@ TEST(SelfInterest, FindsSpendsAndReceipts) {
   btc::Chain chain(1);
   chain.append(block_for_pool(1, "F2Pool", "f2/w0",
                               {payout, unrelated, deposit}));
-  const PoolAttribution attribution(chain, small_registry());
+  const AuditDataset dataset = cn::test::dataset_of(chain, small_registry());
 
-  const auto refs = self_interest_txs(chain, attribution, "F2Pool");
-  ASSERT_EQ(refs.size(), 2u);
-  EXPECT_EQ(refs[0].position, 0u);
-  EXPECT_EQ(refs[1].position, 2u);
+  const auto txs = dataset.self_interest_txs(dataset.pool_id("F2Pool"));
+  ASSERT_EQ(txs.size(), 2u);
+  EXPECT_EQ(dataset.position_of(txs[0]), 0u);
+  EXPECT_EQ(dataset.position_of(txs[1]), 2u);
 }
 
 TEST(SelfInterest, FindsTxsInOtherPoolsBlocks) {
@@ -114,17 +114,18 @@ TEST(SelfInterest, FindsTxsInOtherPoolsBlocks) {
   btc::Chain chain(1);
   chain.append(block_for_pool(1, "F2Pool", "f2/w0"));  // teaches the wallet
   chain.append(block_for_pool(2, "ViaBTC", "via/w0", {payout}));
-  const PoolAttribution attribution(chain, small_registry());
-  const auto refs = self_interest_txs(chain, attribution, "F2Pool");
-  ASSERT_EQ(refs.size(), 1u);
-  EXPECT_EQ(refs[0].block_height, 2u);
+  const AuditDataset dataset = cn::test::dataset_of(chain, small_registry());
+  const auto txs = dataset.self_interest_txs(dataset.pool_id("F2Pool"));
+  ASSERT_EQ(txs.size(), 1u);
+  EXPECT_EQ(dataset.height_of(txs[0]), 2u);
 }
 
 TEST(SelfInterest, UnknownPoolYieldsNothing) {
   btc::Chain chain(1);
   chain.append(block_for_pool(1, "F2Pool", "w"));
-  const PoolAttribution attribution(chain, small_registry());
-  EXPECT_TRUE(self_interest_txs(chain, attribution, "NoSuchPool").empty());
+  const AuditDataset dataset = cn::test::dataset_of(chain, small_registry());
+  EXPECT_EQ(dataset.pool_id("NoSuchPool"), kNoPoolId);
+  EXPECT_TRUE(dataset.self_interest_txs(dataset.pool_id("NoSuchPool")).empty());
 }
 
 TEST(TxsPayingTo, FiltersRecipients) {
@@ -135,9 +136,10 @@ TEST(TxsPayingTo, FiltersRecipients) {
   auto normal = tx_with_rate(5.0, 250, 0, 5022);
   btc::Chain chain(1);
   chain.append(block_for_pool(1, "F2Pool", "w", {normal, to_scam}));
-  const auto refs = txs_paying_to(chain, scam);
-  ASSERT_EQ(refs.size(), 1u);
-  EXPECT_EQ(refs[0].position, 1u);
+  const AuditDataset dataset = cn::test::dataset_of(chain);
+  const auto txs = dataset.txs_paying_to(scam);
+  ASSERT_EQ(txs.size(), 1u);
+  EXPECT_EQ(dataset.position_of(txs[0]), 1u);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 
 #include "btc/block.hpp"
 #include "btc/chain.hpp"
+#include "btc/coinbase_tags.hpp"
 #include "btc/transaction.hpp"
+#include "core/audit_dataset.hpp"
 
 namespace cn::test {
 
@@ -41,6 +43,13 @@ inline btc::Block block_with_rates(std::uint64_t height,
   cb.reward_address = btc::Address::derive(pool_tag + "/reward");
   cb.reward = btc::Satoshi{625'000'000};
   return btc::Block(height, mined_at, std::move(cb), std::move(txs));
+}
+
+/// The columnar audit view of @p chain, built serially. The default
+/// registry attributes no block to any pool.
+inline core::AuditDataset dataset_of(const btc::Chain& chain,
+                                     const btc::CoinbaseTagRegistry& registry = {}) {
+  return core::AuditDataset::build(chain, registry, 1);
 }
 
 }  // namespace cn::test

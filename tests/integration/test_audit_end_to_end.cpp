@@ -5,6 +5,7 @@
 // pools.
 #include <gtest/gtest.h>
 
+#include "core/audit_dataset.hpp"
 #include "core/congestion.hpp"
 #include "core/darkfee.hpp"
 #include "core/pair_violations.hpp"
@@ -14,6 +15,7 @@
 #include "core/wallet_inference.hpp"
 #include "sim/dataset.hpp"
 #include "stats/descriptive.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cn {
 namespace {
@@ -26,8 +28,13 @@ class AuditWorld : public ::testing::Test {
     world_ = new sim::SimResult(sim::make_dataset(sim::DatasetKind::kC, 1234, 0.8));
     registry_ = new btc::CoinbaseTagRegistry(btc::CoinbaseTagRegistry::paper_registry());
     attribution_ = new core::PoolAttribution(world_->chain, *registry_);
+    util::ThreadPool workers;
+    dataset_ = new core::AuditDataset(
+        core::AuditDataset::build(world_->chain, *attribution_, workers));
   }
   static void TearDownTestSuite() {
+    delete dataset_;
+    dataset_ = nullptr;
     delete attribution_;
     delete registry_;
     delete world_;
@@ -39,11 +46,22 @@ class AuditWorld : public ::testing::Test {
   static sim::SimResult* world_;
   static btc::CoinbaseTagRegistry* registry_;
   static core::PoolAttribution* attribution_;
+  static core::AuditDataset* dataset_;
+
+  /// The self-interest test of @p owner's transactions against @p miner.
+  static core::PrioTestResult self_interest_test(const std::string& owner,
+                                                 const std::string& miner) {
+    const core::PoolId miner_id = dataset_->pool_id(miner);
+    EXPECT_NE(miner_id, core::kNoPoolId) << miner;
+    return core::test_differential_prioritization(
+        *dataset_, miner_id, dataset_->self_interest_txs(dataset_->pool_id(owner)));
+  }
 };
 
 sim::SimResult* AuditWorld::world_ = nullptr;
 btc::CoinbaseTagRegistry* AuditWorld::registry_ = nullptr;
 core::PoolAttribution* AuditWorld::attribution_ = nullptr;
+core::AuditDataset* AuditWorld::dataset_ = nullptr;
 
 TEST_F(AuditWorld, AttributionMatchesConfiguredShares) {
   // Inferred hash shares should be near the configured ones.
@@ -71,7 +89,7 @@ TEST_F(AuditWorld, InferredWalletsAreTrueSubsets) {
 }
 
 TEST_F(AuditWorld, PpeIsSmallUnderGbt) {
-  const auto ppe = core::chain_ppe(world_->chain);
+  const auto ppe = core::chain_ppe(*dataset_);
   ASSERT_GT(ppe.size(), 100u);
   const auto summary = stats::summarize(ppe);
   // Paper: mean 2.65%, 80% of blocks < 4.03%.
@@ -81,10 +99,8 @@ TEST_F(AuditWorld, PpeIsSmallUnderGbt) {
 
 TEST_F(AuditWorld, SelfishPoolsDetected) {
   for (const char* pool : {"F2Pool", "ViaBTC", "SlushPool"}) {
-    const auto txs = core::self_interest_txs(world_->chain, *attribution_, pool);
-    ASSERT_GT(txs.size(), 10u) << pool;
-    const auto result = core::test_differential_prioritization(
-        world_->chain, *attribution_, pool, txs);
+    ASSERT_GT(dataset_->self_interest_txs(dataset_->pool_id(pool)).size(), 10u) << pool;
+    const auto result = self_interest_test(pool, pool);
     EXPECT_LT(result.p_accelerate, 0.001) << pool;
     EXPECT_GT(result.sppe, 50.0) << pool;
   }
@@ -92,10 +108,10 @@ TEST_F(AuditWorld, SelfishPoolsDetected) {
 
 TEST_F(AuditWorld, HonestPoolsNotFlagged) {
   for (const char* pool : {"Poolin", "AntPool", "Huobi", "Okex", "Binance Pool"}) {
-    const auto txs = core::self_interest_txs(world_->chain, *attribution_, pool);
-    if (txs.size() < 10) continue;  // not enough evidence either way
-    const auto result = core::test_differential_prioritization(
-        world_->chain, *attribution_, pool, txs);
+    if (dataset_->self_interest_txs(dataset_->pool_id(pool)).size() < 10) {
+      continue;  // not enough evidence either way
+    }
+    const auto result = self_interest_test(pool, pool);
     EXPECT_GT(result.p_accelerate, 0.001) << pool << " falsely flagged";
   }
 }
@@ -103,23 +119,24 @@ TEST_F(AuditWorld, HonestPoolsNotFlagged) {
 TEST_F(AuditWorld, CollusionDetected) {
   // ViaBTC accelerates 1THash&58Coin's and SlushPool's transactions.
   for (const char* partner : {"1THash&58Coin", "SlushPool"}) {
-    const auto txs = core::self_interest_txs(world_->chain, *attribution_, partner);
-    ASSERT_GT(txs.size(), 5u) << partner;
-    const auto result = core::test_differential_prioritization(
-        world_->chain, *attribution_, "ViaBTC", txs);
+    ASSERT_GT(dataset_->self_interest_txs(dataset_->pool_id(partner)).size(), 5u)
+        << partner;
+    const auto result = self_interest_test(partner, "ViaBTC");
     EXPECT_LT(result.p_accelerate, 0.01) << "ViaBTC + " << partner;
   }
 }
 
 TEST_F(AuditWorld, ScamTransactionsNotDifferentiallyTreated) {
   ASSERT_FALSE(world_->scam_address.is_null());
-  const auto scam_refs = core::txs_paying_to(world_->chain, world_->scam_address);
-  ASSERT_GT(scam_refs.size(), 10u);
+  const auto scam_txs = dataset_->txs_paying_to(world_->scam_address);
+  ASSERT_GT(scam_txs.size(), 10u);
   // No pool should show a significant effect in either direction.
   for (const auto& spec : world_->config.pools) {
     if (spec.anonymous || spec.hash_share < 5.0) continue;
-    const auto result = core::test_differential_prioritization(
-        world_->chain, *attribution_, spec.name, scam_refs);
+    const core::PoolId pool = dataset_->pool_id(spec.name);
+    ASSERT_NE(pool, core::kNoPoolId) << spec.name;
+    const auto result =
+        core::test_differential_prioritization(*dataset_, pool, scam_txs);
     EXPECT_GT(result.p_accelerate, 0.001) << spec.name;
     EXPECT_GT(result.p_decelerate, 0.001) << spec.name;
   }
@@ -156,7 +173,7 @@ TEST_F(AuditWorld, PairViolationsSmallAndEpsilonShrinksThem) {
   const auto first_seen = [&](const btc::Txid& id) {
     return world_->observer.first_seen(id);
   };
-  const auto seen = core::collect_seen_txs(world_->chain, first_seen);
+  const auto seen = core::collect_seen_txs(*dataset_, first_seen);
   ASSERT_GT(seen.size(), 10'000u);
 
   // A mid-run snapshot.
@@ -190,19 +207,19 @@ TEST(AuditCensorship, DecelerationTestCatchesPlantedCensor) {
   }
   sim::SimResult world = sim::Engine(std::move(config)).run();
 
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(world.chain, registry);
-  const auto scam_refs = core::txs_paying_to(world.chain, world.scam_address);
-  ASSERT_GT(scam_refs.size(), 50u);
+  const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
+  const auto scam_txs = dataset.txs_paying_to(world.scam_address);
+  ASSERT_GT(scam_txs.size(), 50u);
 
   const auto censor = core::test_differential_prioritization(
-      world.chain, attribution, "AntPool", scam_refs);
+      dataset, dataset.pool_id("AntPool"), scam_txs);
   EXPECT_LT(censor.p_decelerate, 0.001);
   EXPECT_EQ(censor.x, 0u);  // a censor never mines them
 
   // An honest pool in the same world is not flagged.
   const auto honest = core::test_differential_prioritization(
-      world.chain, attribution, "Poolin", scam_refs);
+      dataset, dataset.pool_id("Poolin"), scam_txs);
   EXPECT_GT(honest.p_decelerate, 0.001);
 }
 
@@ -216,8 +233,11 @@ TEST(AuditLegacyEra, LegacyBuilderDegradesPpe) {
   auto gbt_config = sim::dataset_config(sim::DatasetKind::kA, 5, 0.15);
   const sim::SimResult gbt = sim::Engine(std::move(gbt_config)).run();
 
-  const auto legacy_ppe = stats::summarize(core::chain_ppe(legacy.chain));
-  const auto gbt_ppe = stats::summarize(core::chain_ppe(gbt.chain));
+  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
+  const auto legacy_ppe =
+      stats::summarize(core::chain_ppe(core::AuditDataset::build(legacy.chain, registry)));
+  const auto gbt_ppe =
+      stats::summarize(core::chain_ppe(core::AuditDataset::build(gbt.chain, registry)));
   EXPECT_GT(legacy_ppe.mean, 3.0 * gbt_ppe.mean);
   EXPECT_GT(legacy_ppe.mean, 15.0);
 }

@@ -25,12 +25,14 @@
 #include <unordered_map>
 
 #include "btc/coinbase_tags.hpp"
+#include "core/audit_dataset.hpp"
 #include "core/congestion.hpp"
 #include "core/neutrality.hpp"
 #include "core/pair_violations.hpp"
 #include "core/prio_test.hpp"
 #include "core/wallet_inference.hpp"
 #include "sim/engine.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cn {
 namespace {
@@ -93,8 +95,16 @@ class DetectorCalibration : public ::testing::Test {
     honest_ = new sim::SimResult(sim::Engine(calibration_config(991, false)).run());
     planted_attr_ = new core::PoolAttribution(planted_->chain, *registry_);
     honest_attr_ = new core::PoolAttribution(honest_->chain, *registry_);
+    planted_ds_ = new core::AuditDataset(
+        core::AuditDataset::build(planted_->chain, *registry_));
+    honest_ds_ = new core::AuditDataset(
+        core::AuditDataset::build(honest_->chain, *registry_));
   }
   static void TearDownTestSuite() {
+    delete honest_ds_;
+    delete planted_ds_;
+    honest_ds_ = nullptr;
+    planted_ds_ = nullptr;
     delete honest_attr_;
     delete planted_attr_;
     delete honest_;
@@ -107,10 +117,27 @@ class DetectorCalibration : public ::testing::Test {
     registry_ = nullptr;
   }
 
-  static std::vector<core::SeenTx> seen_txs(const sim::SimResult& world) {
-    return core::collect_seen_txs(world.chain, [&](const btc::Txid& id) {
+  static std::vector<core::SeenTx> seen_txs(const sim::SimResult& world,
+                                            const core::AuditDataset& dataset) {
+    return core::collect_seen_txs(dataset, [&](const btc::Txid& id) {
       return world.observer.first_seen(id);
     });
+  }
+
+  /// @p pool's own transactions and the self-interest test on them.
+  static core::PrioTestResult self_interest_test(const core::AuditDataset& dataset,
+                                                 const char* pool,
+                                                 std::size_t* own_count) {
+    const core::PoolId id = dataset.pool_id(pool);
+    const auto own = dataset.self_interest_txs(id);
+    *own_count = own.size();
+    return core::test_differential_prioritization(dataset, id, own);
+  }
+
+  static std::vector<core::NeutralityReport> scorecards(
+      const core::AuditDataset& dataset) {
+    util::ThreadPool workers(1);
+    return core::neutrality_reports(dataset, {}, workers);
   }
 
   static const core::NeutralityReport* report_of(
@@ -127,6 +154,8 @@ class DetectorCalibration : public ::testing::Test {
   static btc::CoinbaseTagRegistry* registry_;
   static core::PoolAttribution* planted_attr_;
   static core::PoolAttribution* honest_attr_;
+  static core::AuditDataset* planted_ds_;
+  static core::AuditDataset* honest_ds_;
 };
 
 sim::SimResult* DetectorCalibration::planted_ = nullptr;
@@ -134,6 +163,8 @@ sim::SimResult* DetectorCalibration::honest_ = nullptr;
 btc::CoinbaseTagRegistry* DetectorCalibration::registry_ = nullptr;
 core::PoolAttribution* DetectorCalibration::planted_attr_ = nullptr;
 core::PoolAttribution* DetectorCalibration::honest_attr_ = nullptr;
+core::AuditDataset* DetectorCalibration::planted_ds_ = nullptr;
+core::AuditDataset* DetectorCalibration::honest_ds_ = nullptr;
 
 TEST_F(DetectorCalibration, WorldsAreComparable) {
   // Sanity on the substrate itself before trusting any calibration
@@ -153,20 +184,15 @@ TEST_F(DetectorCalibration, WorldsAreComparable) {
 
 TEST_F(DetectorCalibration, SelfDealingSppeSignRecovered) {
   // The planted self-dealer: strongly positive SPPE at a decisive p.
-  const auto own = core::self_interest_txs(planted_->chain, *planted_attr_,
-                                           "Selfish");
-  ASSERT_GT(own.size(), 30u);
-  const auto test = core::test_differential_prioritization(
-      planted_->chain, *planted_attr_, "Selfish", own);
+  std::size_t own = 0;
+  const auto test = self_interest_test(*planted_ds_, "Selfish", &own);
+  ASSERT_GT(own, 30u);
   EXPECT_LT(test.p_accelerate, kAlpha);
   EXPECT_GT(test.sppe, 50.0);
 
   // Same pool, same policy knobs minus the plant: sign gone, p calm.
-  const auto own_honest = core::self_interest_txs(honest_->chain, *honest_attr_,
-                                                  "Selfish");
-  ASSERT_GT(own_honest.size(), 30u);
-  const auto control = core::test_differential_prioritization(
-      honest_->chain, *honest_attr_, "Selfish", own_honest);
+  const auto control = self_interest_test(*honest_ds_, "Selfish", &own);
+  ASSERT_GT(own, 30u);
   EXPECT_GT(control.p_accelerate, kAlpha);
   EXPECT_LT(control.sppe, 25.0);
 }
@@ -174,20 +200,18 @@ TEST_F(DetectorCalibration, SelfDealingSppeSignRecovered) {
 TEST_F(DetectorCalibration, FalsePositiveFloorOnHonestPools) {
   // Norm-followers must not be flagged — in either world.
   struct Case {
-    const sim::SimResult* world;
-    const core::PoolAttribution* attr;
+    const core::AuditDataset* dataset;
     std::vector<const char*> pools;
   };
   const Case cases[] = {
-      {planted_, planted_attr_, {"Honest1", "Honest2", "Tolerant"}},
-      {honest_, honest_attr_, {"Selfish", "Tolerant", "Honest1", "Honest2"}},
+      {planted_ds_, {"Honest1", "Honest2", "Tolerant"}},
+      {honest_ds_, {"Selfish", "Tolerant", "Honest1", "Honest2"}},
   };
   for (const Case& c : cases) {
     for (const char* pool : c.pools) {
-      const auto own = core::self_interest_txs(c.world->chain, *c.attr, pool);
-      if (own.size() < 10) continue;
-      const auto test = core::test_differential_prioritization(
-          c.world->chain, *c.attr, pool, own);
+      std::size_t own = 0;
+      const auto test = self_interest_test(*c.dataset, pool, &own);
+      if (own < 10) continue;
       EXPECT_GT(test.p_accelerate, kAlpha) << pool << " falsely flagged";
     }
   }
@@ -202,8 +226,7 @@ TEST_F(DetectorCalibration, NormThreeScreenBoundsPlantedFloorRate) {
   // template admits, so a lifted block only includes one when both the
   // backlog and the block have room — but it must be strictly positive
   // and cleanly separated from the norm-followers' zero.
-  const auto reports =
-      core::neutrality_reports(planted_->chain, *planted_attr_);
+  const auto reports = scorecards(*planted_ds_);
   const auto* tolerant = report_of(reports, "Tolerant");
   ASSERT_NE(tolerant, nullptr);
   const double planted_rate = 1.0 / static_cast<double>(kLowFeePeriod);
@@ -219,8 +242,7 @@ TEST_F(DetectorCalibration, NormThreeScreenBoundsPlantedFloorRate) {
   }
 
   // And with the plant removed the rate collapses.
-  const auto honest_reports =
-      core::neutrality_reports(honest_->chain, *honest_attr_);
+  const auto honest_reports = scorecards(*honest_ds_);
   const auto* control = report_of(honest_reports, "Tolerant");
   ASSERT_NE(control, nullptr);
   EXPECT_LT(control->below_floor_block_rate, 0.015);
@@ -231,8 +253,8 @@ TEST_F(DetectorCalibration, PairViolationsElevatedByPlantedBoosts) {
   // lower-paying transactions over earlier better-paying ones — exactly
   // the pairs Fig 6 counts. The planted world must show materially more
   // of them than the honest control over the same workload.
-  const auto planted_seen = seen_txs(*planted_);
-  const auto honest_seen = seen_txs(*honest_);
+  const auto planted_seen = seen_txs(*planted_, *planted_ds_);
+  const auto honest_seen = seen_txs(*honest_, *honest_ds_);
   ASSERT_GT(planted_seen.size(), 10'000u);
   ASSERT_GT(honest_seen.size(), 10'000u);
 
@@ -251,7 +273,7 @@ TEST_F(DetectorCalibration, ViolationsAttributeToTheBoostingPool) {
   // violations_by_block charges each violating pair to the block that
   // committed the queue-jumper; folded by pool, the planted booster must
   // out-violate the honest pools per block mined.
-  const auto by_block = core::violations_by_block(seen_txs(*planted_), 0,
+  const auto by_block = core::violations_by_block(seen_txs(*planted_, *planted_ds_), 0,
                                                   /*exclude_cpfp=*/true);
   std::unordered_map<std::string, double> per_pool;
   for (const auto& [height, count] : by_block) {
@@ -272,8 +294,7 @@ TEST_F(DetectorCalibration, NeutralityScorecardSeparatesWorlds) {
   // Composite check: in the planted world the misbehaving pools score
   // visibly below the norm-followers; in the honest world everyone is
   // high and close together.
-  const auto planted_reports =
-      core::neutrality_reports(planted_->chain, *planted_attr_);
+  const auto planted_reports = scorecards(*planted_ds_);
   const auto* selfish = report_of(planted_reports, "Selfish");
   const auto* honest1 = report_of(planted_reports, "Honest1");
   ASSERT_NE(selfish, nullptr);
@@ -281,8 +302,7 @@ TEST_F(DetectorCalibration, NeutralityScorecardSeparatesWorlds) {
   EXPECT_TRUE(selfish->self_dealing_flagged);
   EXPECT_LT(selfish->score, honest1->score - 10.0);
 
-  const auto honest_reports =
-      core::neutrality_reports(honest_->chain, *honest_attr_);
+  const auto honest_reports = scorecards(*honest_ds_);
   for (const auto& r : honest_reports) {
     EXPECT_FALSE(r.self_dealing_flagged) << r.pool;
     EXPECT_GT(r.score, 85.0) << r.pool;

@@ -18,8 +18,8 @@
 // Also covered here: the block-withholding detector (missing-mempool
 // overlap, core/withholding.hpp) flagging a WithholdingPolicy plant and
 // staying quiet on prompt publishers; the audit pipeline's withholding
-// stage rendering identically on the legacy and columnar engines; and
-// the fee-only (zero-subsidy) EngineConfig knob.
+// stage, rendered only when a first-seen log is supplied; and the
+// fee-only (zero-subsidy) EngineConfig knob.
 //
 // CN_SMOKE=1 (the ASan CI leg) halves the world duration; every
 // assertion is deterministic for the pinned seed in both modes.
@@ -119,11 +119,10 @@ std::string cnb_bytes(const sim::SimResult& world, const std::string& tag) {
 
 core::PrioTestResult selfish_verdict(const sim::SimResult& world,
                                      const btc::CoinbaseTagRegistry& registry) {
-  const core::PoolAttribution attribution(world.chain, registry);
-  const auto own =
-      core::self_interest_txs(world.chain, attribution, "Selfish");
-  return core::test_differential_prioritization(world.chain, attribution,
-                                                "Selfish", own);
+  const auto dataset = core::AuditDataset::build(world.chain, registry, 1);
+  const core::PoolId selfish = dataset.pool_id("Selfish");
+  return core::test_differential_prioritization(dataset, selfish,
+                                                dataset.self_interest_txs(selfish));
 }
 
 const core::WithholdingReport* report_of(
@@ -263,27 +262,18 @@ std::string rendered(const core::AuditReport& report) {
   return out;
 }
 
-TEST_F(DetectorPower, WithholdingAuditStageMatchesAcrossEngines) {
-  // The new "withholding" stage through the full pipeline: present and
-  // populated when a first-seen log is supplied, byte-identical between
-  // the legacy oracle and the columnar engine, absent without the log.
+TEST_F(DetectorPower, WithholdingAuditStageNeedsAFirstSeenLog) {
+  // The "withholding" stage through the full pipeline: present and
+  // populated when a first-seen log is supplied, absent without it.
   core::AuditOptions options;
   options.first_seen = &withheld_->observer.first_seen_map();
-
-  options.engine = core::AuditEngine::kColumnar;
-  const auto columnar =
+  const auto with_log =
       core::run_full_audit(withheld_->chain, *registry_, nullptr, options);
-  EXPECT_TRUE(columnar.has_first_seen);
-  ASSERT_FALSE(columnar.withholding.empty());
-
-  options.engine = core::AuditEngine::kLegacy;
-  const auto legacy =
-      core::run_full_audit(withheld_->chain, *registry_, nullptr, options);
-  EXPECT_TRUE(rendered(columnar) == rendered(legacy))
-      << "withholding stage renders differently across audit engines";
+  EXPECT_TRUE(with_log.has_first_seen);
+  ASSERT_FALSE(with_log.withholding.empty());
+  EXPECT_NE(rendered(with_log).find("block withholding"), std::string::npos);
 
   core::AuditOptions without;
-  without.engine = core::AuditEngine::kColumnar;
   const auto quiet =
       core::run_full_audit(withheld_->chain, *registry_, nullptr, without);
   EXPECT_FALSE(quiet.has_first_seen);

@@ -131,7 +131,8 @@ TEST_F(DatasetIoTest, SimulatedDatasetRoundTrips) {
   EXPECT_EQ(loaded->size(), world.chain.size());
   EXPECT_EQ(loaded->total_tx_count(), world.chain.total_tx_count());
   // Audit measures agree exactly.
-  EXPECT_EQ(core::chain_ppe(*loaded), core::chain_ppe(world.chain));
+  EXPECT_EQ(core::chain_ppe(cn::test::dataset_of(*loaded)),
+            core::chain_ppe(cn::test::dataset_of(world.chain)));
   // Re-sealed headers form a valid chain with identical Merkle roots.
   EXPECT_TRUE(loaded->verify_integrity());
   EXPECT_EQ(loaded->tip_hash(), world.chain.tip_hash());

@@ -10,8 +10,7 @@
 //       prioritization audit (Table 2 style), printing findings.
 //
 //   cnaudit report     --input PATH [--alpha P] [--threads N]
-//                      [--min-coverage F] [--stages CSV]
-//                      [--engine columnar|legacy] [--timings on|off]
+//                      [--min-coverage F] [--stages CSV] [--timings on|off]
 //       The whole §4-§5 methodology in one shot (run_full_audit):
 //       PPE, cross-pool findings with bootstrap CIs, dark-fee
 //       suspicion, and the neutrality scorecard. When the data set
@@ -21,16 +20,16 @@
 //       are downgraded to "insufficient data". --stages selects which
 //       analysis stages run (comma-separated names from
 //       audit_stage_names(); skipped stages print as [SKIPPED]);
-//       --engine legacy runs the pre-columnar oracle instead;
 //       --timings on appends the per-stage wall-time footer (off by
 //       default so the output stays byte-reproducible run to run).
 //
 // Every data-loading subcommand takes --input PATH: either a CSV export
 // directory or a CNB1 binary columnar file (io/cnb.hpp). The format is
 // sniffed from the path; --format csv|cnb overrides the sniff. --data is
-// the historical alias for --input. A CNB1 file that embeds derived
-// audit columns (cnconvert's default) lets `report` skip the dataset
-// build stage outright. All of them take --policy strict|lenient
+// the historical alias for --input. Every audit reads the columnar
+// core::AuditDataset, built once per run; a CNB1 file that embeds the
+// derived audit columns (cnconvert's default) is adopted instead, so no
+// subcommand rebuilds it. All of them take --policy strict|lenient
 // (default strict). Strict aborts at the first defective row or section
 // and pinpoints it; lenient skips or repairs defects, prints a
 // diagnostic summary, and still loads the data set.
@@ -57,7 +56,9 @@
 //   cnaudit darkfee    --input PATH [--pool NAME] [--sppe T]
 //       Flag suspected dark-fee (accelerated) transactions by SPPE
 //       (Table 4's detector; validation against a service API requires
-//       the service, so only counts and positions are reported).
+//       the service, so only counts are reported). A --pool no block is
+//       attributed to is an error (exit 2) that lists the attributed
+//       pools.
 //
 // Every subcommand works on exported data, so audits can be re-run (or
 // written by others, e.g. in Python against the same CSVs) without
@@ -71,14 +72,13 @@
 #include <string_view>
 #include <vector>
 
+#include "core/audit_dataset.hpp"
 #include "core/audit_pipeline.hpp"
 #include "core/darkfee.hpp"
 #include "core/neutrality.hpp"
 #include "core/ppe.hpp"
 #include "core/prio_test.hpp"
 #include "core/report.hpp"
-#include "core/sppe.hpp"
-#include "core/wallet_inference.hpp"
 #include "io/dataset_io.hpp"
 #include "io/dataset_source.hpp"
 #include "obs/export.hpp"
@@ -87,6 +87,7 @@
 #include "stats/descriptive.hpp"
 #include "stats/ecdf.hpp"
 #include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -151,7 +152,7 @@ int usage() {
                "             --out DIR\n"
                "  audit      --input PATH [--alpha P] [--min-share F]\n"
                "  report     --input PATH [--alpha P] [--threads N] [--min-coverage F]\n"
-               "             [--stages CSV] [--engine columnar|legacy] [--timings on|off]\n"
+               "             [--stages CSV] [--timings on|off]\n"
                "  neutrality --input PATH\n"
                "  ppe        --input PATH\n"
                "  darkfee    --input PATH [--pool NAME] [--sppe T]\n"
@@ -206,6 +207,20 @@ std::optional<io::DatasetHandle> load_dataset(const Args& args) {
   return std::move(result.value);
 }
 
+/// The loaded data set's columnar audit view under the paper's registry:
+/// the one a CNB1 file stores, otherwise built here once and kept in the
+/// handle.
+const core::AuditDataset& audit_dataset(io::DatasetHandle& data) {
+  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
+  if (const core::AuditDataset* stored = data.prebuilt_for(registry)) return *stored;
+  const core::PoolAttribution attribution(data.chain, registry);
+  util::ThreadPool workers(0);
+  data.audit_dataset = core::AuditDataset::build(data.chain, attribution, workers,
+                                                 &data.addresses);
+  data.registry_fingerprint = registry.fingerprint();
+  return *data.audit_dataset;
+}
+
 int cmd_simulate(const Args& args) {
   const std::string kind_str = args.get_or("dataset", "C");
   sim::DatasetKind kind;
@@ -256,18 +271,15 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_audit(const Args& args) {
-  const auto data = load_dataset(args);
+  auto data = load_dataset(args);
   if (!data) return 1;
-  const btc::Chain& chain = data->chain;
   const double alpha = args.get_double("alpha", 0.001);
   const double min_share = args.get_double("min-share", 0.03);
+  const core::AuditDataset& ds = audit_dataset(*data);
 
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(chain, registry);
-
-  std::vector<std::string> pools;
-  for (const auto& pool : attribution.pools_by_blocks()) {
-    if (attribution.hash_share(pool) >= min_share) pools.push_back(pool);
+  std::vector<core::PoolId> pools;
+  for (const core::PoolId id : ds.pools_by_blocks()) {
+    if (ds.hash_share(id) >= min_share) pools.push_back(id);
   }
 
   core::TablePrinter table({"txs of", "miner", "x", "y", "p-accel", "p-decel",
@@ -275,17 +287,17 @@ int cmd_audit(const Args& args) {
                            {16, 16, 6, 6, 9, 9, 8, 12});
   table.print_header();
   int findings = 0;
-  for (const auto& owner : pools) {
-    const auto txs = core::self_interest_txs(chain, attribution, owner);
+  for (const core::PoolId owner : pools) {
+    const auto txs = ds.self_interest_txs(owner);
     if (txs.size() < 10) continue;
-    for (const auto& miner : pools) {
-      const auto r =
-          core::test_differential_prioritization(chain, attribution, miner, txs);
+    for (const core::PoolId miner : pools) {
+      const auto r = core::test_differential_prioritization(ds, miner, txs);
       const bool accel = r.p_accelerate < alpha && r.sppe > 25.0;
       const bool decel = r.p_decelerate < alpha && r.x == 0;
       if (!accel && !decel) continue;
       ++findings;
-      table.print_row({owner, miner, std::to_string(r.x), std::to_string(r.y),
+      table.print_row({ds.pool_name(owner), r.pool, std::to_string(r.x),
+                       std::to_string(r.y),
                        core::format_p_value(r.p_accelerate),
                        core::format_p_value(r.p_decelerate), fixed(r.sppe, 1),
                        accel ? (owner == miner ? "SELFISH" : "COLLUSION")
@@ -321,14 +333,6 @@ int cmd_report(const Args& args) {
   // block-withholding stage (core/withholding.hpp).
   if (data->first_seen.has_value()) options.first_seen = &*data->first_seen;
 
-  const std::string engine = args.get_or("engine", "columnar");
-  if (engine == "legacy") {
-    options.engine = core::AuditEngine::kLegacy;
-  } else if (engine != "columnar") {
-    std::fprintf(stderr, "cnaudit: unknown --engine '%s' (want columnar|legacy)\n",
-                 engine.c_str());
-    return 2;
-  }
   if (const auto stages = args.get("stages")) {
     const auto& known = core::audit_stage_names();
     for (const std::string_view name : split(*stages, ',')) {
@@ -370,12 +374,11 @@ int cmd_report(const Args& args) {
 }
 
 int cmd_neutrality(const Args& args) {
-  const auto data = load_dataset(args);
+  auto data = load_dataset(args);
   if (!data) return 1;
-  const btc::Chain& chain = data->chain;
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(chain, registry);
-  const auto reports = core::neutrality_reports(chain, attribution);
+  const core::AuditDataset& ds = audit_dataset(*data);
+  util::ThreadPool workers(0);
+  const auto reports = core::neutrality_reports(ds, {}, workers);
 
   core::TablePrinter table({"pool", "blocks", "PPE%", "boost%", "self-p",
                             "floor%", "score"},
@@ -392,9 +395,9 @@ int cmd_neutrality(const Args& args) {
 }
 
 int cmd_ppe(const Args& args) {
-  const auto data = load_dataset(args);
+  auto data = load_dataset(args);
   if (!data) return 1;
-  const auto ppe = core::chain_ppe(data->chain);
+  const auto ppe = core::chain_ppe(audit_dataset(*data));
   const auto s = stats::summarize(ppe);
   const stats::Ecdf cdf{std::span<const double>(ppe)};
   core::print_summary_row("PPE (all)", s);
@@ -406,35 +409,40 @@ int cmd_ppe(const Args& args) {
 }
 
 int cmd_darkfee(const Args& args) {
-  const auto data = load_dataset(args);
+  auto data = load_dataset(args);
   if (!data) return 1;
-  const btc::Chain& chain = data->chain;
   const double threshold = args.get_double("sppe", 99.0);
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(chain, registry);
+  const core::AuditDataset& ds = audit_dataset(*data);
 
-  std::vector<std::string> pools;
+  std::vector<core::PoolId> pools;
   if (const auto pool = args.get("pool")) {
-    pools.push_back(*pool);
+    const core::PoolId id = ds.pool_id(*pool);
+    if (id == core::kNoPoolId) {
+      std::string attributed;
+      for (const core::PoolId p : ds.pools_by_blocks()) {
+        if (!attributed.empty()) attributed += ",";
+        attributed += ds.pool_name(p);
+      }
+      std::fprintf(stderr,
+                   "cnaudit: no block is attributed to pool '%s' (attributed: %s)\n",
+                   pool->c_str(), attributed.c_str());
+      return 2;
+    }
+    pools.push_back(id);
   } else {
-    for (const auto& p : attribution.pools_by_blocks()) {
-      if (attribution.blocks_of(p) >= 10) pools.push_back(p);
+    for (const core::PoolId id : ds.pools_by_blocks()) {
+      if (ds.blocks_of(id) >= 10) pools.push_back(id);
     }
   }
   core::TablePrinter table({"pool", "txs", "flagged", "rate"}, {16, 11, 9, 10});
   table.print_header();
-  for (const auto& pool : pools) {
-    const auto flagged = core::detect_accelerated(chain, attribution, pool, threshold);
-    std::uint64_t txs = 0;
-    for (const auto& block : chain.blocks()) {
-      const auto owner = attribution.pool_of(block.height());
-      if (owner.has_value() && *owner == pool) txs += block.tx_count();
-    }
+  for (const core::PoolId pool : pools) {
+    const std::uint64_t flagged = core::count_accelerated(ds, pool, threshold);
+    const std::uint64_t txs = ds.pool_tx_count(pool);
     if (txs == 0) continue;
-    table.print_row({pool, with_commas(txs),
-                     with_commas(static_cast<std::uint64_t>(flagged.size())),
-                     percent(static_cast<double>(flagged.size()) /
-                             static_cast<double>(txs), 3)});
+    table.print_row({ds.pool_name(pool), with_commas(txs), with_commas(flagged),
+                     percent(static_cast<double>(flagged) / static_cast<double>(txs),
+                             3)});
   }
   std::printf("\nflagged = committed transactions with SPPE >= %.1f (placed far\n"
               "above their public fee rank). Validate against an acceleration\n"
@@ -482,7 +490,7 @@ const Command* find_command(std::string_view name) {
       {"simulate", cmd_simulate, false, {"dataset", "seed", "scale", "timeout-s", "out"}},
       {"audit", cmd_audit, true, {"alpha", "min-share"}},
       {"report", cmd_report, true,
-       {"alpha", "threads", "min-coverage", "stages", "engine", "timings"}},
+       {"alpha", "threads", "min-coverage", "stages", "timings"}},
       {"neutrality", cmd_neutrality, true, {}},
       {"ppe", cmd_ppe, true, {}},
       {"darkfee", cmd_darkfee, true, {"pool", "sppe"}},
