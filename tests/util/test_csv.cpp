@@ -32,9 +32,17 @@ TEST(CsvEscape, DoublesEmbeddedQuotes) {
   EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
 }
 
+/// A file of the running test's own: ctest runs each test of a fixture as
+/// its own process, in parallel, and a shared path would let one test's
+/// TearDown delete another's input.
+std::string test_path(const char* prefix) {
+  return ::testing::TempDir() + "/" + prefix +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
+}
+
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/cn_csv_test.csv";
+  std::string path_ = test_path("cn_csv_test_");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
@@ -75,7 +83,7 @@ TEST_F(CsvWriterTest, CloseReportsSuccessAndIsIdempotent) {
 
 class CsvReaderEdgeTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/cn_csv_edge.csv";
+  std::string path_ = test_path("cn_csv_edge_");
   void TearDown() override { std::remove(path_.c_str()); }
 
   void write_raw(const std::string& content) {
