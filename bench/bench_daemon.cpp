@@ -38,19 +38,13 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-daemon::AccumulatorOptions accumulator_options() {
-  daemon::AccumulatorOptions options;
-  options.neutrality.min_blocks = 10;
-  return options;
-}
-
 /// One full pass of the feed through fresh accumulators plus a seal —
 /// exactly what answering a query by batch rebuild costs.
 double time_full_rebuild(const io::DatasetHandle& handle,
                          const btc::CoinbaseTagRegistry& registry,
                          const core::FirstSeenFn& first_seen) {
   const auto start = Clock::now();
-  daemon::AuditAccumulators acc(registry, accumulator_options());
+  daemon::AuditAccumulators acc(registry);
   io::ReplaySource source(handle);
   io::StreamEvent ev;
   while (source.next(ev, 1000) == io::StreamStatus::kOk) {
@@ -114,7 +108,7 @@ int main(int argc, char** argv) {
   json.metric("txs", static_cast<double>(txs));
 
   // --- steady state: per-event incremental application ------------------
-  daemon::AuditAccumulators acc(registry, accumulator_options());
+  daemon::AuditAccumulators acc(registry);
   double block_apply_s = 0.0;
   double snapshot_apply_s = 0.0;
   std::uint64_t snapshots = 0;
@@ -171,9 +165,9 @@ int main(int argc, char** argv) {
   double recovery_s = 0.0;
   {
     const auto start = Clock::now();
-    daemon::AuditAccumulators restored(registry, accumulator_options());
+    daemon::AuditAccumulators restored(registry);
     const daemon::CheckpointLoad load = daemon::load_checkpoint(
-        restored, ckpt, accumulator_options().fingerprint(),
+        restored, ckpt, daemon::AccumulatorOptions{}.fingerprint(),
         registry.fingerprint());
     io::ReplaySource source(handle);
     const bool sought = load.ok && source.seek(load.seq);
@@ -193,9 +187,7 @@ int main(int argc, char** argv) {
   double queries_per_s = 0.0;
   {
     io::ReplaySource source(handle);
-    daemon::DaemonConfig config;
-    config.accumulators = accumulator_options();
-    daemon::AuditDaemon served(source, registry, first_seen, config);
+    daemon::AuditDaemon served(source, registry, first_seen, daemon::DaemonConfig{});
     if (served.run_to_end() != io::StreamStatus::kEnd) {
       std::fprintf(stderr, "daemon replay did not reach feed end\n");
       return 1;

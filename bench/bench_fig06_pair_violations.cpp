@@ -37,7 +37,7 @@ void BM_PairViolationsFenwick(benchmark::State& state) {
   const auto txs = synthetic_txs(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::count_pair_violations(
-        txs, 0, false, 0, core::PairAlgorithm::kFenwick));
+        txs, 0, false, core::PairAlgorithm::kFenwick));
   }
 }
 BENCHMARK(BM_PairViolationsFenwick)
@@ -51,7 +51,7 @@ void BM_PairViolationsBruteForce(benchmark::State& state) {
   const auto txs = synthetic_txs(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::count_pair_violations(
-        txs, 0, false, 0, core::PairAlgorithm::kBruteForce));
+        txs, 0, false, core::PairAlgorithm::kBruteForce));
   }
 }
 BENCHMARK(BM_PairViolationsBruteForce)
@@ -59,14 +59,14 @@ BENCHMARK(BM_PairViolationsBruteForce)
     ->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
-/// One timed run of each algorithm at n = 100k (downsampling disabled);
+/// One timed run of each algorithm at n = 100k;
 /// returns {fenwick_seconds, brute_seconds} and checks they agree.
 std::pair<double, double> speedup_at_100k() {
   using namespace cn;
   const auto txs = synthetic_txs(100'000);
   const auto timed = [&](core::PairAlgorithm algorithm) {
     const auto start = std::chrono::steady_clock::now();
-    const auto stats = core::count_pair_violations(txs, 0, false, 0, algorithm);
+    const auto stats = core::count_pair_violations(txs, 0, false, algorithm);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -186,12 +186,12 @@ int main(int argc, char** argv) {
   std::printf("CSV: %s/fig06_pair_violations.csv\n", bench::out_dir().c_str());
 
   // Exact counting at scale: Fenwick/CDQ vs the O(n^2) reference at
-  // n = 100k with downsampling disabled.
+  // n = 100k.
   {
     // Wall times differ run to run, so they go to stderr (and the JSON)
     // and stdout stays byte-reproducible.
     const auto [fenwick_s, brute_s] = speedup_at_100k();
-    std::fprintf(stderr, "\n  exact counting, n=100k, no downsampling:\n");
+    std::fprintf(stderr, "\n  exact counting, n=100k:\n");
     std::fprintf(stderr,
                  "    fenwick  %8.3f s\n    brute    %8.3f s\n    speedup  %.1fx\n",
                  fenwick_s, brute_s, fenwick_s > 0 ? brute_s / fenwick_s : 0.0);

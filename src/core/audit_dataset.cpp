@@ -1,7 +1,6 @@
 #include "core/audit_dataset.hpp"
 
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "core/ppe.hpp"
@@ -42,6 +41,38 @@ BuildMetrics& build_metrics() {
 
 }  // namespace
 
+void block_flags(const btc::Block& block, std::span<std::uint8_t> flags) {
+  const std::span<const btc::Transaction> txs = block.txs();
+  CN_ASSERT(flags.size() == txs.size());
+  const btc::FeeRate floor = btc::FeeRate::from_sat_per_vb(1);
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    flags[i] = txs[i].fee_rate() < floor ? kTxBelowFloor : 0;
+  }
+  const std::vector<std::size_t> cpfp = block.cpfp_positions();
+  if (cpfp.empty()) return;
+  std::unordered_set<btc::Txid> parents;
+  for (const std::size_t pos : cpfp) {
+    flags[pos] |= kTxCpfpChild;
+    for (const btc::TxInput& in : txs[pos].inputs()) {
+      if (!in.prev_txid.is_null()) parents.insert(in.prev_txid);
+    }
+  }
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    if (parents.contains(txs[i].id())) flags[i] |= kTxCpfpParent;
+  }
+}
+
+double block_columns(const btc::Block& block, std::span<double> sppe,
+                     std::span<std::uint8_t> flags) {
+  CN_ASSERT(sppe.size() == block.tx_count());
+  const std::vector<double> block_sppe = core::block_sppe(block);
+  for (std::size_t i = 0; i < sppe.size(); ++i) {
+    sppe[i] = block_sppe.empty() ? kNaN : block_sppe[i];
+  }
+  block_flags(block, flags);
+  return core::block_ppe(block).value_or(kNaN);
+}
+
 AuditDataset AuditDataset::build(const btc::Chain& chain,
                                  const PoolAttribution& attribution,
                                  util::ThreadPool& workers,
@@ -73,7 +104,6 @@ AuditDataset AuditDataset::build(const btc::Chain& chain,
   }
   CN_ASSERT(ntxs < static_cast<std::size_t>(~TxIdx{0}));
   ds.tx_begin_.push_back(static_cast<TxIdx>(ntxs));
-  ds.block_ppe_.assign(nblocks, kNaN);
 
   // Per-pool block lists and tx counts fall straight out of pass 1.
   ds.pool_blocks_.resize(npools);
@@ -85,10 +115,10 @@ AuditDataset AuditDataset::build(const btc::Chain& chain,
     ds.pool_tx_counts_[p] += ds.tx_begin_[b + 1] - ds.tx_begin_[b];
   }
 
-  // Wallet -> owning pools, for the single self-interest scan below.
-  std::unordered_map<btc::Address, std::vector<PoolId>> wallet_pools;
+  // Every wallet any pool names, known before the self-interest scan.
+  WalletIndex wallets;
   for (PoolId p = 0; p < npools; ++p) {
-    for (const btc::Address& a : attribution.wallets_of(p)) wallet_pools[a].push_back(p);
+    for (const btc::Address& a : attribution.wallets_of(p)) wallets.add(a, p);
   }
 
   // Pass 2 (serial): transaction columns, interned outputs, and the
@@ -99,13 +129,10 @@ AuditDataset AuditDataset::build(const btc::Chain& chain,
   ds.vsize_.resize(ntxs);
   ds.issued_.resize(ntxs);
   ds.txid_.resize(ntxs);
-  ds.tx_flags_.assign(ntxs, 0);
-  ds.sppe_.assign(ntxs, kNaN);
   ds.tx_block_.resize(ntxs);
   ds.out_begin_.reserve(ntxs + 1);
   ds.self_interest_.resize(npools);
 
-  const btc::FeeRate floor = btc::FeeRate::from_sat_per_vb(1);
   std::vector<PoolId> involved;
   std::uint64_t intern_hits = 0;
   std::uint64_t intern_misses = 0;
@@ -119,7 +146,6 @@ AuditDataset AuditDataset::build(const btc::Chain& chain,
       ds.issued_[t] = tx.issued();
       ds.txid_[t] = tx.id();
       ds.tx_block_[t] = static_cast<std::uint32_t>(b);
-      if (tx.fee_rate() < floor) ds.tx_flags_[t] |= kTxBelowFloor;
 
       ds.out_begin_.push_back(out_off);
       for (const btc::TxOutput& o : tx.outputs()) {
@@ -133,48 +159,25 @@ AuditDataset AuditDataset::build(const btc::Chain& chain,
         ++out_off;
       }
 
-      involved.clear();
-      const auto note = [&](const btc::Address& a) {
-        const auto it = wallet_pools.find(a);
-        if (it == wallet_pools.end()) return;
-        for (const PoolId p : it->second) {
-          bool seen = false;
-          for (const PoolId q : involved) seen = seen || q == p;
-          if (!seen) involved.push_back(p);
-        }
-      };
-      for (const btc::TxInput& in : tx.inputs()) note(in.owner);
-      for (const btc::TxOutput& o : tx.outputs()) note(o.to);
+      wallets.pools_of(tx, involved);
       for (const PoolId p : involved) ds.self_interest_[p].push_back(t);
       ++t;
     }
   }
   ds.out_begin_.push_back(out_off);
 
-  // Pass 3 (parallel per block): cached norm statistics and CPFP flags.
-  // Each task calls the per-block primitives (core/ppe.hpp,
-  // core/sppe.hpp) exactly once per block and writes only its own slots,
-  // so the cached doubles are bitwise identical at every thread count.
+  // Pass 3 (parallel per block): the cached norm columns. Each task
+  // writes only its own block's slots, so the cached doubles are bitwise
+  // identical at every thread count.
+  ds.block_ppe_.resize(nblocks);
+  ds.sppe_.resize(ntxs);
+  ds.tx_flags_.resize(ntxs);
   workers.parallel_for(nblocks, [&](std::size_t b) {
-    const btc::Block& block = chain.blocks()[b];
     const TxIdx begin = ds.tx_begin_[b];
-
-    if (const auto ppe = core::block_ppe(block)) ds.block_ppe_[b] = *ppe;
-    const std::vector<double> sppe = core::block_sppe(block);
-    for (std::size_t i = 0; i < sppe.size(); ++i) ds.sppe_[begin + i] = sppe[i];
-
-    const std::vector<std::size_t> cpfp = block.cpfp_positions();
-    if (cpfp.empty()) return;
-    std::unordered_set<btc::Txid> parents;
-    for (const std::size_t pos : cpfp) {
-      ds.tx_flags_[begin + pos] |= kTxCpfpChild;
-      for (const btc::TxInput& in : block.txs()[pos].inputs()) {
-        if (!in.prev_txid.is_null()) parents.insert(in.prev_txid);
-      }
-    }
-    for (std::size_t i = 0; i < block.txs().size(); ++i) {
-      if (parents.contains(block.txs()[i].id())) ds.tx_flags_[begin + i] |= kTxCpfpParent;
-    }
+    const std::size_t n = ds.tx_begin_[b + 1] - begin;
+    ds.block_ppe_[b] =
+        block_columns(chain.blocks()[b], std::span<double>(ds.sppe_).subspan(begin, n),
+                      std::span<std::uint8_t>(ds.tx_flags_).subspan(begin, n));
   });
 
   BuildMetrics& m = build_metrics();

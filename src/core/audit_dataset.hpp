@@ -56,6 +56,18 @@ enum TxFlag : std::uint8_t {
   kTxBelowFloor = 1u << 2,  ///< exact fee-rate < 1 sat/vB (norm III)
 };
 
+/// Writes each transaction's TxFlag bits into @p flags, which holds
+/// block.tx_count() slots.
+void block_flags(const btc::Block& block, std::span<std::uint8_t> flags);
+
+/// One block's norm columns, exactly as AuditDataset caches them: writes
+/// each transaction's SPPE (core/sppe.hpp; NaN when the block has fewer
+/// than 2 transactions) and TxFlag bits into @p sppe and @p flags, which
+/// hold block.tx_count() slots each, and returns the block's PPE
+/// (core/ppe.hpp; NaN when undefined). cnauditd calls it once per block.
+double block_columns(const btc::Block& block, std::span<double> sppe,
+                     std::span<std::uint8_t> flags);
+
 /// Deserialized column bundle for AuditDataset::restore() — a
 /// field-for-field mirror of the private columns, produced by the CNB1
 /// loader (io/cnb.cpp) after it has bounds-checked every array. The

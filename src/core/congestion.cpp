@@ -18,13 +18,8 @@ std::vector<SeenTx> collect_seen_txs(const AuditDataset& dataset,
   for (TxIdx t = 0; t < static_cast<TxIdx>(dataset.tx_count()); ++t) {
     const auto seen = first_seen(ids[t]);
     if (!seen.has_value()) continue;
-    SeenTx s;
-    s.first_seen = *seen;
-    s.fee_rate = rates[t];
-    s.block_height = heights[dataset.block_of(t)];
-    s.cpfp = (flags[t] & kTxCpfpChild) != 0;
-    s.cpfp_parent = (flags[t] & kTxCpfpParent) != 0;
-    out.push_back(s);
+    out.push_back({*seen, rates[t], heights[dataset.block_of(t)],
+                   (flags[t] & kTxCpfpChild) != 0, (flags[t] & kTxCpfpParent) != 0});
   }
   return out;
 }

@@ -15,9 +15,14 @@
 // The composite score starts at 100 and subtracts calibrated penalties;
 // a norm-following pool lands in the high 90s, the paper's misbehaving
 // pools fall well below.
+//
+// cnaudit and cnauditd share one implementation: a NeutralityTally fed
+// block by block from core/audit_dataset.hpp's per-block columns, and
+// neutrality_report, which turns it into the scorecard (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,12 +62,48 @@ struct NeutralityReport {
   bool insufficient_data = false;
 };
 
+/// The running sums behind one pool's scorecard.
+struct NeutralityTally {
+  std::uint64_t blocks = 0;
+  std::uint64_t txs = 0;
+  double ppe_sum = 0.0;
+  std::uint64_t ppe_blocks = 0;
+  std::uint64_t boosted = 0;       ///< txs with SPPE >= the boost threshold
+  std::uint64_t floor_blocks = 0;  ///< blocks with an unrescued sub-floor tx
+  // Self-dealing: the §5.1 test's x and y over c-blocks, blocks holding a
+  // transaction that spends from or pays to the pool's wallets.
+  std::uint64_t self_x = 0;  ///< c-blocks the pool mined
+  std::uint64_t self_y = 0;  ///< all c-blocks
+  double own_sppe_sum = 0.0;  ///< SPPE of those txs in the pool's own blocks
+  std::uint64_t own_sppe_count = 0;
+
+  /// Adds a block the pool mined: its PPE (NaN when undefined) and its
+  /// transactions' SPPE and TxFlag columns.
+  void add_mined_block(double ppe, std::span<const double> sppe,
+                       std::span<const std::uint8_t> flags,
+                       const NeutralityOptions& options);
+
+  /// Adds a c-block. @p own_sppe holds the SPPE of the pool's
+  /// transactions in it, which count only when the pool @p mined the
+  /// block (NaN skipped).
+  void add_c_block(bool mined, std::span<const double> own_sppe);
+};
+
+/// @p pool's scorecard from its tally, which must hold a block. The
+/// self-dealing test takes theta0 = tally.blocks / @p total_blocks.
+NeutralityReport neutrality_report(std::string pool, const NeutralityTally& tally,
+                                   std::uint64_t total_blocks,
+                                   const NeutralityOptions& options);
+
+/// Orders scorecards worst first: by score, ties by pool name.
+void sort_worst_first(std::vector<NeutralityReport>& reports);
+
 /// Builds per-pool scorecards for every pool with at least
 /// options.min_blocks attributed blocks, ordered worst-first. Each
-/// pool's scorecard reads the dataset's cached PPE/SPPE columns,
-/// precomputed block lists and flag bits; the pools fan out over
-/// @p workers, and the final worst-first sort makes the result the same
-/// at every thread count.
+/// pool's tally reads the dataset's cached PPE/SPPE columns, block lists,
+/// flag bits and self-interest lists; the pools fan out over @p workers,
+/// and the final worst-first sort makes the result the same at every
+/// thread count.
 std::vector<NeutralityReport> neutrality_reports(const AuditDataset& dataset,
                                                  const NeutralityOptions& options,
                                                  util::ThreadPool& workers);

@@ -7,10 +7,8 @@ namespace cn::core {
 
 namespace {
 
-/// Shared preprocessing: CPFP filter, arrival sort, deterministic
-/// downsampling (opt-in via max_txs > 0).
-std::vector<SeenTx> prepare(std::vector<SeenTx> txs, bool exclude_cpfp,
-                            std::size_t max_txs) {
+/// Shared preprocessing: CPFP filter, then arrival sort.
+std::vector<SeenTx> prepare(std::vector<SeenTx> txs, bool exclude_cpfp) {
   if (exclude_cpfp) {
     txs.erase(std::remove_if(txs.begin(), txs.end(),
                              [](const SeenTx& t) { return t.cpfp || t.cpfp_parent; }),
@@ -19,13 +17,6 @@ std::vector<SeenTx> prepare(std::vector<SeenTx> txs, bool exclude_cpfp,
   std::sort(txs.begin(), txs.end(), [](const SeenTx& a, const SeenTx& b) {
     return a.first_seen < b.first_seen;
   });
-  if (max_txs > 0 && txs.size() > max_txs) {
-    const std::size_t stride = (txs.size() + max_txs - 1) / max_txs;
-    std::vector<SeenTx> sampled;
-    sampled.reserve(txs.size() / stride + 1);
-    for (std::size_t i = 0; i < txs.size(); i += stride) sampled.push_back(txs[i]);
-    txs = std::move(sampled);
-  }
   return txs;
 }
 
@@ -178,9 +169,8 @@ SweepCounts exact_counts(const std::vector<SeenTx>& txs, SimTime epsilon) {
 PairViolationStats count_pair_violations(std::vector<SeenTx> txs,
                                          SimTime epsilon,
                                          bool exclude_cpfp,
-                                         std::size_t max_txs,
                                          PairAlgorithm algorithm) {
-  txs = prepare(std::move(txs), exclude_cpfp, max_txs);
+  txs = prepare(std::move(txs), exclude_cpfp);
   if (epsilon < 0) epsilon = 0;
 
   PairViolationStats out;
@@ -205,8 +195,8 @@ PairViolationStats count_pair_violations(std::vector<SeenTx> txs,
 
 std::unordered_map<std::uint64_t, std::uint64_t> violations_by_block(
     std::vector<SeenTx> txs, SimTime epsilon, bool exclude_cpfp,
-    std::size_t max_txs, PairAlgorithm algorithm) {
-  txs = prepare(std::move(txs), exclude_cpfp, max_txs);
+    PairAlgorithm algorithm) {
+  txs = prepare(std::move(txs), exclude_cpfp);
   if (epsilon < 0) epsilon = 0;
 
   std::unordered_map<std::uint64_t, std::uint64_t> out;

@@ -61,12 +61,9 @@ enum class PairAlgorithm {
 /// (negative epsilon is clamped to 0).
 /// When @p exclude_cpfp, transactions that are in-block CPFP children or
 /// parents of one are discarded first (the paper's Fig 6b).
-/// @p max_txs is an opt-in deterministic downsample (every k-th
-/// transaction by arrival) kept for comparability with older runs;
-/// 0 (the default) counts every pair exactly.
 PairViolationStats count_pair_violations(
     std::vector<SeenTx> txs, SimTime epsilon, bool exclude_cpfp,
-    std::size_t max_txs = 0, PairAlgorithm algorithm = PairAlgorithm::kFenwick);
+    PairAlgorithm algorithm = PairAlgorithm::kFenwick);
 
 /// Extension beyond Fig 6: attributes each violating pair to the block
 /// height that *caused* it — the block committing the later-arriving,
@@ -76,7 +73,7 @@ PairViolationStats count_pair_violations(
 /// PoolAttribution. Same filtering semantics as count_pair_violations.
 std::unordered_map<std::uint64_t, std::uint64_t> violations_by_block(
     std::vector<SeenTx> txs, SimTime epsilon, bool exclude_cpfp,
-    std::size_t max_txs = 0, PairAlgorithm algorithm = PairAlgorithm::kFenwick);
+    PairAlgorithm algorithm = PairAlgorithm::kFenwick);
 
 /// Exact running pair-violation count: after any sequence of accepted
 /// add() calls, stats() equals count_pair_violations over every

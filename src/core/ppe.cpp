@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "core/audit_dataset.hpp"
 #include "stats/rank.hpp"
@@ -12,34 +11,15 @@ namespace cn::core {
 
 std::vector<PositionPair> predicted_positions(const btc::Block& block,
                                               bool exclude_cpfp) {
-  // Collect retained transaction fee-rates in observed order.
+  // With @p exclude_cpfp, drop CPFP children and their in-block parents:
+  // both were placed by the package rate, not their individual rates.
+  std::vector<std::uint8_t> flags(block.tx_count(), 0);
+  if (exclude_cpfp) block_flags(block, flags);
   std::vector<double> keys;
   keys.reserve(block.tx_count());
-  if (exclude_cpfp) {
-    // Drop CPFP children and their in-block parents: both were placed by
-    // the package rate, not their individual rates.
-    const std::vector<std::size_t> cpfp = block.cpfp_positions();
-    std::vector<bool> excluded(block.tx_count(), false);
-    std::unordered_set<btc::Txid> parent_ids;
-    for (std::size_t pos : cpfp) {
-      excluded[pos] = true;
-      for (const btc::TxInput& in : block.txs()[pos].inputs()) {
-        if (!in.prev_txid.is_null()) parent_ids.insert(in.prev_txid);
-      }
-    }
-    for (std::size_t i = 0; i < block.txs().size(); ++i) {
-      if (!excluded[i] && parent_ids.contains(block.txs()[i].id())) {
-        excluded[i] = true;
-      }
-    }
-    for (std::size_t i = 0; i < block.txs().size(); ++i) {
-      if (excluded[i]) continue;
-      keys.push_back(block.txs()[i].fee_rate().sat_per_vbyte());
-    }
-  } else {
-    for (const btc::Transaction& tx : block.txs()) {
-      keys.push_back(tx.fee_rate().sat_per_vbyte());
-    }
+  for (std::size_t i = 0; i < flags.size(); ++i) {
+    if ((flags[i] & (kTxCpfpChild | kTxCpfpParent)) != 0) continue;
+    keys.push_back(block.txs()[i].fee_rate().sat_per_vbyte());
   }
 
   // Stable sort: ties keep observed order (charitable to the miner).

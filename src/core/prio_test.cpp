@@ -7,29 +7,10 @@
 
 namespace cn::core {
 
-namespace {
-
-/// Calls fn(b) once per distinct block ordinal of ascending @p txs: the
-/// transactions of one block form a run, so no hash set is needed.
-template <typename Fn>
-void for_each_c_block(const AuditDataset& dataset, std::span<const TxIdx> txs,
-                      Fn&& fn) {
-  bool have_block = false;
-  std::uint32_t last_block = 0;
-  for (const TxIdx t : txs) {
-    const std::uint32_t b = dataset.block_of(t);
-    if (have_block && b == last_block) continue;
-    have_block = true;
-    last_block = b;
-    fn(b);
-  }
-}
-
-}  // namespace
-
 std::uint64_t count_c_blocks(const AuditDataset& dataset, std::span<const TxIdx> txs) {
   std::uint64_t blocks = 0;
-  for_each_c_block(dataset, txs, [&](std::uint32_t) { ++blocks; });
+  for_each_c_block(dataset, txs,
+                   [&](std::uint32_t, std::span<const TxIdx>) { ++blocks; });
   return blocks;
 }
 
@@ -56,7 +37,7 @@ PrioTestResult test_differential_prioritization(const AuditDataset& dataset,
 
   // y counts the c-blocks, x the pool-mined ones.
   const std::span<const PoolId> block_pool = dataset.block_pool();
-  for_each_c_block(dataset, c_txs, [&](std::uint32_t b) {
+  for_each_c_block(dataset, c_txs, [&](std::uint32_t b, std::span<const TxIdx>) {
     ++r.y;
     if (block_pool[b] == pool) ++r.x;
   });
@@ -97,7 +78,7 @@ double windowed_acceleration_p_value(const AuditDataset& dataset, PoolId pool,
     std::uint64_t x = 0;
     std::uint64_t y = 0;
     for_each_c_block(dataset, c_txs.subspan(begin, next - begin),
-                     [&](std::uint32_t b) {
+                     [&](std::uint32_t b, std::span<const TxIdx>) {
                        ++y;
                        if (block_pool[b] == pool) ++x;
                      });

@@ -37,6 +37,22 @@ PrioTestResult test_differential_prioritization(const AuditDataset& dataset,
                                                 std::span<const TxIdx> c_txs,
                                                 double theta0_override = -1.0);
 
+/// Calls fn(b, run) once per distinct block ordinal b of ascending
+/// @p txs, where run is the slice of @p txs committed in block b: one
+/// block's transactions are adjacent, so no hash set is needed.
+template <typename Fn>
+void for_each_c_block(const AuditDataset& dataset, std::span<const TxIdx> txs,
+                      Fn&& fn) {
+  std::size_t begin = 0;
+  while (begin < txs.size()) {
+    const std::uint32_t b = dataset.block_of(txs[begin]);
+    std::size_t end = begin + 1;
+    while (end < txs.size() && dataset.block_of(txs[end]) == b) ++end;
+    fn(b, txs.subspan(begin, end - begin));
+    begin = end;
+  }
+}
+
 /// Number of distinct blocks containing at least one of @p txs
 /// (ascending TxIdx).
 std::uint64_t count_c_blocks(const AuditDataset& dataset, std::span<const TxIdx> txs);

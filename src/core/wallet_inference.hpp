@@ -88,4 +88,21 @@ class PoolAttribution {
   std::uint64_t total_blocks_ = 0;
 };
 
+/// Step (3) for one transaction: an index from reward wallets to the
+/// pools that named them (almost always one; a list keeps colliding
+/// tags correct). The batch audit adds every pool's wallets before it
+/// scans; cnauditd adds a coinbase's wallet when its block arrives.
+class WalletIndex {
+ public:
+  /// Records that @p pool named @p wallet; a repeat is a no-op.
+  void add(btc::Address wallet, PoolId pool);
+
+  /// Sets @p pools to the pools whose wallets @p tx spends from or pays
+  /// to, each once.
+  void pools_of(const btc::Transaction& tx, std::vector<PoolId>& pools) const;
+
+ private:
+  std::unordered_map<btc::Address, std::vector<PoolId>> pools_;
+};
+
 }  // namespace cn::core

@@ -4,10 +4,8 @@
 #include <cstdio>
 #include <span>
 
-#include "core/ppe.hpp"
-#include "core/sppe.hpp"
+#include "core/audit_dataset.hpp"
 #include "daemon/wire.hpp"
-#include "stats/binomial.hpp"
 
 namespace cn::daemon {
 
@@ -57,9 +55,9 @@ std::uint64_t AccumulatorOptions::fingerprint() const noexcept {
   w.f64(neutrality.sppe_boost_threshold);
   w.u64(neutrality.min_blocks);
   w.f64(neutrality.alpha);
-  w.i64(pair_epsilon);
-  w.u8(pair_exclude_cpfp ? 1 : 0);
-  w.u64(congestion_unit_vsize);
+  w.i64(kPairEpsilon);
+  w.u8(kPairExcludeCpfp ? 1 : 0);
+  w.u64(kCongestionUnitVsize);
   return fnv1a(bytes.data(), bytes.size());
 }
 
@@ -67,7 +65,7 @@ AuditAccumulators::AuditAccumulators(const btc::CoinbaseTagRegistry& registry,
                                      AccumulatorOptions options)
     : registry_(&registry),
       options_(options),
-      pair_counter_(options.pair_epsilon, options.pair_exclude_cpfp) {}
+      pair_counter_(kPairEpsilon, kPairExcludeCpfp) {}
 
 std::uint32_t AuditAccumulators::intern(const std::string& name) {
   const auto [it, inserted] =
@@ -77,14 +75,6 @@ std::uint32_t AuditAccumulators::intern(const std::string& name) {
     pools_.back().name = name;
   }
   return it->second;
-}
-
-void AuditAccumulators::learn_wallet(std::uint32_t pool, btc::Address address) {
-  if (!pools_[pool].wallets.insert(address).second) return;
-  auto& owners = wallet_owner_[address];
-  if (std::find(owners.begin(), owners.end(), pool) == owners.end()) {
-    owners.push_back(pool);
-  }
 }
 
 void AuditAccumulators::apply_block(const btc::Block& block,
@@ -98,95 +88,54 @@ void AuditAccumulators::apply_block(const btc::Block& block,
   // block can flag transactions paying its freshly-announced wallet —
   // the closest prequential analogue of the batch retrospective scan.
   const auto owner_name = registry_->identify(block.coinbase().tag);
-  std::uint32_t owner = ~std::uint32_t{0};
+  std::uint32_t owner = core::kNoPoolId;
   if (owner_name.has_value()) {
     owner = intern(*owner_name);
-    learn_wallet(owner, block.coinbase().reward_address);
+    pools_[owner].wallets.insert(block.coinbase().reward_address);
+    wallets_.add(block.coinbase().reward_address, owner);
   } else {
     ++unidentified_;
   }
 
-  // (2) Per-pool ordering norms — identical arithmetic to
-  // core::report_for_pool, one block at a time.
-  const std::vector<std::size_t> cpfp = block.cpfp_positions();
-  std::unordered_set<btc::Txid> rescued_parents;
-  for (std::size_t pos : cpfp) {
-    for (const btc::TxInput& in : block.txs()[pos].inputs()) {
-      if (!in.prev_txid.is_null()) rescued_parents.insert(in.prev_txid);
-    }
-  }
-  const std::vector<double> sppe = core::block_sppe(block);
-  if (owner != ~std::uint32_t{0}) {
-    PoolState& p = pools_[owner];
-    ++p.blocks;
-    p.txs += block.tx_count();
-    if (const auto ppe = core::block_ppe(block); ppe.has_value()) {
-      p.ppe_sum += *ppe;
-      ++p.ppe_blocks;
-    }
-    for (double s : sppe) {
-      if (s >= options_.neutrality.sppe_boost_threshold) ++p.boosted;
-    }
-    for (const btc::Transaction& tx : block.txs()) {
-      if (tx.fee_rate() < btc::FeeRate::from_sat_per_vb(1) &&
-          !rescued_parents.contains(tx.id())) {
-        ++p.floor_blocks;
-        break;
-      }
-    }
+  // (2) The block's columns, as the batch dataset caches them, feed the
+  // miner's ordering norms.
+  const std::size_t n = block.tx_count();
+  std::vector<double> sppe(n);
+  std::vector<std::uint8_t> flags(n);
+  const double ppe = core::block_columns(block, sppe, flags);
+  if (owner != core::kNoPoolId) {
+    pools_[owner].tally.add_mined_block(ppe, sppe, flags, options_.neutrality);
   }
 
-  // (3) Self-interest scan against every pool's currently-known wallets
-  // (prequential: see the header contract). One pass over the block's
-  // transactions collects, per pool, whether this block is a c-block
-  // and the SPPE of own transactions inside own blocks.
-  std::unordered_set<std::uint32_t> c_pools;
-  for (std::size_t i = 0; i < block.txs().size(); ++i) {
-    const btc::Transaction& tx = block.txs()[i];
-    // The pools this transaction involves (spends from or pays to).
-    std::unordered_set<std::uint32_t> involved;
-    for (const btc::TxInput& in : tx.inputs()) {
-      const auto it = wallet_owner_.find(in.owner);
-      if (it != wallet_owner_.end()) involved.insert(it->second.begin(), it->second.end());
-    }
-    for (const btc::TxOutput& out : tx.outputs()) {
-      const auto it = wallet_owner_.find(out.to);
-      if (it != wallet_owner_.end()) involved.insert(it->second.begin(), it->second.end());
-    }
-    for (std::uint32_t pool : involved) {
-      c_pools.insert(pool);
-      if (pool == owner && i < sppe.size()) {
-        pools_[pool].own_sppe_sum += sppe[i];
-        ++pools_[pool].own_sppe_count;
+  // (3) Self-interest against every pool's currently-known wallets
+  // (prequential: see the header contract). The block is a c-block of
+  // every pool a transaction involves; the miner's own transactions
+  // also carry their SPPE.
+  std::vector<core::PoolId> c_pools;
+  std::vector<core::PoolId> involved;
+  std::vector<double> own_sppe;
+  for (std::size_t i = 0; i < n; ++i) {
+    wallets_.pools_of(block.txs()[i], involved);
+    for (const core::PoolId pool : involved) {
+      if (std::find(c_pools.begin(), c_pools.end(), pool) == c_pools.end()) {
+        c_pools.push_back(pool);
       }
+      if (pool == owner) own_sppe.push_back(sppe[i]);
     }
   }
-  for (std::uint32_t pool : c_pools) {
-    ++pools_[pool].self_y;
-    if (pool == owner) ++pools_[pool].self_x;
+  for (const core::PoolId pool : c_pools) {
+    pools_[pool].tally.add_c_block(pool == owner, own_sppe);
   }
 
   // (4) Append this block's observer-visible transactions to the
-  // pair-violation event log (mirrors core::collect_seen_txs).
-  std::unordered_set<std::size_t> parent_positions;
-  if (!cpfp.empty()) {
-    for (std::size_t i = 0; i < block.txs().size(); ++i) {
-      if (rescued_parents.contains(block.txs()[i].id())) parent_positions.insert(i);
-    }
-  }
-  std::size_t next_cpfp = 0;
-  for (std::size_t i = 0; i < block.txs().size(); ++i) {
-    const bool is_cpfp = next_cpfp < cpfp.size() && cpfp[next_cpfp] == i;
-    if (is_cpfp) ++next_cpfp;
-    const auto seen = first_seen ? first_seen(block.txs()[i].id()) : std::nullopt;
+  // pair-violation event log.
+  for (std::size_t i = 0; i < n; ++i) {
+    const btc::Transaction& tx = block.txs()[i];
+    const auto seen = first_seen ? first_seen(tx.id()) : std::nullopt;
     if (!seen.has_value()) continue;
-    core::SeenTx t;
-    t.first_seen = *seen;
-    t.fee_rate = block.txs()[i].fee_rate().sat_per_vbyte();
-    t.block_height = block.height();
-    t.cpfp = is_cpfp;
-    t.cpfp_parent = parent_positions.contains(i);
-    seen_txs_.push_back(t);
+    seen_txs_.push_back({*seen, tx.fee_rate().sat_per_vbyte(), block.height(),
+                         (flags[i] & core::kTxCpfpChild) != 0,
+                         (flags[i] & core::kTxCpfpParent) != 0});
   }
 }
 
@@ -197,7 +146,7 @@ void AuditAccumulators::apply_snapshot(const node::MempoolStat& snapshot,
   pending_tx_sum_ += snapshot.tx_count;
   max_total_vsize_ = std::max(max_total_vsize_, snapshot.total_vsize);
   const auto level = node::congestion_level(snapshot.total_vsize,
-                                            options_.congestion_unit_vsize);
+                                            kCongestionUnitVsize);
   ++congestion_levels_[static_cast<int>(level)];
 }
 
@@ -228,38 +177,11 @@ AuditAccumulators::Report AuditAccumulators::seal() const {
 
   const core::NeutralityOptions& n = options_.neutrality;
   for (const PoolState& p : pools_) {
-    if (p.blocks < n.min_blocks || p.blocks == 0) continue;
-    core::NeutralityReport r;
-    r.pool = p.name;
-    r.blocks = p.blocks;
-    r.txs = p.txs;
-    if (p.ppe_blocks > 0) {
-      r.mean_ppe = p.ppe_sum / static_cast<double>(p.ppe_blocks);
-    }
-    if (p.txs > 0) {
-      r.boosted_tx_rate =
-          static_cast<double>(p.boosted) / static_cast<double>(p.txs);
-    }
-    r.below_floor_block_rate =
-        static_cast<double>(p.floor_blocks) / static_cast<double>(p.blocks);
-    if (p.self_y > 0 && total_blocks_ > 0) {
-      const double theta0 = static_cast<double>(p.blocks) /
-                            static_cast<double>(total_blocks_);
-      r.self_dealing_p = stats::acceleration_p_value(p.self_x, p.self_y, theta0);
-      if (p.own_sppe_count > 0) {
-        r.self_dealing_sppe =
-            p.own_sppe_sum / static_cast<double>(p.own_sppe_count);
-      }
-      r.self_dealing_flagged = r.self_dealing_p < n.alpha && p.self_y >= n.min_blocks;
-    }
-    r.score = core::neutrality_score(r, n);
-    report.neutrality.push_back(std::move(r));
+    if (p.tally.blocks < n.min_blocks || p.tally.blocks == 0) continue;
+    report.neutrality.push_back(
+        core::neutrality_report(p.name, p.tally, total_blocks_, n));
   }
-  std::sort(report.neutrality.begin(), report.neutrality.end(),
-            [](const core::NeutralityReport& a, const core::NeutralityReport& b) {
-              if (a.score != b.score) return a.score < b.score;
-              return a.pool < b.pool;
-            });
+  core::sort_worst_first(report.neutrality);
   return report;
 }
 
@@ -335,23 +257,20 @@ void AuditAccumulators::encode(std::vector<std::uint8_t>& out) const {
 
   w.u64(pools_.size());
   for (const PoolState& p : pools_) {
+    const core::NeutralityTally& t = p.tally;
     w.str(p.name);
-    w.u64(p.blocks);
-    w.u64(p.txs);
-    w.f64(p.ppe_sum);
-    w.u64(p.ppe_blocks);
-    w.u64(p.boosted);
-    w.u64(p.floor_blocks);
-    w.u64(p.self_x);
-    w.u64(p.self_y);
-    w.f64(p.own_sppe_sum);
-    w.u64(p.own_sppe_count);
-    // Sorted so equal states serialize to equal bytes regardless of
-    // hash-set iteration order.
-    std::vector<btc::Address> wallets(p.wallets.begin(), p.wallets.end());
-    std::sort(wallets.begin(), wallets.end());
-    w.u64(wallets.size());
-    for (const btc::Address& a : wallets) w.u64(a.value);
+    w.u64(t.blocks);
+    w.u64(t.txs);
+    w.f64(t.ppe_sum);
+    w.u64(t.ppe_blocks);
+    w.u64(t.boosted);
+    w.u64(t.floor_blocks);
+    w.u64(t.self_x);
+    w.u64(t.self_y);
+    w.f64(t.own_sppe_sum);
+    w.u64(t.own_sppe_count);
+    w.u64(p.wallets.size());
+    for (const btc::Address& a : p.wallets) w.u64(a.value);
   }
 
   w.u64(seen_txs_.size());
@@ -376,7 +295,7 @@ bool AuditAccumulators::decode(const std::uint8_t* data, std::size_t size,
 
   pools_.clear();
   pool_ids_.clear();
-  wallet_owner_.clear();
+  wallets_ = {};
   seen_txs_.clear();
   pair_counter_.clear();
   pairs_counted_ = 0;
@@ -397,11 +316,12 @@ bool AuditAccumulators::decode(const std::uint8_t* data, std::size_t size,
   pools_.reserve(pool_count);
   for (std::uint64_t i = 0; i < pool_count; ++i) {
     PoolState p;
+    core::NeutralityTally& t = p.tally;
     std::uint64_t wallet_count = 0;
-    if (!r.str(p.name) || !r.u64(p.blocks) || !r.u64(p.txs) ||
-        !r.f64(p.ppe_sum) || !r.u64(p.ppe_blocks) || !r.u64(p.boosted) ||
-        !r.u64(p.floor_blocks) || !r.u64(p.self_x) || !r.u64(p.self_y) ||
-        !r.f64(p.own_sppe_sum) || !r.u64(p.own_sppe_count) ||
+    if (!r.str(p.name) || !r.u64(t.blocks) || !r.u64(t.txs) ||
+        !r.f64(t.ppe_sum) || !r.u64(t.ppe_blocks) || !r.u64(t.boosted) ||
+        !r.u64(t.floor_blocks) || !r.u64(t.self_x) || !r.u64(t.self_y) ||
+        !r.f64(t.own_sppe_sum) || !r.u64(t.own_sppe_count) ||
         !r.u64(wallet_count)) {
       return fail("truncated pool record");
     }
@@ -415,7 +335,7 @@ bool AuditAccumulators::decode(const std::uint8_t* data, std::size_t size,
       if (!r.u64(raw)) return fail("truncated wallet list");
       const btc::Address a{raw};
       p.wallets.insert(a);
-      wallet_owner_[a].push_back(id);
+      wallets_.add(a, id);
     }
     pools_.push_back(std::move(p));
   }

@@ -1,21 +1,17 @@
-// Incremental audit accumulators — the daemon's event-sourced twin of
-// core::run_full_audit's per-pool scorecards.
+// Incremental audit accumulators: cnauditd's per-pool neutrality
+// scorecards, kept current one block at a time.
 //
-// The batch pipeline scans a finished chain; cnauditd sees one block at
-// a time and must answer queries between blocks. This module keeps, per
-// pool, exactly the partial sums core's report_for_pool would hold after
-// the same prefix of blocks (PPE sum, boosted-tx and floor-discipline
-// counts, self-dealing c-block counts), applies one block in O(block),
-// and materializes a full worst-first scorecard on demand ("sealing").
-//
-// One semantic deliberately differs from batch: self-interest flagging
-// is *prequential*. The batch audit knows every wallet a pool ever
-// names; the daemon flags a transaction against the wallets known when
-// its block is applied — the honest online-observer stance (a watchdog
-// cannot use wallets announced in next month's coinbases). mean_ppe,
-// boosted rate, and floor rate are bitwise equal to batch; self-dealing
-// x/y may lag batch early in a stream and converge as wallets are
-// learned. DESIGN.md §13 records this contract.
+// Per pool the daemon keeps a core::NeutralityTally, the running sums
+// core::neutrality_reports fills from a whole dataset: each block's
+// core::block_columns feed the miner's tally, the block counts as a
+// c-block for every pool whose wallets it touches, and a seal turns the
+// tallies into scorecards with core::neutrality_report. The only
+// difference from batch is when wallets enter the core::WalletIndex:
+// the daemon adds a coinbase's wallet when its block arrives, so
+// self-interest is *prequential* — the honest online-observer stance (a
+// watchdog cannot use wallets announced in next month's coinbases).
+// Self-dealing x/y may lag batch early in a stream and converge as
+// wallets are learned. DESIGN.md §13 records this contract.
 //
 // Everything here is deterministic and serializable: apply order is
 // defined (attribute + learn wallet, then norms, then self-interest),
@@ -27,9 +23,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "btc/chain.hpp"
@@ -37,40 +33,34 @@
 #include "core/congestion.hpp"
 #include "core/neutrality.hpp"
 #include "core/pair_violations.hpp"
+#include "core/wallet_inference.hpp"
 #include "node/snapshot.hpp"
 
 namespace cn::daemon {
 
+/// The pair-violation count's arrival slack and CPFP filter (core's
+/// epsilon and exclude_cpfp), and the block budget the congestion bins
+/// are relative to.
+inline constexpr SimTime kPairEpsilon = 0;
+inline constexpr bool kPairExcludeCpfp = true;
+inline constexpr std::uint64_t kCongestionUnitVsize = 1'000'000;
+
 struct AccumulatorOptions {
   core::NeutralityOptions neutrality;  ///< same thresholds as batch
-  /// Arrival slack for the pair-violation count (core's epsilon).
-  SimTime pair_epsilon = 0;
-  bool pair_exclude_cpfp = true;
-  /// Block budget the congestion bins are relative to.
-  std::uint64_t congestion_unit_vsize = 1'000'000;
 
-  /// Order-insensitive digest of every threshold above. Checkpoints
-  /// embed it; restoring under different options is a typed error, not
-  /// a silently wrong report.
+  /// Digest of the thresholds above and the constants the accumulators
+  /// apply. Checkpoints embed it; restoring under different options is
+  /// a typed error, not a silently wrong report.
   std::uint64_t fingerprint() const noexcept;
 };
 
 /// Running per-pool state, in intern (first-block-seen) order.
 struct PoolState {
   std::string name;
-  std::uint64_t blocks = 0;
-  std::uint64_t txs = 0;
-  double ppe_sum = 0.0;
-  std::uint64_t ppe_blocks = 0;
-  std::uint64_t boosted = 0;       ///< txs with SPPE >= boost threshold
-  std::uint64_t floor_blocks = 0;  ///< blocks with an unrescued sub-floor tx
-  // Prequential self-dealing tallies (x, y of the §5.1 binomial test).
-  std::uint64_t self_x = 0;  ///< c-blocks this pool mined
-  std::uint64_t self_y = 0;  ///< all c-blocks for this pool's wallets
-  double own_sppe_sum = 0.0;
-  std::uint64_t own_sppe_count = 0;
-  /// Reward wallets learned from this pool's coinbases so far.
-  std::unordered_set<btc::Address> wallets;
+  core::NeutralityTally tally;
+  /// Reward wallets learned from this pool's coinbases so far, ordered
+  /// so equal states encode to equal bytes.
+  std::set<btc::Address> wallets;
 };
 
 class AuditAccumulators {
@@ -80,7 +70,8 @@ class AuditAccumulators {
 
   /// Applies one committed block. @p first_seen resolves observer
   /// arrival times for the pair-violation log (entries it cannot
-  /// resolve are skipped, exactly like core::collect_seen_txs).
+  /// resolve are skipped, and the fields are the ones
+  /// core::collect_seen_txs reads).
   /// @p seq is the stream sequence number the block arrived as; it
   /// becomes the report version and the checkpoint recovery cursor.
   void apply_block(const btc::Block& block, const core::FirstSeenFn& first_seen,
@@ -138,16 +129,14 @@ class AuditAccumulators {
 
  private:
   std::uint32_t intern(const std::string& name);
-  void learn_wallet(std::uint32_t pool, btc::Address address);
 
   const btc::CoinbaseTagRegistry* registry_;
   AccumulatorOptions options_;
 
   std::vector<PoolState> pools_;
   std::unordered_map<std::string, std::uint32_t> pool_ids_;
-  /// Reverse wallet index: address -> pools that announced it (almost
-  /// always one; kept as a vector for correctness when tags collide).
-  std::unordered_map<btc::Address, std::vector<std::uint32_t>> wallet_owner_;
+  /// Every wallet in pools_[i].wallets, indexed to pool i.
+  core::WalletIndex wallets_;
 
   std::uint64_t total_blocks_ = 0;
   std::uint64_t total_txs_ = 0;

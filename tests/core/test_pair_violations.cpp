@@ -70,26 +70,6 @@ TEST(PairViolations, UnsortedInputHandled) {
   EXPECT_EQ(stats.violations, 1u);
 }
 
-TEST(PairViolations, DownsamplingKeepsFractionStable) {
-  // Construct a large set with a known ~50% violation rate among
-  // predicted pairs, then check the subsample tracks it.
-  std::vector<SeenTx> txs;
-  unsigned state = 12345;
-  for (int i = 0; i < 12'000; ++i) {
-    state = state * 1664525u + 1013904223u;
-    const double rate = 1.0 + static_cast<double>(state % 100);
-    state = state * 1664525u + 1013904223u;
-    const std::uint64_t block = 1 + state % 50;
-    txs.push_back(seen(i * 10, rate, block));
-  }
-  const auto full = count_pair_violations(txs, 0, false, /*max_txs=*/0);
-  const auto sampled = count_pair_violations(txs, 0, false, /*max_txs=*/2000);
-  ASSERT_GT(full.predicted_pairs, 0u);
-  ASSERT_GT(sampled.predicted_pairs, 0u);
-  EXPECT_LT(sampled.predicted_pairs, full.predicted_pairs);
-  EXPECT_NEAR(sampled.fraction(), full.fraction(), 0.05);
-}
-
 TEST(ViolationsByBlock, AttributesToTheEarlyCommittingBlock) {
   // i (better) committed in block 6; j (worse) jumped ahead in block 4.
   // Block 4's miner caused the violation.
@@ -110,8 +90,8 @@ TEST(ViolationsByBlock, TotalsMatchPairCount) {
     state = state * 1664525u + 1013904223u;
     txs.push_back(seen(i * 20, 1.0 + state % 50, 1 + state % 12));
   }
-  const auto stats = count_pair_violations(txs, 0, false, 0);
-  const auto by_block = violations_by_block(txs, 0, false, 0);
+  const auto stats = count_pair_violations(txs, 0, false);
+  const auto by_block = violations_by_block(txs, 0, false);
   std::uint64_t total = 0;
   for (const auto& [height, n] : by_block) total += n;
   EXPECT_EQ(total, stats.violations);
@@ -204,9 +184,9 @@ PairViolationStats count_in_height_batches(std::vector<SeenTx> txs,
 
 void expect_algorithms_agree(const std::vector<SeenTx>& txs, SimTime epsilon,
                              bool exclude_cpfp, const char* label) {
-  const auto fast = count_pair_violations(txs, epsilon, exclude_cpfp, 0,
+  const auto fast = count_pair_violations(txs, epsilon, exclude_cpfp,
                                           PairAlgorithm::kFenwick);
-  const auto slow = count_pair_violations(txs, epsilon, exclude_cpfp, 0,
+  const auto slow = count_pair_violations(txs, epsilon, exclude_cpfp,
                                           PairAlgorithm::kBruteForce);
   EXPECT_EQ(fast.predicted_pairs, slow.predicted_pairs) << label;
   EXPECT_EQ(fast.violations, slow.violations) << label;
@@ -216,8 +196,8 @@ void expect_algorithms_agree(const std::vector<SeenTx>& txs, SimTime epsilon,
   EXPECT_EQ(running.violations, slow.violations) << label;
 
   const auto fast_by_block =
-      violations_by_block(txs, epsilon, exclude_cpfp, 0, PairAlgorithm::kFenwick);
-  const auto slow_by_block = violations_by_block(txs, epsilon, exclude_cpfp, 0,
+      violations_by_block(txs, epsilon, exclude_cpfp, PairAlgorithm::kFenwick);
+  const auto slow_by_block = violations_by_block(txs, epsilon, exclude_cpfp,
                                                  PairAlgorithm::kBruteForce);
   EXPECT_EQ(fast_by_block, slow_by_block) << label;
 }
@@ -261,7 +241,7 @@ TEST(PairViolationsProperty, AgreesOnEpsilonExactBoundary) {
     property::expect_algorithms_agree(txs, eps, false, "exact boundary");
   }
   const auto at_eps10 =
-      count_pair_violations(txs, 10, false, 0, PairAlgorithm::kFenwick);
+      count_pair_violations(txs, 10, false, PairAlgorithm::kFenwick);
   // (0,1) is exactly 10 apart -> excluded; (0,2), (0,3), (1,2), (1,3), (2,3)
   // have gaps 20/30/10/20/10 -> only gaps > 10 qualify, with f_i > f_j:
   // (0,2) predicted+violation, (0,3) predicted+violation, (1,3) gap 20 but
@@ -273,9 +253,8 @@ TEST(PairViolationsProperty, AgreesOnEpsilonExactBoundary) {
 TEST(PairViolationsProperty, NegativeEpsilonClampedToZero) {
   const auto txs = property::random_workload(5u, 200, 1'000, 20, 10, false);
   const auto clamped =
-      count_pair_violations(txs, -50, false, 0, PairAlgorithm::kFenwick);
-  const auto zero = count_pair_violations(txs, 0, false, 0,
-                                          PairAlgorithm::kBruteForce);
+      count_pair_violations(txs, -50, false, PairAlgorithm::kFenwick);
+  const auto zero = count_pair_violations(txs, 0, false, PairAlgorithm::kBruteForce);
   EXPECT_EQ(clamped.predicted_pairs, zero.predicted_pairs);
   EXPECT_EQ(clamped.violations, zero.violations);
   const auto running = property::count_in_height_batches(txs, -50, false);
@@ -283,26 +262,13 @@ TEST(PairViolationsProperty, NegativeEpsilonClampedToZero) {
   EXPECT_EQ(running.violations, zero.violations);
 }
 
-TEST(PairViolationsProperty, DownsamplingStillSupportedOptIn) {
-  const auto txs = property::random_workload(21u, 1'000, 10'000, 50, 30, false);
-  const auto fast = count_pair_violations(txs, 0, false, /*max_txs=*/250,
-                                          PairAlgorithm::kFenwick);
-  const auto slow = count_pair_violations(txs, 0, false, /*max_txs=*/250,
-                                          PairAlgorithm::kBruteForce);
-  EXPECT_EQ(fast.predicted_pairs, slow.predicted_pairs);
-  EXPECT_EQ(fast.violations, slow.violations);
-  // The sample really is smaller than the full set.
-  const auto full = count_pair_violations(txs, 0, false, 0);
-  EXPECT_LT(fast.predicted_pairs, full.predicted_pairs);
-}
-
 TEST(PairViolationsProperty, ByBlockTotalsMatchAcrossAlgorithms) {
   const auto txs = property::random_workload(31u, 500, 4'000, 40, 20, true);
   for (const bool exclude : {false, true}) {
     const auto stats =
-        count_pair_violations(txs, 7, exclude, 0, PairAlgorithm::kFenwick);
+        count_pair_violations(txs, 7, exclude, PairAlgorithm::kFenwick);
     const auto by_block =
-        violations_by_block(txs, 7, exclude, 0, PairAlgorithm::kFenwick);
+        violations_by_block(txs, 7, exclude, PairAlgorithm::kFenwick);
     std::uint64_t total = 0;
     for (const auto& [height, n] : by_block) total += n;
     EXPECT_EQ(total, stats.violations);

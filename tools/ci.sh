@@ -8,15 +8,16 @@
 # (tools/check_bench_outputs.sh), gates the observability overhead on
 # the bit bench_audit writes to bench_out/BENCH_audit.json, re-runs the
 # concurrency-sensitive tests (the ThreadPool, the lock-free obs
-# registry, the parallel audit pipeline, the pinned-report suite, and
-# the fault-injection property suite) under tsan, runs the
-# fault-injection and CSV reader suites under asan plus the ingestion
-# throughput bench, exercises the CNB1 leg (round-trip suite under
-# asan, a cnconvert-built fixture whose report must equal the reports
-# from its source CSV export and from the CSV converted back, and the
-# CNB1-vs-CSV ingest gate from bench_dataset_build), runs the cnauditd
-# daemon leg (the labelled suite plus the kill-point chaos harness under
-# asan, and the >=10x incremental-update gate from bench_daemon), runs
+# registry, the parallel audit pipeline, the pinned-report suite, the
+# fault-injection property suite, and the daemon's threaded and
+# checkpoint tests) under tsan, runs the fault-injection and CSV reader
+# suites under asan plus the ingestion throughput bench, exercises the
+# CNB1 leg (round-trip suite under asan, a cnconvert-built fixture whose
+# report must equal the reports from its source CSV export and from the
+# CSV converted back, and the CNB1-vs-CSV ingest gate from
+# bench_dataset_build), runs the cnauditd daemon leg (the labelled
+# suite plus the kill-point chaos harness under asan, and the >=10x
+# incremental-update gate from bench_daemon), runs
 # the cnsweep smoke matrix cold then warm (warm must be all cache hits,
 # <10% sim time, byte-identical bench CSVs), and smoke-builds the
 # -DCN_OBS_DISABLE=ON configuration.
@@ -246,7 +247,7 @@ rm -rf "${SWEEP_SNAP}"
 
 echo "=== tsan: configure + build + concurrency tests ==="
 run cmake --preset tsan
-run cmake --build --preset tsan -j "${JOBS}" --target cn_tests_util cn_tests_core cn_tests_io cn_tests_obs
+run cmake --build --preset tsan -j "${JOBS}" --target cn_tests_util cn_tests_core cn_tests_io cn_tests_obs cn_tests_daemon
 run ./build-tsan/tests/cn_tests_util --gtest_filter='ThreadPool*'
 # The lock-free metric registry (per-thread shards, CAS-installed chunks)
 # is exactly the kind of code tsan exists for.
@@ -257,6 +258,10 @@ run ./build-tsan/tests/cn_tests_obs
 # race-checked.
 run ./build-tsan/tests/cn_tests_core --gtest_filter='AuditPipeline*:AuditReportPins*:AuditStages*'
 run ./build-tsan/tests/cn_tests_io --gtest_filter='FaultInjection*'
+# The daemon runs ingest, apply, watchdog and HTTP threads around one
+# accumulator and a cached report. The single-threaded SealedPairs*
+# recounts are left out: under tsan they take minutes.
+run ./build-tsan/tests/cn_tests_daemon --gtest_filter='AuditDaemon*:Checkpoint*'
 
 echo "=== obs disabled: -DCN_OBS_DISABLE=ON compiles and passes ==="
 # The compile-time kill switch turns every handle into an empty inline

@@ -44,7 +44,8 @@
 //                        metric/span a no-op and the exports empty.
 // Options may be spelled "--key value" or "--key=value". An option the
 // subcommand does not read is an error (exit 2), so a typo or a removed
-// option cannot silently fall back to a default.
+// option cannot silently fall back to a default; so is a numeric value
+// that does not parse whole (tools/args.hpp).
 //
 //   cnaudit neutrality --input PATH
 //       Print the per-pool chain-neutrality scorecard (§6.1).
@@ -65,8 +66,7 @@
 // re-simulating.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -89,61 +89,12 @@
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
+#include "args.hpp"
+
 namespace {
 
 using namespace cn;
-
-/// "--key value" / "--key=value" option map; positional args rejected.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        ok_ = false;
-        bad_ = key;
-        return;
-      }
-      if (const auto eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(2, eq - 2)] = key.substr(eq + 1);
-        continue;
-      }
-      if (i + 1 >= argc) {
-        ok_ = false;
-        bad_ = key;
-        return;
-      }
-      values_[key.substr(2)] = argv[++i];
-    }
-  }
-
-  bool ok() const { return ok_; }
-  const std::string& bad() const { return bad_; }
-
-  const std::map<std::string, std::string>& values() const { return values_; }
-
-  std::optional<std::string> get(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return std::nullopt;
-    return it->second;
-  }
-  std::string get_or(const std::string& key, const std::string& fallback) const {
-    return get(key).value_or(fallback);
-  }
-  double get_double(const std::string& key, double fallback) const {
-    const auto v = get(key);
-    return v ? std::strtod(v->c_str(), nullptr) : fallback;
-  }
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
-    const auto v = get(key);
-    return v ? std::strtoull(v->c_str(), nullptr, 10) : fallback;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  bool ok_ = true;
-  std::string bad_;
-};
+using cli::Args;
 
 int usage() {
   std::fprintf(stderr,
@@ -324,7 +275,8 @@ int cmd_report(const Args& args) {
   options.alpha = args.get_double("alpha", 0.001);
   // 0 = all hardware threads, 1 = serial; the report is byte-identical
   // at any setting (DESIGN.md §7.2, §9).
-  options.threads = static_cast<unsigned>(args.get_u64("threads", 0));
+  options.threads = static_cast<unsigned>(
+      args.get_u64("threads", 0, std::numeric_limits<unsigned>::max()));
   options.min_coverage = args.get_double("min-coverage", options.min_coverage);
   // The loader interned every address it touched; the build stage reuses
   // the table instead of re-hashing the address universe.
@@ -521,7 +473,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cnaudit: unknown command '%s'\n", command.c_str());
     return usage();
   }
-  const Args args(argc, argv, 2);
+  const Args args("cnaudit", argc, argv, 2);
   if (!args.ok()) {
     std::fprintf(stderr, "cnaudit: bad argument '%s'\n", args.bad().c_str());
     return usage();

@@ -28,11 +28,12 @@
 //                        blocking backpressure, apply thread, watchdog
 //                        thread that fails /readyz when apply stalls.
 //                        Reports are identical across both.
+//
+// A numeric value that does not parse whole, or a --http-port above
+// 65535, is rejected with exit 2 (tools/args.hpp).
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -45,62 +46,12 @@
 #include "obs/registry.hpp"
 #include "testing/crash_points.hpp"
 
+#include "args.hpp"
+
 namespace {
 
 using namespace cn;
-
-/// "--key value" / "--key=value" option map; positional args rejected.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        ok_ = false;
-        bad_ = key;
-        return;
-      }
-      if (const auto eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(2, eq - 2)] = key.substr(eq + 1);
-        continue;
-      }
-      // Valueless switches.
-      const std::string name = key.substr(2);
-      if (name == "oneshot" || name == "serve") {
-        values_[name] = "1";
-        continue;
-      }
-      if (i + 1 >= argc) {
-        ok_ = false;
-        bad_ = key;
-        return;
-      }
-      values_[name] = argv[++i];
-    }
-  }
-
-  bool ok() const { return ok_; }
-  const std::string& bad() const { return bad_; }
-  bool has(const std::string& key) const { return values_.count(key) != 0; }
-
-  std::optional<std::string> get(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return std::nullopt;
-    return it->second;
-  }
-  std::string get_or(const std::string& key, const std::string& fallback) const {
-    return get(key).value_or(fallback);
-  }
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
-    const auto v = get(key);
-    return v ? std::strtoull(v->c_str(), nullptr, 10) : fallback;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  bool ok_ = true;
-  std::string bad_;
-};
+using cli::Args;
 
 int usage() {
   std::fprintf(
@@ -126,7 +77,7 @@ bool write_file(const std::string& path, const std::string& body) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv, 1);
+  const Args args("cnauditd", argc, argv, 1, {"oneshot", "serve"});
   if (!args.ok()) {
     std::fprintf(stderr, "cnauditd: bad argument '%s'\n", args.bad().c_str());
     return usage();
@@ -143,6 +94,14 @@ int main(int argc, char** argv) {
   }
   const io::LoadPolicy policy =
       policy_s == "strict" ? io::LoadPolicy::kStrict : io::LoadPolicy::kLenient;
+  daemon::DaemonConfig config;
+  config.checkpoint_path = args.get_or("checkpoint", "");
+  config.checkpoint_every_blocks = args.get_u64("checkpoint-every", 32);
+  config.seal_every_blocks = args.get_u64("seal-every", 16);
+  config.read_deadline_ms = static_cast<int>(
+      args.get_u64("read-deadline-ms", 1000, std::numeric_limits<int>::max()));
+  config.threads = static_cast<int>(args.get_u64("threads", 1, 1));
+  const auto port = static_cast<std::uint16_t>(args.get_u64("http-port", 0, 65535));
 
   testing::arm_crash_points_from_env();
 
@@ -157,18 +116,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   const io::DatasetHandle& handle = *loaded.value;
-
-  daemon::DaemonConfig config;
-  config.checkpoint_path = args.get_or("checkpoint", "");
-  config.checkpoint_every_blocks = args.get_u64("checkpoint-every", 32);
-  config.seal_every_blocks = args.get_u64("seal-every", 16);
-  config.read_deadline_ms =
-      static_cast<int>(args.get_u64("read-deadline-ms", 1000));
-  config.threads = static_cast<int>(args.get_u64("threads", 1));
-  if (config.threads != 0 && config.threads != 1) {
-    std::fprintf(stderr, "cnauditd: --threads must be 0 or 1\n");
-    return usage();
-  }
 
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
   io::ReplaySource replay(handle);
@@ -193,7 +140,6 @@ int main(int argc, char** argv) {
   daemon::HttpServer http;
   if (serve) {
     std::string error;
-    const auto port = static_cast<std::uint16_t>(args.get_u64("http-port", 0));
     if (!http.start(port, [&daemon](const daemon::HttpRequest& r) {
           return daemon.handle(r);
         }, &error)) {

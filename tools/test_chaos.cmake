@@ -49,6 +49,24 @@ if(NOT ref_threaded STREQUAL ref)
   message(FATAL_ERROR "--threads 0 report diverged from --threads 1 report")
 endif()
 
+# A numeric value that does not parse whole, or a port above 65535, is
+# rejected with exit 2 naming the flag, before any work starts.
+function(expect_bad_number flag)
+  execute_process(
+    COMMAND "${CNAUDITD}" --input "${data}" --oneshot ${ARGN}
+            --out "${workdir}/bad_number.json"
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT 60)
+  string(FIND "${err}" "${flag} '" found)
+  if(NOT rc EQUAL 2 OR found EQUAL -1 OR EXISTS "${workdir}/bad_number.json")
+    message(FATAL_ERROR "cnauditd ${ARGN} exited ${rc}, want 2 naming ${flag}: ${err}")
+  endif()
+endfunction()
+expect_bad_number(--checkpoint-every --checkpoint "${workdir}/bad.ckpt"
+                  --checkpoint-every x)
+expect_bad_number(--threads --threads abc)
+expect_bad_number(--seal-every --seal-every abc)
+expect_bad_number(--http-port --serve --http-port 70000)
+
 # --- chaos: kill at a point, restart clean, require identical bytes ---
 # Each entry is one CN_CRASH_AT spec; checkpoints every 8 blocks so
 # several checkpoint cycles happen inside the small data set.

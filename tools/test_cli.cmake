@@ -117,6 +117,22 @@ if(EXISTS "${workdir}_threads")
   message(FATAL_ERROR "simulate ran despite the rejected --threads")
 endif()
 
+# A numeric value that does not parse whole is rejected by name (exit 2),
+# not read as the number strtoull/strtod could make of it.
+function(expect_bad_number option)
+  execute_process(COMMAND "${CNAUDIT}" ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  string(FIND "${err}" "${option} '" found)
+  if(NOT rc EQUAL 2 OR found EQUAL -1)
+    message(FATAL_ERROR "cnaudit ${ARGN} exited ${rc}, want 2 naming ${option}: ${err}")
+  endif()
+endfunction()
+expect_bad_number(--seed simulate --dataset A --seed abc --out "${workdir}_seed")
+expect_bad_number(--alpha report --data "${workdir}" --alpha 0.001x)
+if(EXISTS "${workdir}_seed")
+  message(FATAL_ERROR "simulate ran despite the rejected --seed")
+endif()
+
 # The global observability options stay valid on every subcommand.
 set(metrics "${workdir}_metrics.json")
 execute_process(
