@@ -1,5 +1,7 @@
 #include "btc/chain.hpp"
 
+#include <limits>
+
 #include "util/assert.hpp"
 
 namespace cn::btc {
@@ -8,9 +10,12 @@ void Chain::append(Block block) {
   if (blocks_.empty() && next_height_ == 0) next_height_ = block.height();
   CN_ASSERT(block.height() == next_height_);
   if (!block.sealed()) block.seal(tip_hash());
-  const std::uint64_t height = block.height();
+  constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+  CN_ASSERT(blocks_.size() < kMax && block.txs().size() < kMax);
+  const auto index = static_cast<std::uint32_t>(blocks_.size());
   for (std::size_t i = 0; i < block.txs().size(); ++i) {
-    tx_index_.emplace(block.txs()[i].id(), TxLocation{height, i});
+    tx_index_.emplace(block.txs()[i].id(),
+                      IndexedTx{index, static_cast<std::uint32_t>(i)});
   }
   total_txs_ += block.tx_count();
   blocks_.push_back(std::move(block));
@@ -53,15 +58,15 @@ const Block& Chain::back() const {
 }
 
 std::optional<TxLocation> Chain::locate(const Txid& id) const noexcept {
-  const auto it = tx_index_.find(id);
-  if (it == tx_index_.end()) return std::nullopt;
-  return it->second;
+  const IndexedTx* tx = tx_index_.find(id);
+  if (tx == nullptr) return std::nullopt;
+  return TxLocation{blocks_[tx->block].height(), tx->position};
 }
 
 const Transaction* Chain::find_tx(const Txid& id) const noexcept {
-  const auto loc = locate(id);
-  if (!loc) return nullptr;
-  return &at_height(loc->block_height).txs()[loc->position];
+  const IndexedTx* tx = tx_index_.find(id);
+  if (tx == nullptr) return nullptr;
+  return &blocks_[tx->block].txs()[tx->position];
 }
 
 std::uint64_t Chain::empty_block_count() const noexcept {

@@ -13,19 +13,21 @@
 // addressed by uint32 handles, freed slots are reused, and one Txid ->
 // handle index serves lookups by id. Parent/child links and the conflict
 // index hold handles, and the template builder reads the pool through
-// the handle view below, so walking a package never hashes a txid.
+// the handle view below, so walking a package never hashes a txid. Both
+// indexes are open-addressing util::FlatMaps, so an accept or a removal
+// allocates no hash node.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <set>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "btc/amount.hpp"
 #include "btc/transaction.hpp"
+#include "util/flat_map.hpp"
 #include "util/time.hpp"
 
 namespace cn::node {
@@ -201,9 +203,9 @@ class Mempool {
 
   std::vector<Slot> slots_;
   std::vector<Handle> free_;  ///< released slots, reused last-in first-out
-  std::unordered_map<btc::Txid, Handle> index_;
+  util::FlatMap<btc::Txid, Handle> index_;
   /// outpoint -> the queued tx spending it (conflict index).
-  std::unordered_map<Outpoint, Handle, OutpointHash> spenders_;
+  util::FlatMap<Outpoint, Handle, OutpointHash> spenders_;
   /// Fee-rate-ordered eviction index, kept only when limits_.max_vsize is
   /// set: begin() is the eviction floor (lowest fee-rate, txid
   /// tie-break), so make_room is O(log n) per evicted transaction.
