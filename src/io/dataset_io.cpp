@@ -183,6 +183,7 @@ void record_ingest_metrics(const LoadReport& report) {
 
 bool export_chain(const btc::Chain& chain, const std::string& dir,
                   std::string* error) {
+  const obs::Span span("io.export_chain");
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -646,6 +647,7 @@ LoadResult<btc::Chain> import_chain(const std::string& dir, LoadPolicy policy,
 
 bool export_snapshots(const node::SnapshotSeries& series, const std::string& path,
                       std::string* error) {
+  const obs::Span span("io.export_snapshots");
   TmpCsv csv(path);
   if (!csv.writer.ok()) return set_error(error, "could not open " + csv.tmp_path);
   csv.writer.header({"time", "tx_count", "total_vsize"});
@@ -743,6 +745,7 @@ LoadResult<node::SnapshotSeries> import_snapshots(const std::string& path,
 
 bool export_first_seen(const FirstSeenMap& first_seen, const std::string& path,
                        std::string* error) {
+  const obs::Span span("io.export_first_seen");
   TmpCsv csv(path);
   if (!csv.writer.ok()) return set_error(error, "could not open " + csv.tmp_path);
   csv.writer.header({"txid", "first_seen"});

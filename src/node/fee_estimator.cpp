@@ -24,12 +24,19 @@ void FeeEstimator::on_block(const btc::Block& block) {
 
 double FeeEstimator::recommend_sat_per_vb(double percentile) const {
   CN_ASSERT(percentile >= 0.0 && percentile <= 1.0);
+  const std::vector<double> all = sorted_rates();
+  if (all.empty()) return 1.0;
+  return stats::quantile_sorted(all, percentile);
+}
+
+std::vector<double> FeeEstimator::sorted_rates() const {
   std::vector<double> all;
+  all.reserve(sample_count());
   for (const auto& rates : per_block_rates_) {
     all.insert(all.end(), rates.begin(), rates.end());
   }
-  if (all.empty()) return 1.0;
-  return stats::quantile(all, percentile);
+  std::sort(all.begin(), all.end());
+  return all;
 }
 
 std::size_t FeeEstimator::sample_count() const noexcept {

@@ -27,6 +27,10 @@ class FeeEstimator {
   /// history is available.
   double recommend_sat_per_vb(double percentile) const;
 
+  /// Every fee-rate in the window, ascending: read several percentiles
+  /// with stats::quantile_sorted for one sort.
+  std::vector<double> sorted_rates() const;
+
   /// Number of transactions currently in the window.
   std::size_t sample_count() const noexcept;
 

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
+#include "stats/descriptive.hpp"
 #include "util/assert.hpp"
 
 namespace cn::sim {
@@ -73,8 +76,8 @@ Engine::Engine(EngineConfig config)
   }
 }
 
-void Engine::schedule(SimTime time, Event::Kind kind, const btc::Txid& txid) {
-  queue_.push(Event{time, next_seq_++, kind, txid});
+void Engine::schedule(SimTime time, Event::Kind kind, std::uint32_t issue) {
+  queue_.push(Event{time, next_seq_++, kind, issue});
 }
 
 std::size_t Engine::pick_winner() {
@@ -133,21 +136,32 @@ bool Engine::broadcast_tx(btc::Transaction tx, SimTime now) {
   const auto verdict = canonical_.accept(std::move(tx), now);
   if (verdict != node::AcceptResult::kAccepted) return false;
 
-  ++issued_count_;
-  broadcast_time_.emplace(id, now);
-  // The hash set mirrors the deque (O(1) membership); every accepted
-  // broadcast is a fresh txid, so insert cannot collide with a live
-  // entry.
-  if (recent_broadcast_set_.insert(id).second) {
-    recent_broadcasts_.emplace_back(now, id);
-  }
+  CN_ASSERT(issued_count_ < std::numeric_limits<std::uint32_t>::max());
+  const auto issue = static_cast<std::uint32_t>(issued_count_++);
+  recent_broadcasts_.emplace_back(now, id);
 
-  const node::MempoolEntry* entry = canonical_.find(id);
-  CN_ASSERT(entry != nullptr);
-  in_flight_to_observer_.emplace(id, entry->tx);
+  const node::Mempool::Handle h = canonical_.handle_of(id);
+  CN_ASSERT(h != node::kNoMempoolHandle);
+  if (h >= issue_of_handle_.size()) issue_of_handle_.resize(canonical_.slot_count());
+  issue_of_handle_[h] = issue;
+  committed_.push_back(false);
+  in_flight_.emplace_back(canonical_.entry(h).tx);
   schedule(config_.propagation.arrival(id, kObserverNode, now),
-           Event::Kind::kObserverDeliver, id);
+           Event::Kind::kObserverDeliver, issue);
   return true;
+}
+
+void Engine::deliver_to_observer(std::uint32_t issue, SimTime now) {
+  std::optional<btc::Transaction>& copy = in_flight_[issue - in_flight_base_];
+  // A committed transaction is not delivered: the observer already
+  // pruned its mempool on that block, so a late copy would stay queued
+  // there for good.
+  if (!committed_[issue]) observer_.on_transaction(std::move(*copy), now);
+  copy.reset();
+  while (!in_flight_.empty() && !in_flight_.front().has_value()) {
+    in_flight_.pop_front();
+    ++in_flight_base_;
+  }
 }
 
 void Engine::handle_tx_issue(SimTime now) {
@@ -224,10 +238,12 @@ void Engine::handle_tx_issue(SimTime now) {
 }
 
 void Engine::refresh_fee_percentiles() {
-  if (estimator_.sample_count() == 0) return;
-  rec_p25_ = std::max(estimator_.recommend_sat_per_vb(0.25), 1.0);
-  rec_p50_ = std::max(estimator_.recommend_sat_per_vb(0.50), 1.0);
-  rec_p75_ = std::max(estimator_.recommend_sat_per_vb(0.75), 1.0);
+  // One sort of the window serves all three percentiles.
+  const std::vector<double> rates = estimator_.sorted_rates();
+  if (rates.empty()) return;
+  rec_p25_ = std::max(stats::quantile_sorted(rates, 0.25), 1.0);
+  rec_p50_ = std::max(stats::quantile_sorted(rates, 0.50), 1.0);
+  rec_p75_ = std::max(stats::quantile_sorted(rates, 0.75), 1.0);
 }
 
 void Engine::prune_recent_broadcasts(SimTime now) {
@@ -237,7 +253,6 @@ void Engine::prune_recent_broadcasts(SimTime now) {
   const auto cap = static_cast<SimTime>(config_.propagation.cap_seconds) + 1;
   while (!recent_broadcasts_.empty() &&
          recent_broadcasts_.front().first + cap < now) {
-    recent_broadcast_set_.erase(recent_broadcasts_.front().second);
     recent_broadcasts_.pop_front();
   }
 }
@@ -267,7 +282,12 @@ void Engine::commit_block(SimTime now, MiningPool& winner,
                                       : btc::block_subsidy(height_)) +
                     tpl.total_fees;
 
-  for (const btc::Transaction& tx : tpl.txs) canonical_.remove(tx.id());
+  for (const btc::Transaction& tx : tpl.txs) {
+    const node::Mempool::Handle h = canonical_.handle_of(tx.id());
+    CN_ASSERT(h != node::kNoMempoolHandle);
+    committed_[issue_of_handle_[h]] = true;
+    canonical_.remove(tx.id());
+  }
 
   btc::Block block(height_, now, std::move(coinbase), std::move(tpl.txs));
   observer_.on_block(block);
@@ -296,7 +316,6 @@ void Engine::handle_block_found(SimTime now) {
       }
     }
     if (winner.spec().offers_acceleration) ctx.acceleration = &acceleration_;
-    ctx.broadcast_time = &broadcast_time_;
 
     tpl = winner.build_template(canonical_, ctx, std::move(exclude));
   }
@@ -359,19 +378,9 @@ void Engine::run_events() {
       case Event::Kind::kTxIssue:
         handle_tx_issue(ev.time);
         break;
-      case Event::Kind::kObserverDeliver: {
-        const auto it = in_flight_to_observer_.find(ev.txid);
-        if (it != in_flight_to_observer_.end()) {
-          // Deliver even if a pool has already mined it (the real network
-          // gossips both ways); the observer prunes on the block event,
-          // which it processes when the block reaches it.
-          if (!chain_.locate(ev.txid).has_value()) {
-            observer_.on_transaction(std::move(it->second), ev.time);
-          }
-          in_flight_to_observer_.erase(it);
-        }
+      case Event::Kind::kObserverDeliver:
+        deliver_to_observer(ev.issue, ev.time);
         break;
-      }
       case Event::Kind::kBlockFound:
         handle_block_found(ev.time);
         break;
@@ -395,6 +404,7 @@ void Engine::flush_sim_metrics() {
 SimResult Engine::run() {
   CN_ASSERT(!ran_);
   ran_ = true;
+  const obs::Span span("sim.run");
   run_start_ = std::chrono::steady_clock::now();
 
   run_events();
@@ -410,7 +420,6 @@ SimResult Engine::run() {
   }
   result.scam_address = scam_address_;
   result.scam_txids = std::move(scam_txids_);
-  result.broadcast_time = std::move(broadcast_time_);
   result.issued_count = issued_count_;
   result.rbf_replacements = rbf_replacements_;
   result.timeout = timeout_;

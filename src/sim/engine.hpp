@@ -4,11 +4,19 @@
 // through their policy stacks, and an observer full node records 15 s
 // Mempool snapshots — producing exactly the observables the paper's data
 // sets contain.
+//
+// Each accepted broadcast takes the next issue number (0, 1, 2, ...).
+// The engine's per-transaction state is keyed on it: delivery events
+// carry it, the observer's in-flight copies sit in a deque indexed by
+// it, and a committed bit per issue number tells delivery whether a
+// block already took the transaction. Txids stay at the mempool, chain
+// and export boundary (DESIGN.md §12).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -23,7 +31,6 @@
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
 #include "sim/workload.hpp"
-#include "util/pool_alloc.hpp"
 
 namespace cn::sim {
 
@@ -93,7 +100,6 @@ struct SimResult {
   std::unordered_map<std::string, std::vector<btc::Address>> pool_wallets;
   btc::Address scam_address{};
   std::vector<btc::Txid> scam_txids;
-  std::unordered_map<btc::Txid, SimTime> broadcast_time;
   std::uint64_t issued_count = 0;
   std::uint64_t rbf_replacements = 0;  ///< accepted fee bumps
   SimTimeout timeout;  ///< set when config.deadline_s fired mid-run
@@ -112,20 +118,23 @@ class Engine {
     SimTime time = 0;
     std::uint64_t seq = 0;  ///< FIFO tie-break for equal times
     enum class Kind { kTxIssue, kObserverDeliver, kBlockFound, kSnapshot } kind{};
-    /// Payload for kObserverDeliver.
-    btc::Txid txid{};
+    /// Payload for kObserverDeliver: the broadcast's issue number.
+    std::uint32_t issue = 0;
     bool operator>(const Event& o) const noexcept {
       if (time != o.time) return time > o.time;
       return seq > o.seq;
     }
   };
 
-  void schedule(SimTime time, Event::Kind kind, const btc::Txid& txid = {});
+  void schedule(SimTime time, Event::Kind kind, std::uint32_t issue = 0);
   void handle_tx_issue(SimTime now);
-  /// Shared broadcast path: canonical acceptance, observer delivery
-  /// scheduling, and audit bookkeeping. Returns false when the canonical
+  /// Shared broadcast path: canonical acceptance, issue numbering and
+  /// observer delivery scheduling. Returns false when the canonical
   /// mempool rejected the transaction (e.g. an under-paying RBF bump).
   bool broadcast_tx(btc::Transaction tx, SimTime now);
+  /// Hands broadcast @p issue's in-flight copy to the observer, unless a
+  /// block already committed it.
+  void deliver_to_observer(std::uint32_t issue, SimTime now);
   /// A pending low-fee transaction the issuing user may fee-bump.
   const btc::Transaction* pick_rbf_original();
   void handle_block_found(SimTime now);
@@ -133,8 +142,8 @@ class Engine {
   std::size_t pick_winner();
   const btc::Transaction* pick_cpfp_parent();
   void request_acceleration(const btc::Transaction& tx);
-  /// Drops exclusion-window expirees from recent_broadcasts_ (and the
-  /// mirror hash set); amortized O(1) when called once per event.
+  /// Drops exclusion-window expirees from recent_broadcasts_;
+  /// amortized O(1) when called once per event.
   void prune_recent_broadcasts(SimTime now);
   /// Builds the propagation-exclusion set for @p winner at @p now.
   std::unordered_set<btc::Txid> propagation_exclude(SimTime now,
@@ -167,20 +176,20 @@ class Engine {
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
   std::uint64_t next_seq_ = 0;
 
-  /// Transactions pending observer delivery, by txid. Node allocations
-  /// come from a slab arena (util::SlabAllocator): the map churns one
-  /// node per issued transaction, and the freelist turns that steady
-  /// insert/erase traffic into pointer pushes instead of heap calls.
-  std::unordered_map<
-      btc::Txid, btc::Transaction, std::hash<btc::Txid>,
-      std::equal_to<btc::Txid>,
-      util::SlabAllocator<std::pair<const btc::Txid, btc::Transaction>>>
-      in_flight_to_observer_;
+  /// Copies of accepted broadcasts on their way to the observer, indexed
+  /// by issue number minus in_flight_base_. Delivery empties an entry,
+  /// and empty entries are popped from the front, so the deque spans the
+  /// propagation delay, not the run.
+  std::deque<std::optional<btc::Transaction>> in_flight_;
+  std::uint32_t in_flight_base_ = 0;  ///< issue number of in_flight_.front()
+  /// Issue number of each queued canonical entry, by mempool handle;
+  /// written at broadcast, read at commit.
+  std::vector<std::uint32_t> issue_of_handle_;
+  /// Per issue number: some block committed the transaction.
+  std::vector<bool> committed_;
   /// Recently broadcast txids (for propagation exclusion at block time),
-  /// pruned once per event; the hash set mirrors the deque for O(1)
-  /// membership checks.
+  /// pruned once per event.
   std::deque<std::pair<SimTime, btc::Txid>> recent_broadcasts_;
-  std::unordered_set<btc::Txid> recent_broadcast_set_;
   /// Candidate CPFP parents (pending, low fee).
   std::deque<btc::Txid> cpfp_candidates_;
   /// Candidates for owner fee bumps (pending, low fee).
@@ -190,8 +199,7 @@ class Engine {
   std::uint64_t height_ = 0;
   btc::Address scam_address_{};
   std::vector<btc::Txid> scam_txids_;
-  std::unordered_map<btc::Txid, SimTime> broadcast_time_;
-  std::uint64_t issued_count_ = 0;
+  std::uint64_t issued_count_ = 0;  ///< also the next issue number
   std::uint64_t rbf_replacements_ = 0;
   bool ran_ = false;
 

@@ -106,15 +106,12 @@ void LowFeeTolerancePolicy::apply(node::TemplateOptions& options,
 void WithholdingPolicy::apply(node::TemplateOptions& options,
                               const node::Mempool& mempool,
                               const PolicyContext& ctx) const {
-  if (delay_s_ <= 0.0 || ctx.broadcast_time == nullptr) return;
+  if (delay_s_ <= 0.0) return;
   // The block being published now was actually assembled delay_s ago:
   // anything that entered the network since then cannot be in it.
   const SimTime cutoff = ctx.now - delay_s_;
   mempool.for_each_entry([&](const node::MempoolEntry& entry) {
-    const auto it = ctx.broadcast_time->find(entry.tx.id());
-    if (it != ctx.broadcast_time->end() && it->second > cutoff) {
-      options.exclude.insert(entry.tx.id());
-    }
+    if (entry.arrival > cutoff) options.exclude.insert(entry.tx.id());
   });
 }
 

@@ -11,7 +11,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -35,10 +34,6 @@ struct PolicyContext {
   std::vector<const std::unordered_set<btc::Address>*> partner_wallets;
   /// The acceleration ledger (null if this pool sells no acceleration).
   const AccelerationService* acceleration = nullptr;
-  /// When each transaction was first broadcast to the network (the
-  /// engine's ground truth; null when the engine does not track it).
-  /// WithholdingPolicy consults it to model a block mined in the past.
-  const std::unordered_map<btc::Txid, SimTime>* broadcast_time = nullptr;
 };
 
 /// Fee delta large enough to outrank any organic fee-rate: with it, a
@@ -145,7 +140,10 @@ class LowFeeTolerancePolicy final : public MinerPolicy {
 /// honest observer sees when comparing the block against their mempool
 /// (the Bitcoin-SV `-detectselfishmining` signature: block timestamp
 /// lags, and a large fraction of mempool transactions are missing).
-/// delay_s == 0 touches nothing and is byte-identical to honest.
+/// The broadcast time is the entry's MempoolEntry::arrival: the engine
+/// hands policies its canonical pool, which accepts each broadcast at
+/// the moment it is issued. delay_s == 0 touches nothing and is
+/// byte-identical to honest.
 class WithholdingPolicy final : public MinerPolicy {
  public:
   explicit WithholdingPolicy(double delay_s) : delay_s_(delay_s) {}

@@ -119,12 +119,31 @@ TEST(Engine, ObserverSnapshotsEvery15s) {
 TEST(Engine, CommittedTxsWereIssuedEarlier) {
   const SimResult r = Engine(tiny_config()).run();
   for (const auto& block : r.chain.blocks()) {
+    for (const auto& tx : block.txs()) EXPECT_LE(tx.issued(), block.mined_at());
+  }
+}
+
+TEST(Engine, ObserverNeverFirstSeesACommittedTx) {
+  // A floor of 0 lets the observer accept every delivery, so a committed
+  // transaction without a first-seen time is one some block took before
+  // its copy reached the observer; that copy must not be delivered.
+  EngineConfig config = tiny_config();
+  config.observer_min_relay_sat_per_vb = 0;
+  const SimResult r = Engine(config).run();
+  std::uint64_t seen = 0, unseen = 0;
+  for (const auto& block : r.chain.blocks()) {
     for (const auto& tx : block.txs()) {
-      const auto it = r.broadcast_time.find(tx.id());
-      ASSERT_NE(it, r.broadcast_time.end());
-      EXPECT_LE(it->second, block.mined_at());
+      const std::optional<SimTime> first_seen = r.observer.first_seen(tx.id());
+      if (!first_seen) {
+        ++unseen;
+        continue;
+      }
+      ++seen;
+      EXPECT_LE(*first_seen, block.mined_at());
     }
   }
+  EXPECT_GT(seen, 0u);
+  EXPECT_GT(unseen, 0u);
 }
 
 TEST(Engine, NoDuplicateCommits) {
@@ -194,13 +213,16 @@ TEST(Engine, ScamTxsRecordedInWindow) {
   const SimResult r = Engine(config).run();
   EXPECT_FALSE(r.scam_address.is_null());
   EXPECT_GT(r.scam_txids.size(), 20u);
-  // Every recorded scam tx was broadcast inside the window.
+  // Every committed scam tx was issued inside the window.
+  std::uint64_t committed = 0;
   for (const auto& id : r.scam_txids) {
-    const auto it = r.broadcast_time.find(id);
-    ASSERT_NE(it, r.broadcast_time.end());
-    EXPECT_GE(it->second, scam.start);
-    EXPECT_LT(it->second, scam.end);
+    const btc::Transaction* tx = r.chain.find_tx(id);
+    if (tx == nullptr) continue;
+    ++committed;
+    EXPECT_GE(tx->issued(), scam.start);
+    EXPECT_LT(tx->issued(), scam.end);
   }
+  EXPECT_GE(committed, 20u);
 }
 
 TEST(Engine, RbfReplacementsHappenAndReplacedTxsNeverCommit) {

@@ -251,45 +251,35 @@ TEST(EvasiveSelfInterest, PartialThetaThrottlesDeterministically) {
 }
 
 TEST(WithholdingPolicy, ExcludesRecentlyBroadcastTxs) {
+  // The engine's canonical pool accepts each broadcast when it is
+  // issued, so an entry's arrival is its broadcast time.
   node::Mempool pool(1);
   const auto fresh = tx_with_rate(5.0, 250, 0, 200);
   const auto stale = tx_with_rate(5.0, 250, 0, 201);
-  const auto unseen = tx_with_rate(5.0, 250, 0, 202);
-  pool.accept(fresh, 0);
-  pool.accept(stale, 0);
-  pool.accept(unseen, 0);
-
-  std::unordered_map<btc::Txid, SimTime> broadcast;
-  broadcast[fresh.id()] = 800;  // within the 300 s assembly lag
-  broadcast[stale.id()] = 600;  // already known when assembly started
+  const auto at_cutoff = tx_with_rate(5.0, 250, 0, 202);
+  pool.accept(fresh, 800);      // within the 300 s assembly lag
+  pool.accept(stale, 600);      // already known when assembly started
+  pool.accept(at_cutoff, 700);  // known the moment assembly started
   PolicyContext ctx;
   ctx.now = 1000;
-  ctx.broadcast_time = &broadcast;
 
   node::TemplateOptions options;
   WithholdingPolicy{300.0}.apply(options, pool, ctx);
   EXPECT_TRUE(options.exclude.contains(fresh.id()));
   EXPECT_FALSE(options.exclude.contains(stale.id()));
-  EXPECT_FALSE(options.exclude.contains(unseen.id()));
+  EXPECT_FALSE(options.exclude.contains(at_cutoff.id()));
 }
 
-TEST(WithholdingPolicy, ZeroDelayOrMissingLogIsNoop) {
+TEST(WithholdingPolicy, ZeroDelayIsNoop) {
   node::Mempool pool(1);
   const auto tx = tx_with_rate(5.0, 250, 0, 210);
-  pool.accept(tx, 0);
-  std::unordered_map<btc::Txid, SimTime> broadcast{{tx.id(), 999}};
+  pool.accept(tx, 999);
   PolicyContext ctx;
   ctx.now = 1000;
-  ctx.broadcast_time = &broadcast;
 
   node::TemplateOptions zero_delay;
   WithholdingPolicy{0.0}.apply(zero_delay, pool, ctx);
   EXPECT_TRUE(zero_delay.exclude.empty());
-
-  ctx.broadcast_time = nullptr;
-  node::TemplateOptions no_log;
-  WithholdingPolicy{300.0}.apply(no_log, pool, ctx);
-  EXPECT_TRUE(no_log.exclude.empty());
 }
 
 TEST(FairQueuePolicy, RequestsFifoOrdering) {
