@@ -96,6 +96,20 @@ class Args {
     return x;
   }
 
+  /// --key as a finite number above 0; @p fallback when absent.
+  double get_positive(const std::string& key, double fallback) const {
+    const double x = get_double(key, fallback);
+    if (has(key) && x <= 0.0) reject(key, values_.at(key), "a positive number");
+    return x;
+  }
+
+  /// --key as a finite number of at least 0; @p fallback when absent.
+  double get_non_negative(const std::string& key, double fallback) const {
+    const double x = get_double(key, fallback);
+    if (has(key) && x < 0.0) reject(key, values_.at(key), "a non-negative number");
+    return x;
+  }
+
  private:
   [[noreturn]] void reject(const std::string& key, const std::string& value,
                            const std::string& want) const {

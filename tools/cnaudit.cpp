@@ -191,10 +191,10 @@ int cmd_simulate(const Args& args) {
     return 2;
   }
   const std::uint64_t seed = args.get_u64("seed", 42);
-  const double scale = args.get_double("scale", 0.5);
+  const double scale = args.get_positive("scale", 0.5);
   // Wall-clock budget; 0 (default) = unlimited. An exceeded budget is a
   // typed failure with partial-progress diagnostics, not a silent hang.
-  const double timeout_s = args.get_double("timeout-s", 0.0);
+  const double timeout_s = args.get_non_negative("timeout-s", 0.0);
 
   std::printf("simulating data set %s (seed %llu, scale %.2f)...\n",
               kind_str.c_str(), static_cast<unsigned long long>(seed), scale);

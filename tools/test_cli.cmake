@@ -129,8 +129,12 @@ function(expect_bad_number option)
 endfunction()
 expect_bad_number(--seed simulate --dataset A --seed abc --out "${workdir}_seed")
 expect_bad_number(--alpha report --data "${workdir}" --alpha 0.001x)
+# A scale must be positive and a timeout non-negative (0 = no limit).
+expect_bad_number(--scale simulate --dataset A --scale -1 --out "${workdir}_seed")
+expect_bad_number(--scale simulate --dataset A --scale 0 --out "${workdir}_seed")
+expect_bad_number(--timeout-s simulate --dataset A --timeout-s -3 --out "${workdir}_seed")
 if(EXISTS "${workdir}_seed")
-  message(FATAL_ERROR "simulate ran despite the rejected --seed")
+  message(FATAL_ERROR "simulate ran despite a rejected number")
 endif()
 
 # The global observability options stay valid on every subcommand.
@@ -143,6 +147,25 @@ if(NOT rc EQUAL 0 OR NOT EXISTS "${metrics}" OR NOT EXISTS "${metrics}.trace")
   message(FATAL_ERROR "ppe with the global options failed (${rc}): ${out}${err}")
 endif()
 file(REMOVE "${metrics}" "${metrics}.trace")
+
+# simulate's trace covers the engine run and the export.
+set(sim_out "${workdir}_traced")
+execute_process(
+  COMMAND "${CNAUDIT}" simulate --dataset A --seed 11 --scale 0.05 --out "${sim_out}"
+          --metrics-out "${metrics}" --trace-out "${metrics}.trace"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT EXISTS "${metrics}.trace")
+  message(FATAL_ERROR "simulate --metrics-out failed (${rc}): ${out}${err}")
+endif()
+file(READ "${metrics}.trace" trace)
+foreach(span sim.run io.export_chain)
+  string(FIND "${trace}" "\"${span}\"" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "simulate trace has no ${span} span: ${trace}")
+  endif()
+endforeach()
+file(REMOVE "${metrics}" "${metrics}.trace")
+file(REMOVE_RECURSE "${sim_out}")
 
 # CNB1 conversion round trip: CSV -> cnb -> CSV, with the audit reading
 # identical report bytes from all three sources via the unified --input.
