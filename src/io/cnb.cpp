@@ -1105,22 +1105,21 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
   }
 
   // --- optional: first-seen ---
+  // Read from the mapped columns, not from copies: copies would hold 40
+  // bytes a transaction while the rebuild may still be allocating, so
+  // the load's peak RSS would depend on which thread finished first.
   if (flags & kCnbFlagFirstSeen) {
     group_ok = true;
-    std::vector<btc::Txid> fs_txid;
-    std::vector<SimTime> fs_time;
-    if (const Verified* v =
-            take(CnbSection::kFirstSeenTxid, 32, std::nullopt, false)) {
-      fs_txid = copy_column<btc::Txid>(v->data, v->size);
-    }
-    if (const Verified* v =
-            take(CnbSection::kFirstSeenTime, 8, fs_txid.size(), false)) {
-      fs_time = copy_column<SimTime>(v->data, v->size);
-    }
+    const Verified* vt =
+        take(CnbSection::kFirstSeenTxid, 32, std::nullopt, false);
+    const std::uint64_t n = vt != nullptr ? vt->size / 32 : 0;
+    const Verified* vs = take(CnbSection::kFirstSeenTime, 8, n, false);
     if (group_ok && !load.fatal) {
+      const auto* fs_txid = reinterpret_cast<const btc::Txid*>(vt->data);
+      const auto* fs_time = reinterpret_cast<const SimTime*>(vs->data);
       FirstSeenMap first_seen;
-      first_seen.reserve(fs_txid.size());
-      for (std::size_t i = 0; i < fs_txid.size(); ++i) {
+      first_seen.reserve(n);
+      for (std::uint64_t i = 0; i < n; ++i) {
         first_seen.emplace(fs_txid[i], fs_time[i]);
       }
       handle.first_seen = std::move(first_seen);
