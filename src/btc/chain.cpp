@@ -1,7 +1,5 @@
 #include "btc/chain.hpp"
 
-#include <limits>
-
 #include "util/assert.hpp"
 
 namespace cn::btc {
@@ -10,13 +8,6 @@ void Chain::append(Block block) {
   if (blocks_.empty() && next_height_ == 0) next_height_ = block.height();
   CN_ASSERT(block.height() == next_height_);
   if (!block.sealed()) block.seal(tip_hash());
-  constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
-  CN_ASSERT(blocks_.size() < kMax && block.txs().size() < kMax);
-  const auto index = static_cast<std::uint32_t>(blocks_.size());
-  for (std::size_t i = 0; i < block.txs().size(); ++i) {
-    tx_index_.emplace(block.txs()[i].id(),
-                      IndexedTx{index, static_cast<std::uint32_t>(i)});
-  }
   total_txs_ += block.tx_count();
   blocks_.push_back(std::move(block));
   ++next_height_;
@@ -55,18 +46,6 @@ const Block& Chain::front() const {
 const Block& Chain::back() const {
   CN_ASSERT(!blocks_.empty());
   return blocks_.back();
-}
-
-std::optional<TxLocation> Chain::locate(const Txid& id) const noexcept {
-  const IndexedTx* tx = tx_index_.find(id);
-  if (tx == nullptr) return std::nullopt;
-  return TxLocation{blocks_[tx->block].height(), tx->position};
-}
-
-const Transaction* Chain::find_tx(const Txid& id) const noexcept {
-  const IndexedTx* tx = tx_index_.find(id);
-  if (tx == nullptr) return nullptr;
-  return &blocks_[tx->block].txs()[tx->position];
 }
 
 std::uint64_t Chain::empty_block_count() const noexcept {

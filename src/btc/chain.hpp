@@ -1,24 +1,18 @@
-// The blockchain: an append-only list of blocks with a transaction index.
-// The index is an open-addressing util::FlatMap from txid to an 8-byte
-// (block index, position) pair, so appending a block allocates no
-// per-transaction hash node: an entry is 40 bytes and a bucket 8.
+// The blockchain: an append-only list of blocks. It keeps no txid
+// index: the simulator marks a transaction committed by its issue
+// number, and the audit reads committed transactions in chain order
+// (core::AuditDataset's columns), so nothing looks one up by id
+// (DESIGN.md §7.3). Appending a sealed block costs its move and a
+// counter update.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "btc/block.hpp"
-#include "util/flat_map.hpp"
 
 namespace cn::btc {
-
-/// Location of a committed transaction.
-struct TxLocation {
-  std::uint64_t block_height = 0;
-  std::size_t position = 0;  ///< index within the block's tx list
-};
 
 class Chain {
  public:
@@ -49,18 +43,8 @@ class Chain {
   const Block& front() const;
   const Block& back() const;
 
-  /// Where (if anywhere) a transaction was committed.
-  std::optional<TxLocation> locate(const Txid& id) const noexcept;
-
-  /// The committed transaction itself, or nullptr.
-  const Transaction* find_tx(const Txid& id) const noexcept;
-
   /// Total committed (non-coinbase) transactions.
   std::uint64_t total_tx_count() const noexcept { return total_txs_; }
-
-  /// Pre-sizes the transaction index; bulk loaders (CNB1) know the
-  /// final transaction count before the first append.
-  void reserve_txs(std::size_t count) { tx_index_.reserve(count); }
 
   /// Number of blocks with zero non-coinbase transactions.
   std::uint64_t empty_block_count() const noexcept;
@@ -69,12 +53,6 @@ class Chain {
   std::vector<Block> blocks_;
   std::uint64_t next_height_ = 0;
   std::uint64_t total_txs_ = 0;
-  /// An index into blocks_ and a position in that block.
-  struct IndexedTx {
-    std::uint32_t block = 0;
-    std::uint32_t position = 0;
-  };
-  util::FlatMap<Txid, IndexedTx> tx_index_;
 };
 
 }  // namespace cn::btc

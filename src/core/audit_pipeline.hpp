@@ -19,7 +19,9 @@
 //   darkfee      — Table 4 SPPE >= threshold detector
 //   neutrality   — §6.1 per-pool scorecards
 //   withholding  — block-vs-mempool withholding detector (needs the
-//                  observer's first-seen log, AuditOptions::first_seen)
+//                  observer's first-seen log, AuditOptions::first_seen:
+//                  a util::FlatMap from txid to first-seen time, the
+//                  type io::FirstSeenMap names)
 //
 // Stages are individually timed (AuditReport::stages) and selectable via
 // AuditOptions::stages (cnaudit --stages); a deselected stage is
@@ -94,11 +96,12 @@ struct AuditOptions {
   /// must outlive the run_full_audit call.
   const AuditDataset* prebuilt_dataset = nullptr;
   /// Optional observer first-seen log (txid -> first-seen time; the
-  /// underlying type of io::FirstSeenMap — core stays io-free). When
+  /// type io::FirstSeenMap names, spelled from util and btc so core
+  /// stays io-free). When
   /// set, the "withholding" stage runs the block-vs-mempool withholding
   /// detector (core/withholding.hpp); when null the stage is a no-op and
   /// the rendered report is unchanged. Must outlive run_full_audit.
-  const std::unordered_map<btc::Txid, SimTime>* first_seen = nullptr;
+  const util::FlatMap<btc::Txid, SimTime>* first_seen = nullptr;
   /// Thresholds for the withholding detector.
   WithholdingOptions withholding;
 };

@@ -24,7 +24,7 @@ std::uint64_t DataQualityReport::low_coverage_blocks(double threshold) const noe
 
 DataQualityReport assess_data_quality(
     const btc::Chain& chain, const node::SnapshotSeries* snapshots,
-    const std::unordered_map<btc::Txid, SimTime>* first_seen,
+    const util::FlatMap<btc::Txid, SimTime>* first_seen,
     const QualityOptions& options) {
   DataQualityReport report;
   report.has_snapshots = snapshots != nullptr && !snapshots->empty();
@@ -46,7 +46,7 @@ DataQualityReport assess_data_quality(
     if (report.has_first_seen && block.tx_count() > 0) {
       std::size_t seen = 0;
       for (const btc::Transaction& tx : block.txs()) {
-        if (first_seen->count(tx.id()) != 0) ++seen;
+        if (first_seen->contains(tx.id())) ++seen;
       }
       bc.first_seen_coverage =
           static_cast<double>(seen) / static_cast<double>(block.tx_count());

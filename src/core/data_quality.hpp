@@ -16,6 +16,7 @@
 
 #include "btc/chain.hpp"
 #include "node/snapshot.hpp"
+#include "util/flat_map.hpp"
 
 namespace cn::core {
 
@@ -66,7 +67,7 @@ struct DataQualityReport {
 /// behaviour); present-but-gappy evidence does.
 DataQualityReport assess_data_quality(
     const btc::Chain& chain, const node::SnapshotSeries* snapshots,
-    const std::unordered_map<btc::Txid, SimTime>* first_seen,
+    const util::FlatMap<btc::Txid, SimTime>* first_seen,
     const QualityOptions& options = {});
 
 }  // namespace cn::core

@@ -24,7 +24,7 @@ struct SeenTx {
 
 std::vector<WithholdingReport> withholding_reports(
     const btc::Chain& chain, const PoolAttribution& attribution,
-    const std::unordered_map<btc::Txid, SimTime>& first_seen,
+    const util::FlatMap<btc::Txid, SimTime>& first_seen,
     const WithholdingOptions& options) {
   const std::span<const btc::Block> blocks = chain.blocks();
 

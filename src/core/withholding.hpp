@@ -21,11 +21,11 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "btc/chain.hpp"
 #include "core/wallet_inference.hpp"
+#include "util/flat_map.hpp"
 #include "util/time.hpp"
 
 namespace cn::core {
@@ -68,7 +68,7 @@ struct WithholdingReport {
 /// rate descending, name).
 std::vector<WithholdingReport> withholding_reports(
     const btc::Chain& chain, const PoolAttribution& attribution,
-    const std::unordered_map<btc::Txid, SimTime>& first_seen,
+    const util::FlatMap<btc::Txid, SimTime>& first_seen,
     const WithholdingOptions& options = {});
 
 }  // namespace cn::core

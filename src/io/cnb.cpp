@@ -1004,9 +1004,9 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
   // --- rebuild the chain (and the interned table, in the same column
   // order the CSV importer interns: rewards, then input owners, then
   // output recipients) ---
-  // With stored Merkle roots each append is a header restore plus index
-  // inserts into a pre-sized table; without them it re-seals, re-hashing
-  // every txid (the dominant rebuild cost before the fast path).
+  // With stored Merkle roots each append is a header restore; without
+  // them it re-seals, re-hashing every txid (the dominant rebuild cost
+  // before the fast path).
   //
   // The rebuild reads only the mapped relational columns and writes only
   // handle.chain / handle.addresses; the optional groups below read the
@@ -1018,7 +1018,6 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
   const bool adopt_headers = merkle_root != nullptr;
   const auto rebuild_chain = [&, adopt_headers] {
     handle.chain = btc::Chain(genesis_height);
-    handle.chain.reserve_txs(nt);
     for (std::uint64_t b = 0; b < nb; ++b) {
       btc::Coinbase coinbase;
       coinbase.tag.assign(reinterpret_cast<const char*>(tag_bytes) +

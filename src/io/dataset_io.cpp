@@ -581,7 +581,6 @@ LoadResult<btc::Chain> import_chain_impl(const std::string& dir,
   }
 
   btc::Chain chain;
-  chain.reserve_txs(tx_rows.size());
   for (auto& [height, raw] : blocks) {
     if (ld.fatal) break;
     std::vector<btc::Transaction> txs;

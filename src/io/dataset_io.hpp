@@ -15,6 +15,10 @@
 //   snapshots.csv   time, tx_count, total_vsize        (optional)
 //   first_seen.csv  txid, first_seen                    (optional)
 //
+// The first-seen series is held as an io::FirstSeenMap, the flat map the
+// observer logs into; its iteration order is not defined, so the export
+// writes rows sorted by txid, as the CNB1 writer does.
+//
 // Exports are atomic: each file is written to `<name>.tmp` and renamed
 // into place only after every write succeeded, so a crashed or
 // disk-full export never leaves a half-written data set behind.
@@ -28,12 +32,12 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 
 #include "btc/chain.hpp"
 #include "btc/intern.hpp"
 #include "io/load_report.hpp"
 #include "node/snapshot.hpp"
+#include "util/flat_map.hpp"
 
 namespace cn::io {
 
@@ -65,7 +69,9 @@ bool export_snapshots(const node::SnapshotSeries& series, const std::string& pat
 LoadResult<node::SnapshotSeries> import_snapshots(const std::string& path,
                                                   LoadPolicy policy);
 
-using FirstSeenMap = std::unordered_map<btc::Txid, SimTime>;
+/// The observer's first-seen log: node::ObserverNode::first_seen_map()
+/// and core::AuditOptions::first_seen use this type.
+using FirstSeenMap = util::FlatMap<btc::Txid, SimTime>;
 bool export_first_seen(const FirstSeenMap& first_seen, const std::string& path,
                        std::string* error = nullptr);
 LoadResult<FirstSeenMap> import_first_seen(const std::string& path,

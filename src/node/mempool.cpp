@@ -35,8 +35,8 @@ MempoolMetrics& metrics() {
 }  // namespace
 
 Mempool::Handle Mempool::handle_of(const btc::Txid& id) const noexcept {
-  const Handle* h = index_.find(id);
-  return h == nullptr ? kNoMempoolHandle : *h;
+  const auto it = index_.find(id);
+  return it == index_.end() ? kNoMempoolHandle : it->second;
 }
 
 std::vector<Mempool::Handle> Mempool::conflicting(const btc::Transaction& tx) const {
@@ -46,10 +46,10 @@ std::vector<Mempool::Handle> Mempool::conflicting(const btc::Transaction& tx) co
   std::vector<Handle> out;
   for (const btc::TxInput& in : tx.inputs()) {
     if (!is_real_outpoint(in)) continue;
-    const Handle* spender = spenders_.find({in.prev_txid, in.prev_vout});
-    if (spender == nullptr) continue;
-    if (std::find(out.begin(), out.end(), *spender) == out.end())
-      out.push_back(*spender);
+    const auto it = spenders_.find({in.prev_txid, in.prev_vout});
+    if (it == spenders_.end()) continue;
+    if (std::find(out.begin(), out.end(), it->second) == out.end())
+      out.push_back(it->second);
   }
   return out;
 }
@@ -167,14 +167,15 @@ void Mempool::adopt_children(Handle parent) {
   const btc::Transaction& tx = slots_[parent].entry.tx;
   std::vector<std::tuple<std::uint64_t, std::size_t, Handle>> adopted;
   for (std::uint32_t vout = 0; vout < tx.outputs().size(); ++vout) {
-    const Handle* spender = spenders_.find(Outpoint{tx.id(), vout});
-    if (spender == nullptr) continue;
-    Slot& child = slots_[*spender];
+    const auto it = spenders_.find(Outpoint{tx.id(), vout});
+    if (it == spenders_.end()) continue;
+    const Handle spender = it->second;
+    Slot& child = slots_[spender];
     const std::span<const btc::TxInput> inputs = child.entry.tx.inputs();
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       if (inputs[i].prev_txid != tx.id() || inputs[i].prev_vout != vout) continue;
       child.parents[i] = parent;
-      adopted.emplace_back(child.seq, i, *spender);
+      adopted.emplace_back(child.seq, i, spender);
     }
   }
   std::sort(adopted.begin(), adopted.end());
@@ -204,8 +205,8 @@ void Mempool::unlink(Handle h) {
       kids.erase(std::remove(kids.begin(), kids.end(), h), kids.end());
     }
     const Outpoint spent{in.prev_txid, in.prev_vout};
-    const Handle* spender = spenders_.find(spent);
-    if (spender != nullptr && *spender == h) spenders_.erase(spent);
+    const auto it = spenders_.find(spent);
+    if (it != spenders_.end() && it->second == h) spenders_.erase(spent);
   }
   index_.erase(tx.id());
   slot.live = false;

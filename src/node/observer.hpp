@@ -1,15 +1,18 @@
 // The observer node: a full node configured not to mine (paper §3).
 // It receives transaction broadcasts, keeps its own Mempool, records a
 // MempoolStat every 15 s, and logs each transaction's first-seen time —
-// the t_i used by the pairwise violation analysis (§4.2.1).
+// the t_i used by the pairwise violation analysis (§4.2.1). The log is a
+// util::FlatMap (io::FirstSeenMap is the same type), so an accept
+// appends one 40-byte entry and a bucket instead of allocating a hash
+// node, and the CNB1 and CSV writers walk it densely before sorting.
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 
 #include "btc/block.hpp"
 #include "node/mempool.hpp"
 #include "node/snapshot.hpp"
+#include "util/flat_map.hpp"
 
 namespace cn::node {
 
@@ -37,7 +40,7 @@ class ObserverNode {
   std::optional<SimTime> first_seen(const btc::Txid& id) const noexcept;
 
   /// Full first-seen log (for data-set export).
-  const std::unordered_map<btc::Txid, SimTime>& first_seen_map() const noexcept {
+  const util::FlatMap<btc::Txid, SimTime>& first_seen_map() const noexcept {
     return first_seen_;
   }
 
@@ -50,7 +53,7 @@ class ObserverNode {
  private:
   Mempool mempool_;
   SnapshotSeries series_;
-  std::unordered_map<btc::Txid, SimTime> first_seen_;
+  util::FlatMap<btc::Txid, SimTime> first_seen_;
   std::uint64_t below_floor_ = 0;
 };
 

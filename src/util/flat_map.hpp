@@ -1,15 +1,16 @@
-// Open-addressing hash map for the hot txid indexes (DESIGN.md §7.3).
+// Open-addressing hash map for the hot txid indexes and the observer's
+// first-seen log (DESIGN.md §7.3).
 //
-// util::FlatMap keeps its entries densely in one vector and finds them
-// through a power-of-two array of 8-byte buckets, each holding a 32-bit
-// hash tag and the entry's position. Collisions are resolved by linear
-// probing over the buckets, so a lookup reads adjacent buckets and
-// compares a key only where the tag matches, and an insert or erase
-// allocates nothing unless a vector grows. At most 7/8 of the buckets
-// are filled. Erase shifts the rest of the probe run back instead of
-// leaving a tombstone, so a map under steady insert/erase churn (a
-// mempool) never fills up with dead buckets, and moves the last entry
-// into the freed position.
+// util::FlatMap keeps its entries, std::pair<K, V>, densely in one
+// vector and finds them through a power-of-two array of 8-byte buckets,
+// each holding a 32-bit hash tag and the entry's position. Collisions
+// are resolved by linear probing over the buckets, so a lookup reads
+// adjacent buckets and compares a key only where the tag matches, and an
+// insert or erase allocates nothing unless a vector grows. At most 7/8
+// of the buckets are filled. Erase shifts the rest of the probe run back
+// instead of leaving a tombstone, so a map under steady insert/erase
+// churn (a mempool) never fills up with dead buckets, and moves the last
+// entry into the freed position.
 //
 // The tag is the top 32 bits of the key's hash times a 64-bit odd
 // constant, so keys whose hashes differ only in high bits still spread,
@@ -19,9 +20,12 @@
 // entry: memory follows size() instead of jumping by the table's size
 // when a count crosses a power of two.
 //
-// The API is the subset the indexes need. There is no iteration, so no
-// caller can come to depend on entry order. K and V must be
-// default-constructible and nothrow-movable; Hash must not throw.
+// Entries are read-only once stored: find() and emplace() return const
+// iterators (pointers into the entry vector), and begin()/end() walk the
+// entries densely in an order that depends on the history of inserts and
+// erases. Callers that write the entries out sort them first; == compares
+// contents in any order. K and V must be nothrow-movable; Hash must not
+// throw.
 #pragma once
 
 #include <bit>
@@ -50,32 +54,35 @@ class FlatMap {
     return *this;
   }
 
+  using value_type = std::pair<K, V>;
+  using const_iterator = const value_type*;
+
   std::size_t size() const noexcept { return entries_.size(); }
   bool empty() const noexcept { return entries_.empty(); }
 
-  /// The value stored under @p key, or nullptr. The pointer stays valid
+  const_iterator begin() const noexcept { return entries_.data(); }
+  const_iterator end() const noexcept { return entries_.data() + entries_.size(); }
+
+  /// The entry stored under @p key, or end(). The iterator stays valid
   /// until the next erase(), or the next emplace() beyond what reserve()
   /// sized the map for.
-  V* find(const K& key) noexcept {
-    return const_cast<V*>(std::as_const(*this).find(key));
-  }
-  const V* find(const K& key) const noexcept {
+  const_iterator find(const K& key) const noexcept {
     const std::size_t i = locate(key);
-    return i == kAbsent ? nullptr : &entries_[buckets_[i].entry - 1].value;
+    return i == kAbsent ? end() : begin() + (buckets_[i].entry - 1);
   }
 
   bool contains(const K& key) const noexcept { return locate(key) != kAbsent; }
 
   /// Stores @p value under @p key unless the key is present; an existing
-  /// value is never overwritten. Returns the stored value and whether
+  /// value is never overwritten. Returns the stored entry and whether
   /// this call inserted it.
-  std::pair<V*, bool> emplace(const K& key, V value) {
+  std::pair<const_iterator, bool> emplace(const K& key, V value) {
     const std::uint32_t tag = tag_of(key);
     if (!buckets_.empty()) {
       std::size_t i = home(tag);
       for (; buckets_[i].entry != 0; i = next(i)) {
         const Bucket& b = buckets_[i];
-        if (matches(b, tag, key)) return {&entries_[b.entry - 1].value, false};
+        if (matches(b, tag, key)) return {begin() + (b.entry - 1), false};
       }
       if (fits(size() + 1)) return {append(i, tag, key, std::move(value)), true};
     }
@@ -101,9 +108,9 @@ class FlatMap {
     // Keep the entries dense: the last one fills the freed position.
     const auto last = static_cast<std::uint32_t>(entries_.size());
     if (gone != last) {
-      Entry& moved = entries_[gone - 1];
+      value_type& moved = entries_[gone - 1];
       moved = std::move(entries_.back());
-      std::size_t i = home(tag_of(moved.key));
+      std::size_t i = home(tag_of(moved.first));
       while (buckets_[i].entry != last) i = next(i);
       buckets_[i].entry = gone;
     }
@@ -118,11 +125,17 @@ class FlatMap {
     entries_.reserve(count);
   }
 
+  /// Same keys with equal values, whatever the order of the entries.
+  friend bool operator==(const FlatMap& a, const FlatMap& b) {
+    if (a.size() != b.size()) return false;
+    for (const value_type& e : a) {
+      const const_iterator it = b.find(e.first);
+      if (it == b.end() || !(it->second == e.second)) return false;
+    }
+    return true;
+  }
+
  private:
-  struct Entry {
-    K key{};
-    V value{};
-  };
   struct Bucket {
     std::uint32_t tag = 0;
     std::uint32_t entry = 0;  ///< position in entries_ plus one; 0 when empty
@@ -152,7 +165,7 @@ class FlatMap {
   }
 
   bool matches(const Bucket& b, std::uint32_t tag, const K& key) const noexcept {
-    return b.tag == tag && entries_[b.entry - 1].key == key;
+    return b.tag == tag && entries_[b.entry - 1].first == key;
   }
 
   std::size_t locate(const K& key) const noexcept {
@@ -171,10 +184,11 @@ class FlatMap {
     return i;
   }
 
-  V* append(std::size_t bucket, std::uint32_t tag, const K& key, V&& value) {
-    entries_.push_back(Entry{key, std::move(value)});
+  const_iterator append(std::size_t bucket, std::uint32_t tag, const K& key,
+                        V&& value) {
+    entries_.emplace_back(key, std::move(value));
     buckets_[bucket] = Bucket{tag, static_cast<std::uint32_t>(entries_.size())};
-    return &entries_.back().value;
+    return end() - 1;
   }
 
   /// Doubles the bucket array until @p count entries fit, then re-places
@@ -189,7 +203,7 @@ class FlatMap {
     }
   }
 
-  std::vector<Entry> entries_;
+  std::vector<value_type> entries_;
   std::vector<Bucket> buckets_;
 };
 

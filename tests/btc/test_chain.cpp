@@ -20,27 +20,6 @@ TEST(Chain, AppendsAndIndexes) {
   EXPECT_EQ(chain.back().height(), 101u);
 }
 
-TEST(Chain, LocateFindsCommittedTx) {
-  Chain chain(50);
-  chain.append(block_with_rates(50, {5.0, 3.0, 1.0}));
-  const Txid& id = chain.front().txs()[2].id();
-  const auto loc = chain.locate(id);
-  ASSERT_TRUE(loc.has_value());
-  EXPECT_EQ(loc->block_height, 50u);
-  EXPECT_EQ(loc->position, 2u);
-
-  const Transaction* tx = chain.find_tx(id);
-  ASSERT_NE(tx, nullptr);
-  EXPECT_EQ(tx->id(), id);
-}
-
-TEST(Chain, LocateMissReturnsNullopt) {
-  Chain chain(1);
-  chain.append(block_with_rates(1, {2.0}));
-  EXPECT_FALSE(chain.locate(Txid::hash_of("nope")).has_value());
-  EXPECT_EQ(chain.find_tx(Txid::hash_of("nope")), nullptr);
-}
-
 TEST(Chain, AtHeight) {
   Chain chain(10);
   chain.append(block_with_rates(10, {1.0}));

@@ -61,7 +61,7 @@ TEST(DataQuality, SnapshotGapZeroesOverlappingBlocks) {
 TEST(DataQuality, FirstSeenCoverageIsPerBlockFraction) {
   btc::Chain chain(10);
   auto block = cn::test::block_with_rates(10, {9.0, 7.0, 5.0, 3.0}, "/A/", 600);
-  std::unordered_map<btc::Txid, SimTime> first_seen;
+  util::FlatMap<btc::Txid, SimTime> first_seen;
   first_seen.emplace(block.txs()[0].id(), 10);
   first_seen.emplace(block.txs()[2].id(), 20);
   chain.append(std::move(block));
@@ -79,7 +79,7 @@ TEST(DataQuality, FirstSeenCoverageIsPerBlockFraction) {
 TEST(DataQuality, GapOverridesFirstSeenCoverage) {
   const auto chain = four_block_chain();
   const auto series = series_with_gap();
-  std::unordered_map<btc::Txid, SimTime> first_seen;
+  util::FlatMap<btc::Txid, SimTime> first_seen;
   for (const auto& block : chain.blocks()) {
     for (const auto& tx : block.txs()) first_seen.emplace(tx.id(), 1);
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "sim/dataset.hpp"
 
 namespace cn::sim {
@@ -214,13 +216,16 @@ TEST(Engine, ScamTxsRecordedInWindow) {
   EXPECT_FALSE(r.scam_address.is_null());
   EXPECT_GT(r.scam_txids.size(), 20u);
   // Every committed scam tx was issued inside the window.
+  const std::unordered_set<btc::Txid> scam_ids(r.scam_txids.begin(),
+                                               r.scam_txids.end());
   std::uint64_t committed = 0;
-  for (const auto& id : r.scam_txids) {
-    const btc::Transaction* tx = r.chain.find_tx(id);
-    if (tx == nullptr) continue;
-    ++committed;
-    EXPECT_GE(tx->issued(), scam.start);
-    EXPECT_LT(tx->issued(), scam.end);
+  for (const btc::Block& block : r.chain.blocks()) {
+    for (const btc::Transaction& tx : block.txs()) {
+      if (!scam_ids.contains(tx.id())) continue;
+      ++committed;
+      EXPECT_GE(tx.issued(), scam.start);
+      EXPECT_LT(tx.issued(), scam.end);
+    }
   }
   EXPECT_GE(committed, 20u);
 }
