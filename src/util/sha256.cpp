@@ -353,15 +353,22 @@ Sha256& Sha256::update(std::string_view data) noexcept {
 Sha256Digest Sha256::finalize() noexcept {
   const std::uint64_t bit_len = total_bytes_ * 8;
 
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span<const std::uint8_t>(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i)
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update(std::span<const std::uint8_t>(len_be, 8));
+  // Pad in place: 0x80, zeros up to byte 56 of a block, then the
+  // big-endian bit length. When fewer than 9 bytes are free, the padding
+  // spills into a second block.
+  std::uint8_t* const block = buffer_.data();
+  block[buffered_] = 0x80;
+  if (buffered_ + 1 > 56) {
+    std::memset(block + buffered_ + 1, 0, 64 - (buffered_ + 1));
+    compress(block);
+    std::memset(block, 0, 56);
+  } else {
+    std::memset(block + buffered_ + 1, 0, 56 - (buffered_ + 1));
+  }
+  store_be32(block + 56, static_cast<std::uint32_t>(bit_len >> 32));
+  store_be32(block + 60, static_cast<std::uint32_t>(bit_len));
+  compress(block);
+  buffered_ = 0;
 
   Sha256Digest digest{};
   for (int i = 0; i < 8; ++i) store_be32(digest.data() + 4 * i, state_[i]);
