@@ -13,24 +13,37 @@ namespace {
 
 using Handle = MempoolHandle;
 
+/// A heap entry: 32 bytes, so seeding the heap with every queued entry
+/// at each build moves half the bytes a copy of the txid would.
 struct PackageScore {
   btc::FeeRate rate{};       ///< effective package fee-rate
-  btc::Txid id{};            ///< the package's representative (descendant)
   SimTime arrival = 0;       ///< representative's mempool arrival (FIFO mode)
-  Handle handle = kNoMempoolHandle;  ///< the representative's mempool slot
-  bool fifo = false;         ///< order by arrival instead of fee-rate
+  Handle handle = kNoMempoolHandle;  ///< the package's representative (descendant)
+};
+static_assert(sizeof(PackageScore) == 32);
 
-  /// Max-heap ordering with deterministic txid tie-break. In FIFO mode
-  /// the earliest arrival tops the heap; the rate is still carried for
-  /// the floor check but does not order.
-  bool operator<(const PackageScore& o) const noexcept {
-    if (fifo) {
-      if (arrival != o.arrival) return arrival > o.arrival;
-      return id > o.id;  // lower txid wins ties
+/// Max-heap ordering with a deterministic txid tie-break: a strict total
+/// order over distinct representatives, so the pop sequence does not
+/// depend on how the heap was built. In FIFO mode the earliest arrival
+/// tops the heap; the rate is still carried for the floor check but does
+/// not order. The txid is read from the pool only on a tie.
+class ScoreOrder {
+ public:
+  ScoreOrder(const Mempool& mempool, bool fifo) : mempool_(&mempool), fifo_(fifo) {}
+
+  bool operator()(const PackageScore& a, const PackageScore& b) const noexcept {
+    if (fifo_) {
+      if (a.arrival != b.arrival) return a.arrival > b.arrival;
+    } else if (const auto c = a.rate <=> b.rate; c != 0) {
+      return c < 0;
     }
-    if (rate != o.rate) return rate < o.rate;
-    return id > o.id;  // lower txid wins ties
+    // Lower txid wins ties.
+    return mempool_->entry(a.handle).tx.id() > mempool_->entry(b.handle).tx.id();
   }
+
+ private:
+  const Mempool* mempool_;
+  bool fifo_;
 };
 
 /// Builder telemetry (DESIGN.md §10): tallied in plain integers during a
@@ -54,7 +67,8 @@ class TemplateBuilder {
   TemplateBuilder(const Mempool& mempool, const TemplateOptions& options)
       : mempool_(mempool),
         options_(options),
-        mark_(mempool.slot_count(), Mark::kQueued) {
+        mark_(mempool.slot_count(), Mark::kQueued),
+        heap_(ScoreOrder(mempool, options.fifo)) {
     // Resolve the txid-keyed options to handles once per build; ids that
     // are not queued cannot affect this template.
     for (const btc::Txid& id : options_.exclude) {
@@ -84,7 +98,7 @@ class TemplateBuilder {
       // pushed, which only *raises* the package rate (lazy invalidation).
       const btc::FeeRate current = package_rate(top.handle);
       if (current != top.rate) {
-        heap_.push(PackageScore{current, top.id, top.arrival, top.handle, top.fifo});
+        heap_.push(PackageScore{current, top.arrival, top.handle});
         continue;
       }
       if (package_.empty()) {
@@ -119,20 +133,19 @@ class TemplateBuilder {
  private:
   void seed_heap() {
     // Bulk-build the heap in O(n): the pop order of a binary heap under a
-    // strict total order (txid tie-break makes PackageScore one) does not
-    // depend on how the heap was built, so this matches per-push seeding.
+    // strict total order (ScoreOrder's txid tie-break makes it one) does
+    // not depend on how the heap was built, so this matches per-push
+    // seeding.
     std::vector<PackageScore> seed;
     seed.reserve(mempool_.size());
     smallest_.reserve(mempool_.size());
     mempool_.for_each_handle([&](Handle h, const MempoolEntry& entry) {
       if (mark_[h] == Mark::kExcluded) return;
-      seed.push_back(
-          PackageScore{package_rate(h), entry.tx.id(), entry.arrival, h, options_.fifo});
+      seed.push_back(PackageScore{package_rate(h), entry.arrival, h});
       smallest_.push_back((std::uint64_t{entry.tx.vsize()} << 32) | h);
     });
     seeded_ = seed.size();
-    heap_ = std::priority_queue<PackageScore>(std::less<PackageScore>{},
-                                              std::move(seed));
+    heap_ = Heap(ScoreOrder(mempool_, options_.fifo), std::move(seed));
     std::make_heap(smallest_.begin(), smallest_.end(), std::greater<>{});
   }
 
@@ -262,7 +275,8 @@ class TemplateBuilder {
   std::uint32_t stamp_ = 0;
   std::vector<Handle> frontier_;  ///< ancestor-walk stack
   std::vector<Handle> package_;   ///< the package package_rate() last scored
-  std::priority_queue<PackageScore> heap_;
+  using Heap = std::priority_queue<PackageScore, std::vector<PackageScore>, ScoreOrder>;
+  Heap heap_;
   /// Lazy min-heap of (vsize << 32 | handle) over the seeded entries.
   std::vector<std::uint64_t> smallest_;
   std::uint64_t seeded_ = 0;

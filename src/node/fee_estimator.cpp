@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "stats/descriptive.hpp"
 #include "util/assert.hpp"
 
 namespace cn::node {
@@ -23,20 +22,47 @@ void FeeEstimator::on_block(const btc::Block& block) {
 }
 
 double FeeEstimator::recommend_sat_per_vb(double percentile) const {
-  CN_ASSERT(percentile >= 0.0 && percentile <= 1.0);
-  const std::vector<double> all = sorted_rates();
-  if (all.empty()) return 1.0;
-  return stats::quantile_sorted(all, percentile);
+  const std::vector<double> rate = quantiles(std::span(&percentile, 1));
+  return rate.empty() ? 1.0 : rate.front();
 }
 
-std::vector<double> FeeEstimator::sorted_rates() const {
+std::vector<double> FeeEstimator::quantiles(std::span<const double> qs) const {
+  CN_ASSERT(std::is_sorted(qs.begin(), qs.end()) &&
+            (qs.empty() || (qs.front() >= 0.0 && qs.back() <= 1.0)));
   std::vector<double> all;
   all.reserve(sample_count());
   for (const auto& rates : per_block_rates_) {
     all.insert(all.end(), rates.begin(), rates.end());
   }
-  std::sort(all.begin(), all.end());
-  return all;
+  std::vector<double> out;
+  if (all.empty()) return out;
+  out.reserve(qs.size());
+  const std::size_t n = all.size();
+  // Invariant: every value before `settled` is <= every value from it on,
+  // so the order statistics at or after it lie in [settled, end).
+  auto settled = all.begin();
+  for (const double q : qs) {
+    // stats::quantile_sorted's arithmetic, on order statistics instead of
+    // a sorted copy.
+    if (n == 1) {
+      out.push_back(all[0]);
+      continue;
+    }
+    const double pos = q * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const double frac = pos - static_cast<double>(lo);
+    if (lo + 1 >= n) {
+      out.push_back(*std::max_element(settled, all.end()));
+      continue;
+    }
+    const auto at = all.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(settled, at, all.end());
+    // The next order statistic is the least value above position lo.
+    std::iter_swap(at + 1, std::min_element(at + 1, all.end()));
+    out.push_back(*at + frac * (*(at + 1) - *at));
+    settled = at;
+  }
+  return out;
 }
 
 std::size_t FeeEstimator::sample_count() const noexcept {

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "btc/amount.hpp"
@@ -27,9 +28,12 @@ class FeeEstimator {
   /// history is available.
   double recommend_sat_per_vb(double percentile) const;
 
-  /// Every fee-rate in the window, ascending: read several percentiles
-  /// with stats::quantile_sorted for one sort.
-  std::vector<double> sorted_rates() const;
+  /// The window's fee-rates at quantiles @p qs (ascending, each in
+  /// [0, 1]), equal to stats::quantile_sorted of the sorted window at
+  /// each q. One unsorted copy serves every q: each reads its two order
+  /// statistics by std::nth_element on the part of the copy above the
+  /// previous q's, so nothing is fully sorted. Empty when the window is.
+  std::vector<double> quantiles(std::span<const double> qs) const;
 
   /// Number of transactions currently in the window.
   std::size_t sample_count() const noexcept;

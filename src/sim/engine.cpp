@@ -1,12 +1,12 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <limits>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "stats/descriptive.hpp"
 #include "util/assert.hpp"
 
 namespace cn::sim {
@@ -238,12 +238,13 @@ void Engine::handle_tx_issue(SimTime now) {
 }
 
 void Engine::refresh_fee_percentiles() {
-  // One sort of the window serves all three percentiles.
-  const std::vector<double> rates = estimator_.sorted_rates();
+  // One partial selection over the window serves all three percentiles.
+  static constexpr std::array<double, 3> kQuantiles{0.25, 0.50, 0.75};
+  const std::vector<double> rates = estimator_.quantiles(kQuantiles);
   if (rates.empty()) return;
-  rec_p25_ = std::max(stats::quantile_sorted(rates, 0.25), 1.0);
-  rec_p50_ = std::max(stats::quantile_sorted(rates, 0.50), 1.0);
-  rec_p75_ = std::max(stats::quantile_sorted(rates, 0.75), 1.0);
+  rec_p25_ = std::max(rates[0], 1.0);
+  rec_p50_ = std::max(rates[1], 1.0);
+  rec_p75_ = std::max(rates[2], 1.0);
 }
 
 void Engine::prune_recent_broadcasts(SimTime now) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "../helpers.hpp"
@@ -177,6 +178,23 @@ TEST(BlockTemplate, DeterministicTieBreak) {
   EXPECT_EQ(t1.txs[1].id(), t2.txs[1].id());
   // Lower txid first on ties.
   EXPECT_LT(t1.txs[0].id(), t1.txs[1].id());
+
+  // Equal rates need not share (fee, vsize): 1000 sat / 250 vB ties
+  // 2000 sat / 500 vB exactly, and the lower txid goes first whichever
+  // the pool accepted first.
+  const auto small = tx_with_rate(4.0, 250, 0, 963);
+  const auto large = tx_with_rate(4.0, 500, 0, 964);
+  ASSERT_EQ(small.fee().value, 1000);
+  ASSERT_EQ(large.fee().value, 2000);
+  const btc::Txid lower = std::min(small.id(), large.id());
+  for (const bool small_first : {true, false}) {
+    Mempool split(1);
+    split.accept(small_first ? small : large, 0);
+    split.accept(small_first ? large : small, 0);
+    const BlockTemplate t = build_template(split, TemplateOptions{});
+    ASSERT_EQ(t.txs.size(), 2u);
+    EXPECT_EQ(t.txs[0].id(), lower);
+  }
 }
 
 TEST(BlockTemplate, AgingBonusPromotesOldTransactions) {

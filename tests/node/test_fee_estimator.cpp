@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "../helpers.hpp"
+#include "stats/descriptive.hpp"
+#include "util/rng.hpp"
 
 namespace cn::node {
 namespace {
@@ -40,6 +45,42 @@ TEST(FeeEstimator, PercentilesOrdered) {
   const double p75 = est.recommend_sat_per_vb(0.75);
   EXPECT_LE(p25, p50);
   EXPECT_LE(p50, p75);
+}
+
+TEST(FeeEstimator, QuantilesEqualQuantileSortedOfTheSortedWindow) {
+  // Windows of 1, 2 and 3 rates, then random ones whose rates take few
+  // distinct values (many ties), spread over blocks (some empty); read
+  // at repeated, boundary and interior quantiles. Values must match
+  // stats::quantile_sorted bit for bit.
+  const std::vector<double> qs = {0.0,  0.0, 0.1,  0.25,  0.25, 0.5,
+                                  0.5,  0.6, 0.75, 0.999, 1.0,  1.0};
+  Rng rng(17);
+  std::vector<std::size_t> sizes = {1, 2, 3};
+  for (int i = 0; i < 300; ++i) sizes.push_back(1 + rng.uniform_below(80));
+  for (const std::size_t n : sizes) {
+    FeeEstimator est(1000);
+    std::vector<double> window;
+    std::uint64_t height = 1;
+    while (window.size() < n) {
+      std::vector<double> rates(std::min<std::uint64_t>(n - window.size(),
+                                                        rng.uniform_below(12)));
+      for (double& r : rates) r = 1.0 + static_cast<double>(rng.uniform_below(5)) / 2.0;
+      const btc::Block block = block_with_rates(height++, rates);
+      for (const btc::Transaction& tx : block.txs()) {
+        window.push_back(tx.fee_rate().sat_per_vbyte());
+      }
+      est.on_block(block);
+    }
+    std::sort(window.begin(), window.end());
+    const std::vector<double> got = est.quantiles(qs);
+    ASSERT_EQ(got.size(), qs.size()) << "n " << n;
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      const double want = stats::quantile_sorted(window, qs[i]);
+      EXPECT_EQ(got[i], want) << "n " << n << " q " << qs[i];
+      EXPECT_EQ(est.recommend_sat_per_vb(qs[i]), want) << "n " << n << " q " << qs[i];
+    }
+  }
+  EXPECT_TRUE(FeeEstimator(6).quantiles(qs).empty());
 }
 
 TEST(FeeEstimator, EmptyBlocksContributeNothing) {
