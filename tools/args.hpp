@@ -1,8 +1,8 @@
-// Command-line options for cnaudit and cnauditd: "--key value" or
-// "--key=value"; a positional argument is an error. A numeric value must
-// parse whole: an empty value, trailing characters, a sign on a count or
-// a value out of range prints "<tool>: --key 'value' is not ..." and
-// exits 2.
+// Command-line options for cnaudit, cnauditd, cnconvert and cninject:
+// "--key value" or "--key=value"; a positional argument is an error. A
+// numeric value must parse whole: an empty value, trailing characters, a
+// sign on a count or a value out of range prints "<tool>: --key 'value'
+// is not ..." and exits 2.
 #pragma once
 
 #include <algorithm>
@@ -58,6 +58,14 @@ class Args {
   bool has(const std::string& key) const { return values_.count(key) != 0; }
   const std::map<std::string, std::string>& values() const { return values_; }
 
+  /// The first option given that is not in @p known, if any.
+  std::optional<std::string> unknown(std::initializer_list<std::string_view> known) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) return key;
+    }
+    return std::nullopt;
+  }
+
   std::optional<std::string> get(const std::string& key) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return std::nullopt;
@@ -107,6 +115,15 @@ class Args {
   double get_non_negative(const std::string& key, double fallback) const {
     const double x = get_double(key, fallback);
     if (has(key) && x < 0.0) reject(key, values_.at(key), "a non-negative number");
+    return x;
+  }
+
+  /// --key as a number in [0, 1]; @p fallback when absent.
+  double get_fraction(const std::string& key, double fallback) const {
+    const double x = get_double(key, fallback);
+    if (has(key) && !(x >= 0.0 && x <= 1.0)) {
+      reject(key, values_.at(key), "a number in [0, 1]");
+    }
     return x;
   }
 

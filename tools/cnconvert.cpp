@@ -13,13 +13,13 @@
 // only. Converting -> csv writes the standard export directory
 // (blocks/txs/inputs/outputs + any snapshot/first-seen series the
 // source carried). Both directions are atomic: bytes land in temporary
-// files renamed into place only after every write succeeded.
+// files renamed into place only after every write succeeded. An unknown
+// option or a --threads that is not a whole count exits 2.
 #include <cstdio>
-#include <cstring>
-#include <map>
-#include <optional>
+#include <limits>
 #include <string>
 
+#include "args.hpp"
 #include "btc/coinbase_tags.hpp"
 #include "core/audit_dataset.hpp"
 #include "core/wallet_inference.hpp"
@@ -45,28 +45,29 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  bool no_derived = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key == "--no-derived") {
-      no_derived = true;
-      continue;
-    }
-    if (key.rfind("--", 0) != 0 || i + 1 >= argc) return usage();
-    args[key.substr(2)] = argv[++i];
+  const cli::Args args("cnconvert", argc, argv, 1, {"no-derived"});
+  if (!args.ok()) {
+    std::fprintf(stderr, "cnconvert: bad argument '%s'\n", args.bad().c_str());
+    return usage();
   }
-  if (!args.count("input") || !args.count("output")) return usage();
-  const std::string& in_path = args["input"];
-  const std::string& out_path = args["output"];
+  if (const auto bad = args.unknown({"input", "output", "format", "policy",
+                                     "no-derived", "threads"})) {
+    std::fprintf(stderr, "cnconvert: unknown option --%s\n", bad->c_str());
+    return usage();
+  }
+  const std::string in_path = args.get_or("input", "");
+  const std::string out_path = args.get_or("output", "");
+  if (in_path.empty() || out_path.empty()) return usage();
+  const bool no_derived = args.has("no-derived");
+  const auto threads = static_cast<unsigned>(
+      args.get_u64("threads", 0, std::numeric_limits<unsigned>::max()));
 
   io::LoadPolicy policy = io::LoadPolicy::kStrict;
-  if (args.count("policy")) {
-    if (args["policy"] == "lenient") {
+  if (const auto p = args.get("policy")) {
+    if (*p == "lenient") {
       policy = io::LoadPolicy::kLenient;
-    } else if (args["policy"] != "strict") {
-      std::fprintf(stderr, "cnconvert: unknown --policy '%s'\n",
-                   args["policy"].c_str());
+    } else if (*p != "strict") {
+      std::fprintf(stderr, "cnconvert: unknown --policy '%s'\n", p->c_str());
       return usage();
     }
   }
@@ -74,11 +75,11 @@ int main(int argc, char** argv) {
   // Output format: explicit flag first, else cnb unless the target looks
   // like (or already is) a directory.
   io::DatasetFormat out_format = io::DatasetFormat::kCnb;
-  if (args.count("format")) {
-    const auto parsed = io::parse_dataset_format(args["format"]);
+  if (const auto f = args.get("format")) {
+    const auto parsed = io::parse_dataset_format(*f);
     if (!parsed) {
       std::fprintf(stderr, "cnconvert: unknown --format '%s' (want csv|cnb)\n",
-                   args["format"].c_str());
+                   f->c_str());
       return usage();
     }
     out_format = *parsed;
@@ -133,11 +134,6 @@ int main(int argc, char** argv) {
     // load skips the audit pipeline's dominant stage.
     const auto registry = btc::CoinbaseTagRegistry::paper_registry();
     const core::PoolAttribution attribution(data.chain, registry);
-    unsigned threads = 0;
-    if (args.count("threads")) {
-      threads = static_cast<unsigned>(
-          std::strtoul(args["threads"].c_str(), nullptr, 10));
-    }
     util::ThreadPool workers(threads);
     data.audit_dataset = core::AuditDataset::build(
         data.chain, attribution, workers,

@@ -25,7 +25,9 @@
 //                 io::read_cnb pinpoints)
 //   --truncate 1  additionally cut the file mid-section
 //
-// --in/--out are historical aliases for --input/--output.
+// --in/--out are historical aliases for --input/--output. Numbers must
+// parse whole and in range (--rate in [0, 1], --truncate 0 or 1), and an
+// option the tool does not know is rejected; either exits 2.
 //
 // Typical round trip:
 //   cnaudit simulate --dataset C --out clean
@@ -33,12 +35,12 @@
 //   cnaudit report --input dirty --policy lenient  # loads, masks gaps
 //   cnaudit report --input dirty --policy strict   # pinpoints a fault
 #include <cstdio>
-#include <cstdlib>
-#include <map>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "io/dataset_source.hpp"
 #include "testing/fault_injector.hpp"
 
@@ -83,51 +85,48 @@ std::optional<std::vector<testing::FaultKind>> parse_kinds(const std::string& s)
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key.rfind("--", 0) != 0 || i + 1 >= argc) return usage();
-    args[key.substr(2)] = argv[++i];
+  const cli::Args args("cninject", argc, argv, 1);
+  if (!args.ok()) {
+    std::fprintf(stderr, "cninject: bad argument '%s'\n", args.bad().c_str());
+    return usage();
   }
-  if (args.count("input")) args["in"] = args["input"];
-  if (args.count("output")) args["out"] = args["output"];
-  if (!args.count("in") || !args.count("out")) return usage();
+  if (const auto bad = args.unknown({"input", "output", "in", "out", "seed", "rate",
+                                     "kinds", "gaps", "gap-width", "truncate",
+                                     "sections"})) {
+    std::fprintf(stderr, "cninject: unknown option --%s\n", bad->c_str());
+    return usage();
+  }
+  const std::string in = args.get_or("input", args.get_or("in", ""));
+  const std::string out = args.get_or("output", args.get_or("out", ""));
+  if (in.empty() || out.empty()) return usage();
 
-  const std::uint64_t seed =
-      args.count("seed") ? std::strtoull(args["seed"].c_str(), nullptr, 10) : 42;
+  const std::uint64_t seed = args.get_u64("seed", 42);
   testing::FaultOptions options;
-  if (args.count("rate")) {
-    options.row_corruption_rate = std::strtod(args["rate"].c_str(), nullptr);
-  }
-  if (args.count("kinds")) {
-    const auto kinds = parse_kinds(args["kinds"]);
+  options.row_corruption_rate = args.get_fraction("rate", options.row_corruption_rate);
+  if (const auto kinds_arg = args.get("kinds")) {
+    const auto kinds = parse_kinds(*kinds_arg);
     if (!kinds) {
-      std::fprintf(stderr, "cninject: bad --kinds '%s'\n", args["kinds"].c_str());
+      std::fprintf(stderr, "cninject: bad --kinds '%s'\n", kinds_arg->c_str());
       return usage();
     }
     options.kinds = *kinds;
   }
-  if (args.count("gaps")) {
-    options.snapshot_gaps = std::strtoull(args["gaps"].c_str(), nullptr, 10);
-  }
-  if (args.count("gap-width")) {
-    options.gap_width = std::strtoll(args["gap-width"].c_str(), nullptr, 10);
-  }
-  if (args.count("truncate")) options.truncate_tail = args["truncate"] == "1";
-  if (args.count("sections")) {
-    options.cnb_sections = std::strtoull(args["sections"].c_str(), nullptr, 10);
-  }
+  options.snapshot_gaps = args.get_u64("gaps", options.snapshot_gaps);
+  options.gap_width = static_cast<SimTime>(
+      args.get_u64("gap-width", static_cast<std::uint64_t>(options.gap_width),
+                   std::numeric_limits<SimTime>::max()));
+  options.truncate_tail = args.get_u64("truncate", 0, 1) == 1;
+  options.cnb_sections = args.get_u64("sections", options.cnb_sections);
 
   testing::FaultInjector injector(seed);
   testing::InjectionLog log;
-  if (io::sniff_dataset_format(args["in"]) == io::DatasetFormat::kCnb) {
-    if (!injector.inject_cnb_file(args["in"], args["out"], options, log)) {
-      std::fprintf(stderr, "cninject: could not read CNB1 file %s\n",
-                   args["in"].c_str());
+  if (io::sniff_dataset_format(in) == io::DatasetFormat::kCnb) {
+    if (!injector.inject_cnb_file(in, out, options, log)) {
+      std::fprintf(stderr, "cninject: could not read CNB1 file %s\n", in.c_str());
       return 1;
     }
   } else {
-    log = injector.inject_dataset(args["in"], args["out"], options);
+    log = injector.inject_dataset(in, out, options);
   }
   log.seed = seed;
 

@@ -215,6 +215,17 @@ if(DEFINED CNCONVERT)
   endif()
   file(REMOVE "${cnb}")
   file(REMOVE_RECURSE "${csv2}")
+
+  # A count that does not parse whole, or an option cnconvert does not
+  # know, exits 2 before anything is written.
+  foreach(bad "--threads;abc" "--bogus;1")
+    execute_process(
+      COMMAND "${CNCONVERT}" --input "${workdir}" --output "${cnb}" ${bad}
+      RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2 OR EXISTS "${cnb}")
+      message(FATAL_ERROR "cnconvert ${bad} exited ${rc}, want 2 and no output: ${err}")
+    endif()
+  endforeach()
 endif()
 
 # Fault-injection round trip: corrupt the export, then lenient import
@@ -256,6 +267,19 @@ if(DEFINED CNINJECT)
     message(FATAL_ERROR "strict failure did not pinpoint a defect: ${err}")
   endif()
   file(REMOVE_RECURSE "${dirty}")
+
+  # Malformed numbers, out-of-range values and unknown options exit 2
+  # before anything is written: no seed 0 from "abc", no rate outside
+  # [0, 1], no wrapped --gaps, no --truncate other than 0 or 1.
+  foreach(bad "--seed;abc" "--rate;2.5" "--rate;x" "--gaps;-1" "--truncate;yes"
+              "--bogus;3")
+    execute_process(
+      COMMAND "${CNINJECT}" --in "${workdir}" --out "${dirty}" ${bad}
+      RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2 OR EXISTS "${dirty}")
+      message(FATAL_ERROR "cninject ${bad} exited ${rc}, want 2 and no output: ${err}")
+    endif()
+  endforeach()
 endif()
 
 file(REMOVE_RECURSE "${workdir}")
