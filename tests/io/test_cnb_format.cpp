@@ -162,6 +162,77 @@ TEST_F(CnbFormatTest, ChainAndSeriesRoundTripExactly) {
   EXPECT_FALSE(loaded->audit_dataset.has_value());
 }
 
+// A chain at the parallel-load threshold (65,536 transactions): a strict
+// load rebuilds the chain on a helper thread while the main thread builds
+// the first-seen map and snapshots from the same mapped file, so under
+// TSan (tools/ci.sh) this is the race check for that overlap. On a
+// one-core host the load stays serial and the test checks only the round
+// trip.
+TEST_F(CnbFormatTest, ThreadedLoadOfALargeChainRoundTrips) {
+  constexpr std::uint64_t kBlocks = 64;
+  constexpr std::size_t kTxsPerBlock = 1025;  // 65,600 transactions in all
+  btc::Chain original(500);
+  FirstSeenMap first_seen;
+  node::SnapshotSeries snapshots;
+  for (std::uint64_t b = 0; b < kBlocks; ++b) {
+    const auto mined_at = static_cast<SimTime>(600 * (b + 1));
+    std::vector<double> rates(kTxsPerBlock);
+    for (std::size_t i = 0; i < rates.size(); ++i) rates[i] = 1.0 + static_cast<double>(i % 40);
+    btc::Block block = cn::test::block_with_rates(
+        500 + b, rates, b % 2 == 0 ? "/F2Pool/" : "/ViaBTC/", mined_at);
+    for (const btc::Transaction& tx : block.txs()) {
+      first_seen.emplace(tx.id(), mined_at - 1 - static_cast<SimTime>(first_seen.size() % 500));
+    }
+    snapshots.record({mined_at - 300, kTxsPerBlock, 250 * kTxsPerBlock});
+    original.append(std::move(block));
+  }
+  ASSERT_GE(original.total_tx_count(), std::uint64_t{1} << 16);
+
+  CnbWriteOptions options;
+  options.snapshots = &snapshots;
+  options.first_seen = &first_seen;
+  std::string error;
+  ASSERT_TRUE(write_cnb(original, path_, options, &error)) << error;
+
+  const auto loaded = read_cnb(path_, LoadPolicy::kStrict);
+  ASSERT_TRUE(loaded.has_value()) << loaded.report.summary();
+  EXPECT_TRUE(loaded.report.clean());
+  ASSERT_EQ(loaded->chain.size(), original.size());
+  EXPECT_EQ(loaded->chain.total_tx_count(), original.total_tx_count());
+  for (std::size_t b = 0; b < original.size(); ++b) {
+    const btc::Block& ob = original.blocks()[b];
+    const btc::Block& lb = loaded->chain.blocks()[b];
+    ASSERT_EQ(lb.header().hash(), ob.header().hash()) << "block " << b;
+    EXPECT_EQ(lb.coinbase().tag, ob.coinbase().tag);
+    ASSERT_EQ(lb.tx_count(), ob.tx_count());
+    for (std::size_t i = 0; i < ob.txs().size(); ++i) {
+      const btc::Transaction& o = ob.txs()[i];
+      const btc::Transaction& l = lb.txs()[i];
+      ASSERT_EQ(l.id(), o.id());
+      ASSERT_EQ(l.fee().value, o.fee().value);
+      ASSERT_EQ(l.vsize(), o.vsize());
+      ASSERT_EQ(l.issued(), o.issued());
+      ASSERT_EQ(l.inputs().size(), o.inputs().size());
+      for (std::size_t k = 0; k < o.inputs().size(); ++k) {
+        ASSERT_EQ(l.inputs()[k].prev_txid, o.inputs()[k].prev_txid);
+        ASSERT_EQ(l.inputs()[k].prev_vout, o.inputs()[k].prev_vout);
+        ASSERT_EQ(l.inputs()[k].owner, o.inputs()[k].owner);
+      }
+      ASSERT_EQ(l.outputs().size(), o.outputs().size());
+      for (std::size_t k = 0; k < o.outputs().size(); ++k) {
+        ASSERT_EQ(l.outputs()[k].to, o.outputs()[k].to);
+        ASSERT_EQ(l.outputs()[k].value.value, o.outputs()[k].value.value);
+      }
+    }
+  }
+  EXPECT_TRUE(loaded->chain.verify_integrity());
+  ASSERT_TRUE(loaded->first_seen.has_value());
+  EXPECT_EQ(loaded->first_seen->size(), first_seen.size());
+  EXPECT_TRUE(*loaded->first_seen == first_seen);
+  ASSERT_TRUE(loaded->snapshots.has_value());
+  EXPECT_EQ(loaded->snapshots->size(), snapshots.size());
+}
+
 TEST_F(CnbFormatTest, DerivedColumnsRoundTripBitwise) {
   const btc::Chain chain = three_block_chain();
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();

@@ -9,8 +9,9 @@
 # the bit bench_audit writes to bench_out/BENCH_audit.json, re-runs the
 # concurrency-sensitive tests (the ThreadPool, the lock-free obs
 # registry, the parallel audit pipeline, the pinned-report suite, the
-# fault-injection property suite, and the daemon's threaded and
-# checkpoint tests) under tsan, runs the fault-injection and CSV reader
+# fault-injection property suite, the two-thread CNB1 load of a
+# 65,536-transaction chain, and the daemon's threaded and checkpoint
+# tests) under tsan, runs the fault-injection and CSV reader
 # suites under asan plus the ingestion throughput bench, exercises the
 # CNB1 leg (round-trip suite under asan, a cnconvert-built fixture whose
 # report must equal the reports from its source CSV export and from the
@@ -255,9 +256,11 @@ run ./build-tsan/tests/cn_tests_obs
 # The parallel audit fan-outs, the pinned-report suite (parallel
 # AuditDataset build + staged pipeline at threads 1, 4 and 0), and the
 # fault-injection property tests all drive the thread pool; run them
-# race-checked.
+# race-checked. A CNB1 file of at least 65,536 transactions loads on two
+# threads (the chain rebuild beside the first-seen and snapshot groups);
+# ThreadedLoadOfALargeChainRoundTrips is that load.
 run ./build-tsan/tests/cn_tests_core --gtest_filter='AuditPipeline*:AuditReportPins*:AuditStages*'
-run ./build-tsan/tests/cn_tests_io --gtest_filter='FaultInjection*'
+run ./build-tsan/tests/cn_tests_io --gtest_filter='FaultInjection*:CnbFormatTest.ThreadedLoadOfALargeChainRoundTrips'
 # The daemon runs ingest, apply, watchdog and HTTP threads around one
 # accumulator and a cached report. The single-threaded SealedPairs*
 # recounts are left out: under tsan they take minutes.
