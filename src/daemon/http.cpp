@@ -23,10 +23,12 @@ ssize_t read_retry(int fd, char* buf, std::size_t n) {
   return r;
 }
 
+/// MSG_NOSIGNAL: a client that reset the connection turns the write into
+/// EPIPE for this connection alone, not a SIGPIPE that ends the daemon.
 bool write_all(int fd, const char* buf, std::size_t n) {
   std::size_t off = 0;
   while (off < n) {
-    const ssize_t w = ::write(fd, buf + off, n - off);
+    const ssize_t w = ::send(fd, buf + off, n - off, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return false;
