@@ -272,9 +272,14 @@ void AuditAccumulators::encode(std::vector<std::uint8_t>& out) const {
     w.u64(p.wallets.size());
     for (const btc::Address& a : p.wallets) w.u64(a.value);
   }
+}
 
-  w.u64(seen_txs_.size());
-  for (const core::SeenTx& t : seen_txs_) {
+void AuditAccumulators::encode_log(std::size_t from,
+                                   std::vector<std::uint8_t>& out) const {
+  out.reserve(out.size() + (seen_txs_.size() - from) * kLogRecordBytes);
+  ByteWriter w(out);
+  for (std::size_t i = from; i < seen_txs_.size(); ++i) {
+    const core::SeenTx& t = seen_txs_[i];
     w.i64(t.first_seen);
     w.f64(t.fee_rate);
     w.u64(t.block_height);
@@ -283,6 +288,29 @@ void AuditAccumulators::encode(std::vector<std::uint8_t>& out) const {
     if (t.cpfp_parent) flags |= kSeenCpfpParent;
     w.u8(flags);
   }
+}
+
+bool AuditAccumulators::decode_log(const std::uint8_t* data, std::size_t size,
+                                   std::string* error) {
+  if (size % kLogRecordBytes != 0) {
+    if (error != nullptr) *error = "truncated event-log entry";
+    return false;
+  }
+  ByteReader r(data, size);
+  seen_txs_.reserve(seen_txs_.size() + size / kLogRecordBytes);
+  // Whole records only, so none of the reads below can run short.
+  while (r.remaining() != 0) {
+    core::SeenTx t;
+    std::uint8_t flags = 0;
+    r.i64(t.first_seen);
+    r.f64(t.fee_rate);
+    r.u64(t.block_height);
+    r.u8(flags);
+    t.cpfp = (flags & kSeenCpfp) != 0;
+    t.cpfp_parent = (flags & kSeenCpfpParent) != 0;
+    seen_txs_.push_back(t);
+  }
+  return true;
 }
 
 bool AuditAccumulators::decode(const std::uint8_t* data, std::size_t size,
@@ -338,22 +366,6 @@ bool AuditAccumulators::decode(const std::uint8_t* data, std::size_t size,
       wallets_.add(a, id);
     }
     pools_.push_back(std::move(p));
-  }
-
-  std::uint64_t seen_count = 0;
-  if (!r.u64(seen_count)) return fail("truncated event-log length");
-  if (seen_count > r.remaining() / 25) return fail("implausible event-log length");
-  seen_txs_.reserve(seen_count);
-  for (std::uint64_t i = 0; i < seen_count; ++i) {
-    core::SeenTx t;
-    std::uint8_t flags = 0;
-    if (!r.i64(t.first_seen) || !r.f64(t.fee_rate) || !r.u64(t.block_height) ||
-        !r.u8(flags)) {
-      return fail("truncated event-log entry");
-    }
-    t.cpfp = (flags & kSeenCpfp) != 0;
-    t.cpfp_parent = (flags & kSeenCpfpParent) != 0;
-    seen_txs_.push_back(t);
   }
   if (r.remaining() != 0) return fail("trailing bytes after accumulator state");
   return true;

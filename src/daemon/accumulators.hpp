@@ -15,10 +15,12 @@
 //
 // Everything here is deterministic and serializable: apply order is
 // defined (attribute + learn wallet, then norms, then self-interest),
-// doubles round-trip bit-exactly through encode/decode, and report JSON
-// is rendered with a fixed format — the foundations of the crash-safety
-// invariant (kill anywhere, restart from checkpoint, byte-identical
-// report).
+// doubles round-trip bit-exactly through encode/decode (the state) and
+// encode_log/decode_log (the pair-violation event log, which a
+// checkpoint appends to a segment file instead of rewriting), and report
+// JSON is rendered with a fixed format — the foundations of the
+// crash-safety invariant (kill anywhere, restart from checkpoint,
+// byte-identical report).
 #pragma once
 
 #include <cstdint>
@@ -112,15 +114,40 @@ class AuditAccumulators {
   static std::string to_json(const Report& report);
 
   // --- checkpoint support --------------------------------------------
+  //
+  // The state splits in two for the checkpoint's two files. encode()
+  // writes everything but the pair-violation event log: totals,
+  // congestion bins, pools and their wallets — a few KB whatever the
+  // stream length. The log, which grows by every committed transaction
+  // the observer saw, travels as fixed-size records through
+  // encode_log()/decode_log(), so a checkpoint can append only the
+  // records added since the last one.
 
-  /// Serializes the full accumulator state (bit-exact doubles, wallets
-  /// sorted by address so equal states encode to equal bytes).
+  /// Bytes per event-log record: i64 first-seen, f64 fee-rate bits, u64
+  /// height, u8 CPFP flags.
+  static constexpr std::size_t kLogRecordBytes = 25;
+
+  /// Appends the accumulator state without the event log (bit-exact
+  /// doubles, wallets sorted by address so equal states encode to equal
+  /// bytes) to @p out.
   void encode(std::vector<std::uint8_t>& out) const;
 
-  /// Restores state from encode()'s output. On failure returns false
-  /// with *error set; the accumulator is left in an unspecified state
-  /// and must be discarded.
+  /// Restores state from encode()'s output and empties the event log.
+  /// On failure returns false with *error set; the accumulator is left
+  /// in an unspecified state and must be discarded.
   bool decode(const std::uint8_t* data, std::size_t size, std::string* error);
+
+  /// Records in the event log.
+  std::size_t log_size() const noexcept { return seen_txs_.size(); }
+
+  /// Appends event-log records [@p from, log_size()) to @p out,
+  /// kLogRecordBytes each. @p from must not exceed log_size().
+  void encode_log(std::size_t from, std::vector<std::uint8_t>& out) const;
+
+  /// Appends the records in @p data (encode_log()'s output) to the event
+  /// log. Fails with *error set when @p size is not a whole number of
+  /// records; the accumulator must then be discarded.
+  bool decode_log(const std::uint8_t* data, std::size_t size, std::string* error);
 
   const AccumulatorOptions& options() const noexcept { return options_; }
   std::uint64_t registry_fingerprint() const noexcept {
@@ -148,7 +175,7 @@ class AuditAccumulators {
   std::uint64_t max_total_vsize_ = 0;
   std::uint64_t congestion_levels_[4] = {0, 0, 0, 0};
 
-  /// Event-sourced pair-violation log (checkpointed).
+  /// Event-sourced pair-violation log (checkpointed by encode_log()).
   std::vector<core::SeenTx> seen_txs_;
   /// Running count over seen_txs_[0, pairs_counted_). Derived state, not
   /// checkpointed: decode() empties it and the next seal counts the

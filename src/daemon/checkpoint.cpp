@@ -1,6 +1,7 @@
 #include "daemon/checkpoint.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -9,7 +10,6 @@
 #include <fstream>
 #include <vector>
 
-#include "daemon/wire.hpp"
 #include "testing/crash_points.hpp"
 
 namespace cn::daemon {
@@ -17,7 +17,19 @@ namespace cn::daemon {
 namespace {
 
 constexpr char kMagic[6] = {'C', 'N', 'C', 'P', '1', '\0'};
-constexpr std::uint16_t kVersion = 1;
+constexpr std::uint16_t kVersion = 2;
+
+/// Closes a file descriptor on every return path.
+struct FileDescriptor {
+  explicit FileDescriptor(int value) : fd(value) {}
+  ~FileDescriptor() {
+    if (fd >= 0) ::close(fd);
+  }
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
+
+  int fd;
+};
 
 bool fsync_path(const std::string& path, std::string* error) {
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -31,6 +43,32 @@ bool fsync_path(const std::string& path, std::string* error) {
   return ok;
 }
 
+bool pwrite_all(int fd, const std::uint8_t* data, std::size_t size, off_t offset) {
+  while (size > 0) {
+    const ssize_t n = ::pwrite(fd, data, size, offset);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+    offset += n;
+  }
+  return true;
+}
+
+/// Reads exactly @p size bytes from offset 0; false on an error or EOF.
+bool pread_all(int fd, std::uint8_t* data, std::size_t size) {
+  off_t offset = 0;
+  while (size > 0) {
+    const ssize_t n = ::pread(fd, data, size, offset);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+    offset += n;
+  }
+  return true;
+}
+
 io::LoadError make_error(io::LoadErrorKind kind, const std::string& path,
                          std::string detail) {
   io::LoadError e;
@@ -40,13 +78,51 @@ io::LoadError make_error(io::LoadErrorKind kind, const std::string& path,
   return e;
 }
 
+/// Steps (1) and (2) of a save: truncates the segment at @p path to
+/// @p committed bytes, then writes @p records there and fsyncs.
+bool append_records(const std::string& path, off_t committed,
+                    const std::vector<std::uint8_t>& records, std::string* error) {
+  const auto fail = [&](const char* what) {
+    if (error != nullptr) *error = path + ": " + what + ": " + std::strerror(errno);
+    return false;
+  };
+  const FileDescriptor segment(::open(path.c_str(), O_WRONLY | O_CREAT, 0644));
+  if (segment.fd < 0) return fail("open");
+  if (::ftruncate(segment.fd, committed) != 0) return fail("ftruncate");
+  const std::size_t half = records.size() / 2;
+  if (!pwrite_all(segment.fd, records.data(), half, committed)) return fail("write");
+  testing::crash_point("checkpoint.mid_append");
+  if (!pwrite_all(segment.fd, records.data() + half, records.size() - half,
+                  committed + static_cast<off_t>(half))) {
+    return fail("write");
+  }
+  if (::fsync(segment.fd) != 0) return fail("fsync");
+  return true;
+}
+
 }  // namespace
 
+std::string checkpoint_log_path(const std::string& path) { return path + ".log"; }
+
 bool save_checkpoint(const AuditAccumulators& acc, const std::string& path,
-                     std::string* error) {
+                     CheckpointLog& log, std::string* error) {
+  if (acc.log_size() < log.records) {
+    if (error != nullptr) *error = path + ": event log is shorter than the committed segment";
+    return false;
+  }
+  std::vector<std::uint8_t> records;
+  acc.encode_log(log.records, records);
+  const off_t committed =
+      static_cast<off_t>(log.records * AuditAccumulators::kLogRecordBytes);
+  if (!append_records(checkpoint_log_path(path), committed, records, error)) {
+    return false;
+  }
+  testing::crash_point("checkpoint.post_append");
+  const CheckpointLog next{acc.log_size(),
+                           fnv1a(records.data(), records.size(), log.checksum)};
+
   std::vector<std::uint8_t> payload;
   acc.encode(payload);
-
   std::vector<std::uint8_t> file;
   file.reserve(payload.size() + 64);
   ByteWriter w(file);
@@ -57,6 +133,8 @@ bool save_checkpoint(const AuditAccumulators& acc, const std::string& path,
   // The registry itself is not serialized — the daemon re-creates it —
   // but its fingerprint guards against resuming with different tags.
   w.u64(acc.registry_fingerprint());
+  w.u64(next.records);
+  w.u64(next.checksum);
   w.u64(payload.size());
   w.u64(fnv1a(payload.data(), payload.size()));
   file.insert(file.end(), payload.begin(), payload.end());
@@ -86,10 +164,12 @@ bool save_checkpoint(const AuditAccumulators& acc, const std::string& path,
   }
   testing::crash_point("checkpoint.post_rename");
   // Durable rename: fsync the containing directory so the new directory
-  // entry survives power loss too (best-effort; some filesystems refuse
-  // to open directories).
+  // entries (the state file, and the segment on the first save) survive
+  // power loss too (best-effort; some filesystems refuse to open
+  // directories).
   const std::filesystem::path dir = std::filesystem::path(path).parent_path();
   if (!dir.empty()) fsync_path(dir.string(), nullptr);
+  log = next;
   return true;
 }
 
@@ -125,9 +205,7 @@ CheckpointLoad load_checkpoint(AuditAccumulators& acc, const std::string& path,
     return result;
   }
   std::uint8_t vlo = 0, vhi = 0;
-  std::uint64_t config_fpr = 0, registry_fpr = 0, payload_size = 0, checksum = 0;
-  if (!r.u8(vlo) || !r.u8(vhi) || !r.u64(config_fpr) || !r.u64(registry_fpr) ||
-      !r.u64(payload_size) || !r.u64(checksum)) {
+  if (!r.u8(vlo) || !r.u8(vhi)) {
     result.error = make_error(io::LoadErrorKind::kTruncatedFile, path,
                               "header extends past EOF");
     return result;
@@ -136,6 +214,14 @@ CheckpointLoad load_checkpoint(AuditAccumulators& acc, const std::string& path,
   if (version != kVersion) {
     result.error = make_error(io::LoadErrorKind::kUnsupportedVersion, path,
                               "checkpoint version " + std::to_string(version));
+    return result;
+  }
+  std::uint64_t config_fpr = 0, registry_fpr = 0, log_records = 0, log_checksum = 0,
+                payload_size = 0, checksum = 0;
+  if (!r.u64(config_fpr) || !r.u64(registry_fpr) || !r.u64(log_records) ||
+      !r.u64(log_checksum) || !r.u64(payload_size) || !r.u64(checksum)) {
+    result.error = make_error(io::LoadErrorKind::kTruncatedFile, path,
+                              "header extends past EOF");
     return result;
   }
   if (config_fpr != expected_config) {
@@ -169,8 +255,46 @@ CheckpointLoad load_checkpoint(AuditAccumulators& acc, const std::string& path,
                               "payload decode: " + decode_error);
     return result;
   }
+
+  // The segment's committed prefix. Bytes past it are a torn or
+  // unfinished append; they are ignored here and truncated by the next
+  // save.
+  const std::string segment_path = checkpoint_log_path(path);
+  const FileDescriptor segment(::open(segment_path.c_str(), O_RDONLY));
+  struct stat st {};
+  if (segment.fd < 0 || ::fstat(segment.fd, &st) != 0) {
+    result.error = make_error(io::LoadErrorKind::kTruncatedFile, segment_path,
+                              "event-log segment missing or unreadable");
+    return result;
+  }
+  const std::uint64_t whole_records =
+      static_cast<std::uint64_t>(st.st_size) / AuditAccumulators::kLogRecordBytes;
+  if (log_records > whole_records) {
+    result.error = make_error(
+        io::LoadErrorKind::kTruncatedFile, segment_path,
+        "segment holds " + std::to_string(whole_records) +
+            " records, state file commits " + std::to_string(log_records));
+    return result;
+  }
+  std::vector<std::uint8_t> prefix(log_records * AuditAccumulators::kLogRecordBytes);
+  if (!pread_all(segment.fd, prefix.data(), prefix.size())) {
+    result.error = make_error(io::LoadErrorKind::kTruncatedFile, segment_path,
+                              "short read of the committed records");
+    return result;
+  }
+  if (fnv1a(prefix.data(), prefix.size()) != log_checksum) {
+    result.error = make_error(io::LoadErrorKind::kSectionChecksum, segment_path,
+                              "event-log checksum mismatch");
+    return result;
+  }
+  if (!acc.decode_log(prefix.data(), prefix.size(), &decode_error)) {
+    result.error = make_error(io::LoadErrorKind::kSectionLayout, segment_path,
+                              "event-log decode: " + decode_error);
+    return result;
+  }
   result.ok = true;
   result.seq = acc.last_seq();
+  result.log = {log_records, log_checksum};
   return result;
 }
 

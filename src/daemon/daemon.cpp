@@ -55,6 +55,7 @@ bool AuditDaemon::recover(std::string* message) {
     // always correct — just slower. decode() may have left partial
     // state; rebuild from scratch.
     accumulators_ = AuditAccumulators(*registry_, config_.accumulators);
+    checkpoint_log_ = {};
     const bool missing = load.error.has_value() &&
                          load.error->kind == io::LoadErrorKind::kFileOpen;
     if (!missing) checkpoint_rejected_.store(true);
@@ -71,6 +72,7 @@ bool AuditDaemon::recover(std::string* message) {
     // a truncated replay. Cold-start rather than serve sums the feed
     // cannot reproduce.
     accumulators_ = AuditAccumulators(*registry_, config_.accumulators);
+    checkpoint_log_ = {};
     checkpoint_rejected_.store(true);
     source_.seek(0);
     if (message != nullptr) {
@@ -79,6 +81,7 @@ bool AuditDaemon::recover(std::string* message) {
     }
     return true;
   }
+  checkpoint_log_ = load.log;
   recovered_seq_.store(load.seq);
   acc_blocks_.store(accumulators_.blocks(), std::memory_order_relaxed);
   if (message != nullptr) {
@@ -121,7 +124,8 @@ void AuditDaemon::apply_event(const io::StreamEvent& event) {
 void AuditDaemon::maybe_checkpoint() {
   if (config_.checkpoint_path.empty()) return;
   std::string error;
-  if (!save_checkpoint(accumulators_, config_.checkpoint_path, &error)) {
+  if (!save_checkpoint(accumulators_, config_.checkpoint_path, checkpoint_log_,
+                       &error)) {
     // A daemon that cannot persist progress must not pretend to be
     // durable: flag fatal so readiness fails and the operator notices.
     fatal_.store(true);

@@ -22,9 +22,10 @@
 // serves the last sealed body with degraded/staleness stamps in HTTP
 // headers. Bodies stay byte-deterministic; only freshness degrades.
 //
-// Thread discipline: accumulators_ is touched exclusively by the apply
-// side (run_to_end caller or the apply thread); queries read only the
-// cached sealed report under report_mu_. stats_ fields are atomics.
+// Thread discipline: accumulators_ and checkpoint_log_ are touched
+// exclusively by the apply side (run_to_end caller or the apply thread);
+// queries read only the cached sealed report under report_mu_. stats_
+// fields are atomics.
 #pragma once
 
 #include <atomic>
@@ -88,7 +89,8 @@ class AuditDaemon {
 
   /// Restores from the configured checkpoint (when present and valid)
   /// and seeks the source to one past the restored sequence number. An
-  /// unusable checkpoint (torn, wrong fingerprint) is discarded — the
+  /// unusable checkpoint (torn, wrong fingerprint, a segment missing or
+  /// shorter than the state file commits) is discarded — the
   /// daemon cold-starts, which is always safe because replay is
   /// deterministic. Returns false only on a hard source error.
   /// @p message receives a one-line description either way.
@@ -136,6 +138,9 @@ class AuditDaemon {
   core::FirstSeenFn first_seen_;
   DaemonConfig config_;
   AuditAccumulators accumulators_;
+  /// The checkpoint segment's committed prefix: set by a successful
+  /// recover(), reset by every cold start, advanced by each save.
+  CheckpointLog checkpoint_log_;
 
   BoundedQueue<io::StreamEvent> queue_;
   std::thread ingest_thread_;

@@ -93,10 +93,16 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// FNV-1a over a byte range — the checkpoint payload checksum. Not
-/// cryptographic; it only needs to catch torn/garbled writes.
-inline std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size) noexcept {
-  std::uint64_t h = 1469598103934665603ULL;
+/// FNV-1a's offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1aBasis = 1469598103934665603ULL;
+
+/// FNV-1a over a byte range — the checkpoint checksums. Not
+/// cryptographic; it only needs to catch torn/garbled writes. @p h is the
+/// hash of the bytes before this range, so hashing a range in pieces,
+/// each seeded with the previous piece's result, equals hashing it whole:
+/// the event-log segment's checksum runs on across appends this way.
+inline std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size,
+                           std::uint64_t h = kFnv1aBasis) noexcept {
   for (std::size_t i = 0; i < size; ++i) {
     h ^= data[i];
     h *= 1099511628211ULL;

@@ -3,9 +3,9 @@
 // count only from the block that announced them); sealing is
 // deterministic and idempotent; the sealed pair violations equal a full
 // core recount of the event log at every seal, across checkpoints and
-// out-of-order feeds; and the checkpoint encoding round-trips the full
-// state byte-exactly, keeps its pinned layout, and rejects garbage with
-// a message instead of crashing. The sealed scorecards themselves are
+// out-of-order feeds; and the checkpoint encodings (the state, and the
+// event log's records) round-trip byte-exactly, keep their pinned
+// layouts, and reject garbage with a message instead of crashing. The sealed scorecards themselves are
 // pinned per golden world (tests/sim/test_golden_worlds.cpp).
 #include <gtest/gtest.h>
 
@@ -60,11 +60,12 @@ btc::Chain mixed_chain() {
 }
 
 AuditAccumulators accumulate(const btc::Chain& chain,
-                             const btc::CoinbaseTagRegistry& registry) {
+                             const btc::CoinbaseTagRegistry& registry,
+                             const core::FirstSeenFn& first_seen = kNoFirstSeen) {
   AuditAccumulators acc(registry, test_options());
   std::uint64_t seq = 0;
   for (const btc::Block& block : chain.blocks()) {
-    acc.apply_block(block, kNoFirstSeen, ++seq);
+    acc.apply_block(block, first_seen, ++seq);
   }
   return acc;
 }
@@ -165,37 +166,57 @@ TEST(AuditAccumulators, SealIsIdempotentAndJsonDeterministic) {
 TEST(AuditAccumulators, EncodeDecodeRoundTripsByteExactly) {
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
   const btc::Chain chain = mixed_chain();
-  AuditAccumulators acc = accumulate(chain, registry);
+  AuditAccumulators acc = accumulate(chain, registry, cn::test::seen_at_txid);
   acc.apply_snapshot({15, 10, 2'500'000}, 1000);
 
   std::vector<std::uint8_t> encoded;
   acc.encode(encoded);
   ASSERT_FALSE(encoded.empty());
-  // The CNCP1 payload layout is pinned: a checkpoint written by an older
-  // build must still decode.
+  std::vector<std::uint8_t> log;
+  acc.encode_log(0, log);
+  ASSERT_EQ(acc.log_size(), chain.total_tx_count());
+  EXPECT_EQ(log.size(), acc.log_size() * AuditAccumulators::kLogRecordBytes);
+  // The state and event-log layouts are pinned. A change to either bumps
+  // the checkpoint version, and a checkpoint of the old version then
+  // fails typed (kUnsupportedVersion), so the daemon cold-starts instead
+  // of misreading it.
   EXPECT_EQ(hex_encode(sha256(encoded)),
-            "33037ae0a2c3fafd5840cd35a2f4c602ea727eebb4d44438013191d96aa3d6f3");
+            "f90092e3ba65a8a325ed1a1aba8dce170dce76874d5000ddb96bf0c75d3ef3c6");
+  EXPECT_EQ(hex_encode(sha256(log)),
+            "c5d6c08c1d5661f26a3a5b19106467c0b27810ef99913df30c7583abc028b67e");
 
   AuditAccumulators restored(registry, test_options());
   std::string error;
   ASSERT_TRUE(restored.decode(encoded.data(), encoded.size(), &error)) << error;
+  EXPECT_EQ(restored.log_size(), 0u);
+  ASSERT_TRUE(restored.decode_log(log.data(), log.size(), &error)) << error;
   EXPECT_EQ(restored.last_seq(), acc.last_seq());
   EXPECT_EQ(restored.blocks(), acc.blocks());
   EXPECT_EQ(restored.txs(), acc.txs());
+  EXPECT_EQ(restored.log_size(), acc.log_size());
 
   std::vector<std::uint8_t> re_encoded;
   restored.encode(re_encoded);
   EXPECT_EQ(re_encoded, encoded);
+  std::vector<std::uint8_t> re_log;
+  restored.encode_log(0, re_log);
+  EXPECT_EQ(re_log, log);
+  // Encoding from an offset appends that suffix of the log alone.
+  std::vector<std::uint8_t> tail;
+  restored.encode_log(restored.log_size() - 3, tail);
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(),
+                         log.end() - 3 * AuditAccumulators::kLogRecordBytes,
+                         log.end()));
   EXPECT_EQ(AuditAccumulators::to_json(restored.seal()),
             AuditAccumulators::to_json(acc.seal()));
 
   // The restored accumulator keeps accumulating identically.
-  AuditAccumulators parallel = accumulate(chain, registry);
+  AuditAccumulators parallel = accumulate(chain, registry, cn::test::seen_at_txid);
   parallel.apply_snapshot({15, 10, 2'500'000}, 1000);
   const btc::Block more =
       cn::test::block_with_rates(524, {6.0, 3.0}, "/F2Pool/", 99'000);
-  restored.apply_block(more, kNoFirstSeen, 1001);
-  parallel.apply_block(more, kNoFirstSeen, 1001);
+  restored.apply_block(more, cn::test::seen_at_txid, 1001);
+  parallel.apply_block(more, cn::test::seen_at_txid, 1001);
   EXPECT_EQ(AuditAccumulators::to_json(restored.seal()),
             AuditAccumulators::to_json(parallel.seal()));
 }
@@ -220,6 +241,18 @@ TEST(AuditAccumulators, DecodeRejectsGarbageWithoutCrashing) {
   AuditAccumulators victim(registry, test_options());
   std::string error;
   EXPECT_FALSE(victim.decode(padded.data(), padded.size(), &error));
+
+  // An event log that is not a whole number of records fails the same way.
+  const AuditAccumulators seen =
+      accumulate(mixed_chain(), registry, cn::test::seen_at_txid);
+  std::vector<std::uint8_t> log;
+  seen.encode_log(0, log);
+  for (const std::size_t cut : {std::size_t{1}, AuditAccumulators::kLogRecordBytes - 1}) {
+    AuditAccumulators partial(registry, test_options());
+    error.clear();
+    EXPECT_FALSE(partial.decode_log(log.data(), log.size() - cut, &error)) << "cut " << cut;
+    EXPECT_FALSE(error.empty()) << "cut " << cut;
+  }
 }
 
 // --- pair violations, seal by seal ----------------------------------------
@@ -308,10 +341,14 @@ TEST(AuditAccumulators, SealedPairsStayExactAcrossACheckpoint) {
       if ((i + 1) % every == 0) acc.seal();
     }
     std::vector<std::uint8_t> encoded;
+    std::vector<std::uint8_t> log;
     acc.encode(encoded);
+    acc.encode_log(0, log);
+    ASSERT_GT(acc.log_size(), 0u);
     AuditAccumulators restored(registry, test_options());
     std::string error;
     ASSERT_TRUE(restored.decode(encoded.data(), encoded.size(), &error)) << error;
+    ASSERT_TRUE(restored.decode_log(log.data(), log.size(), &error)) << error;
 
     // The restored accumulator keeps sealing exactly; the original keeps
     // pace so the final bytes can be compared.

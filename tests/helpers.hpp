@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,12 @@ inline btc::Block block_with_rates(std::uint64_t height,
   cb.reward_address = btc::Address::derive(pool_tag + "/reward");
   cb.reward = btc::Satoshi{625'000'000};
   return btc::Block(height, mined_at, std::move(cb), std::move(txs));
+}
+
+/// A first-seen time for every transaction, taken from its txid: feeds
+/// an observer log that holds every committed transaction.
+inline std::optional<SimTime> seen_at_txid(const btc::Txid& id) {
+  return static_cast<SimTime>(id.bytes[0]) * 7 + id.bytes[1];
 }
 
 /// The columnar audit view of @p chain, built serially. The default

@@ -17,8 +17,12 @@
 # report must equal the reports from its source CSV export and from the
 # CSV converted back, and the CNB1-vs-CSV ingest gate from
 # bench_dataset_build), runs the cnauditd daemon leg (the labelled
-# suite plus the kill-point chaos harness under asan, and the >=10x
-# incremental-update gate from bench_daemon), runs
+# suite, with the checkpoint files' seeded mutation loop, plus the
+# chaos harness under asan — kill points mid-apply, mid-append to the
+# event-log segment, after the segment's fsync, before the state file's
+# fsync, before and after its rename, each with its expected resume or
+# cold start, one of them pipelined — and the >=10x incremental-update
+# gate from bench_daemon), runs
 # the cnsweep smoke matrix cold then warm (warm must be all cache hits,
 # <10% sim time, byte-identical bench CSVs), and smoke-builds the
 # -DCN_OBS_DISABLE=ON configuration.
@@ -179,11 +183,15 @@ EOF
 echo "=== cnauditd: daemon suite + chaos harness under asan ==="
 # The daemon's checkpoint/recovery dance, bounded-queue backpressure,
 # and serving thread are the newest crash-and-concurrency surface.
-# `-L daemon` picks up cn_tests_daemon plus cli.chaos, whose kill
-# points (_exit(137) mid-apply, mid-fsync, mid-rename) emulate SIGKILL
-# and require the restarted daemon to converge to byte-identical
-# reports — here it drives the asan-built binaries explicitly so a
-# heap bug on the recovery path cannot hide behind a passing exit code.
+# `-L daemon` picks up cn_tests_daemon (including the seeded mutation
+# loop over the state file and the event-log segment) plus cli.chaos,
+# whose kill points (_exit(137) mid-apply, mid-append, between the
+# segment's fsync and the state file, before the state file's fsync,
+# before and after its rename; one under --threads 0) emulate SIGKILL
+# and require the restarted daemon to resume or cold-start as expected
+# and converge to byte-identical reports — here it drives the
+# asan-built binaries explicitly so a heap bug on the recovery path
+# cannot hide behind a passing exit code.
 run ctest --preset asan -j "${JOBS}" -L daemon --output-on-failure
 
 echo "=== cnauditd incremental-update gate (bench_daemon) ==="

@@ -5,8 +5,12 @@
 # with no destructors — observably identical to SIGKILL), then restart
 # from the last checkpoint, converges to a final report byte-identical
 # to an uninterrupted run's. Kill points cover the apply path and every
-# stage of the atomic checkpoint dance (before fsync, before rename,
-# after rename).
+# stage of a checkpoint save: mid-append to the event-log segment,
+# between the segment's fsync and the state file, before the state
+# file's fsync, before its rename, after it. Each kill also names the
+# restart it must lead to — a resume from the last durable checkpoint,
+# or a cold start when none was durable yet — checked on the restarted
+# daemon's stderr, since a cold start reproduces the final bytes too.
 if(NOT DEFINED CNAUDIT OR NOT DEFINED CNAUDITD)
   message(FATAL_ERROR "pass -DCNAUDIT=<path> -DCNAUDITD=<path>")
 endif()
@@ -68,79 +72,123 @@ expect_bad_number(--seal-every --seal-every abc)
 expect_bad_number(--http-port --serve --http-port 70000)
 
 # --- chaos: kill at a point, restart clean, require identical bytes ---
-# Each entry is one CN_CRASH_AT spec; checkpoints every 8 blocks so
-# several checkpoint cycles happen inside the small data set.
-set(kill_specs
-  "daemon.apply:3"
-  "daemon.apply:29"
-  "daemon.apply:101"
-  "checkpoint.pre_fsync:1"
-  "checkpoint.pre_rename:1"
-  "checkpoint.pre_rename:3"
-  "checkpoint.post_rename:1"
-  "daemon.post_checkpoint:2"
-)
-foreach(spec IN LISTS kill_specs)
-  set(ckpt "${workdir}/single.ckpt")
-  set(report "${workdir}/single.json")
-  file(REMOVE "${ckpt}" "${ckpt}.tmp" "${report}")
+# Checkpoints every 8 blocks: the 62-block data set makes 7 of them. Its
+# first block arrives after ~120 mempool snapshots, so the single-kill
+# list's daemon.apply kills land before the first checkpoint.
+
+# Runs cnauditd against ${ckpt} and ${report} in --threads ${threads},
+# armed with CN_CRASH_AT=${spec} unless it is empty; sets run_rc and
+# run_err in the caller.
+function(run_daemon spec threads)
+  set(env_cmd)
+  if(spec)
+    set(env_cmd "${CMAKE_COMMAND}" -E env "CN_CRASH_AT=${spec}")
+  endif()
   execute_process(
-    COMMAND "${CMAKE_COMMAND}" -E env "CN_CRASH_AT=${spec}"
-            "${CNAUDITD}" --input "${data}" --oneshot
+    COMMAND ${env_cmd} "${CNAUDITD}" --input "${data}" --oneshot --threads ${threads}
             --checkpoint "${ckpt}" --checkpoint-every 8 --out "${report}"
-    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
-  if(rc EQUAL 0)
-    # The countdown outlived the feed (expected for the deepest apply
-    # kill on very small runs) — the run completing cleanly is fine,
-    # but the report must still match.
-    file(READ "${report}" got)
-    if(NOT got STREQUAL ref)
-      message(FATAL_ERROR "un-killed run under ${spec} diverged from reference")
-    endif()
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  set(run_rc "${rc}" PARENT_SCOPE)
+  set(run_err "${err}" PARENT_SCOPE)
+endfunction()
+
+# Fails unless cnauditd's stderr ${err} shows the start ${expect} names:
+# "resume" from a checkpoint, or "cold" because none exists.
+function(expect_start expect err context)
+  if(expect STREQUAL "resume")
+    set(line "recovered from checkpoint at seq")
+  elseif(expect STREQUAL "cold")
+    set(line "no checkpoint; cold start")
   else()
-    if(NOT rc EQUAL 137)
-      message(FATAL_ERROR "kill point ${spec} exited ${rc}, expected 137")
-    endif()
-    # Restart without the kill switch: must recover and converge.
-    execute_process(
-      COMMAND "${CNAUDITD}" --input "${data}" --oneshot
-              --checkpoint "${ckpt}" --checkpoint-every 8 --out "${report}"
-      RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "restart after ${spec} failed (${rc}): ${out}${err}")
-    endif()
-    file(READ "${report}" got)
-    if(NOT got STREQUAL ref)
-      message(FATAL_ERROR "report after crash at ${spec} is not byte-identical to the reference")
-    endif()
+    message(FATAL_ERROR "${context}: unknown restart '${expect}'")
+  endif()
+  string(FIND "${err}" "${line}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "${context}: expected '${line}' on stderr, got: ${err}")
+  endif()
+endfunction()
+
+# Each entry is "<CN_CRASH_AT spec>=<restart>[=<threads>]": the restart
+# the kill leads to, and the --threads mode of both runs (default 1).
+set(kill_specs
+  "daemon.apply:3=cold"
+  "daemon.apply:29=cold"
+  "daemon.apply:101=cold"
+  "checkpoint.mid_append:1=cold"
+  "checkpoint.mid_append:3=resume"
+  "checkpoint.post_append:2=resume"
+  "checkpoint.pre_fsync:1=cold"
+  "checkpoint.pre_rename:1=cold"
+  "checkpoint.pre_rename:3=resume"
+  "checkpoint.post_rename:1=resume"
+  "daemon.post_checkpoint:2=resume"
+  # Pipelined: the kill lands on the apply thread while ingest runs.
+  "checkpoint.post_append:3=resume=0"
+)
+set(ckpt "${workdir}/single.ckpt")
+set(report "${workdir}/single.json")
+foreach(entry IN LISTS kill_specs)
+  string(REPLACE "=" ";" fields "${entry}")
+  list(GET fields 0 spec)
+  list(GET fields 1 expect)
+  set(threads 1)
+  list(LENGTH fields field_count)
+  if(field_count GREATER 2)
+    list(GET fields 2 threads)
+  endif()
+  file(REMOVE "${ckpt}" "${ckpt}.tmp" "${ckpt}.log" "${report}")
+  run_daemon("${spec}" ${threads})
+  if(NOT run_rc EQUAL 137)
+    message(FATAL_ERROR "kill point ${spec} exited ${run_rc}, expected 137: ${run_err}")
+  endif()
+  # Restart without the kill switch: must start as expected and converge.
+  run_daemon("" ${threads})
+  if(NOT run_rc EQUAL 0)
+    message(FATAL_ERROR "restart after ${spec} failed (${run_rc}): ${run_err}")
+  endif()
+  expect_start(${expect} "${run_err}" "restart after ${spec}")
+  file(READ "${report}" got)
+  if(NOT got STREQUAL ref)
+    message(FATAL_ERROR "report after crash at ${spec} is not byte-identical to the reference")
   endif()
 endforeach()
 
 # --- progressive chaos: repeated kills against ONE checkpoint file ----
-# Every restart inherits the previous crash's checkpoint; the daemon
-# must make forward progress through a whole sequence of kills and
-# still converge to the reference bytes.
+# Every restart inherits the files the previous crash left; the daemon
+# must make forward progress through a whole sequence of kills and still
+# converge to the reference bytes. Each entry's restart is checked on
+# the run after it. A countdown counts only its own run's passes, so
+# after a resume "checkpoint.mid_append:1" hits the first save past the
+# recovered checkpoint.
 set(ckpt "${workdir}/progressive.ckpt")
 set(report "${workdir}/progressive.json")
-file(REMOVE "${ckpt}" "${ckpt}.tmp" "${report}")
-foreach(spec "daemon.apply:11" "checkpoint.pre_rename:1" "daemon.apply:37"
-             "checkpoint.pre_fsync:2" "daemon.apply:5")
-  execute_process(
-    COMMAND "${CMAKE_COMMAND}" -E env "CN_CRASH_AT=${spec}"
-            "${CNAUDITD}" --input "${data}" --oneshot
-            --checkpoint "${ckpt}" --checkpoint-every 8 --out "${report}"
-    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
-  if(NOT rc EQUAL 137 AND NOT rc EQUAL 0)
-    message(FATAL_ERROR "progressive kill ${spec} exited ${rc}, expected 137 or 0")
+file(REMOVE "${ckpt}" "${ckpt}.tmp" "${ckpt}.log" "${report}")
+set(expect "cold")
+set(context "first progressive run")
+foreach(entry
+    "daemon.apply:11=cold"
+    "checkpoint.pre_rename:1=cold"
+    "checkpoint.mid_append:2=resume"
+    "daemon.apply:37=resume"
+    "checkpoint.post_append:1=resume"
+    "checkpoint.pre_fsync:2=resume"
+    "checkpoint.mid_append:1=resume"
+    "daemon.apply:5=resume")
+  string(REPLACE "=" ";" fields "${entry}")
+  list(GET fields 0 spec)
+  run_daemon("${spec}" 1)
+  if(NOT run_rc EQUAL 137)
+    message(FATAL_ERROR "progressive kill ${spec} exited ${run_rc}, expected 137: ${run_err}")
   endif()
+  expect_start(${expect} "${run_err}" "${context}")
+  list(GET fields 1 expect)
+  set(context "restart after progressive kill ${spec}")
 endforeach()
-execute_process(
-  COMMAND "${CNAUDITD}" --input "${data}" --oneshot
-          --checkpoint "${ckpt}" --checkpoint-every 8 --out "${report}"
-  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "final progressive run failed (${rc}): ${out}${err}")
+run_daemon("" 1)
+if(NOT run_rc EQUAL 0)
+  message(FATAL_ERROR "final progressive run failed (${run_rc}): ${run_err}")
 endif()
+expect_start(${expect} "${run_err}" "${context}")
 file(READ "${report}" got)
 if(NOT got STREQUAL ref)
   message(FATAL_ERROR "progressive-chaos report is not byte-identical to the reference")
