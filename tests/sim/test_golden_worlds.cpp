@@ -370,8 +370,8 @@ TEST(GoldenWorlds, CnbAndReportBytesMatchPins) {
     EXPECT_EQ(world_sha256(world, result, path), world.cnb_sha256)
         << world.name << " (" << world.spec.label()
         << "): the world bytes changed. If the change is intended, bump "
-           "sim::kWorldSpecVersion and re-pin every digest in this file "
-           "(ROADMAP item 4b); otherwise it is a determinism regression.";
+           "sim::kWorldSpecVersion and re-pin every digest in this file; "
+           "otherwise it is a determinism regression.";
     for (const unsigned threads : {0u, 1u, 4u}) {
       EXPECT_EQ(report_sha256(path, threads), world.report_sha256)
           << world.name << " (" << world.spec.label() << ", threads "
