@@ -75,10 +75,10 @@ print(f"obs overhead {metrics['obs_overhead_fraction']:+.4f} (budget 0.02), "
       "reports byte-identical")
 EOF
 
-echo "=== bench outputs: every figure, table and ablation bench, pinned ==="
-# Runs the 17 figure/table/ablation benches in fresh directories (cold
-# world caches) and checks the SHA-256 of each one's stdout and CSVs
-# against bench/outputs.sha256 (~70 s serially).
+echo "=== bench outputs: every figure, table and ablation bench and example, pinned ==="
+# Runs the 17 figure/table/ablation benches and the 5 examples in fresh
+# directories (cold world caches) and checks the SHA-256 of each one's
+# stdout and CSVs against bench/outputs.sha256 (~80 s serially).
 run tools/check_bench_outputs.sh
 
 echo "=== asan+ubsan: configure + build + ctest ==="
