@@ -45,7 +45,7 @@ Outcome run_with_aging(double age_weight, std::uint64_t seed, double scale) {
       world.chain, btc::CoinbaseTagRegistry::paper_registry());
   const auto seen = core::collect_seen_txs(
       dataset, [&](const btc::Txid& id) { return world.first_seen(id); });
-  const auto delays = core::commit_delays_blocks(world.chain, seen);
+  const auto delays = core::commit_delays_blocks(dataset, seen);
   const auto low = core::delays_for_band(seen, delays, core::FeeBand::kLow);
   if (!low.empty()) {
     const stats::Ecdf cdf{std::span<const double>(low)};

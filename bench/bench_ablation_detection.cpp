@@ -101,10 +101,10 @@ int main(int argc, char** argv) {
     const auto world = run_variant(seed, 0.3, true, propagation);
     json.add("txs", static_cast<double>(world.chain.total_tx_count()));
     json.add("blocks", static_cast<double>(world.chain.size()));
+    const core::AuditDataset dataset = dataset_of(world);
     const auto seen = core::collect_seen_txs(
-        dataset_of(world), [&](const btc::Txid& id) { return world.first_seen(id); });
-    const auto pending =
-        core::pending_at(seen, world.chain, world.config.duration / 2);
+        dataset, [&](const btc::Txid& id) { return world.first_seen(id); });
+    const auto pending = core::pending_at(seen, dataset, world.config.duration / 2);
     const auto stats = core::count_pair_violations(pending, 0, true);
     std::printf("   propagation %-3s  predicted=%llu  violations=%llu  "
                 "fraction=%s\n",

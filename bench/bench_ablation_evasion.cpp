@@ -161,9 +161,8 @@ int run(bool smoke) {
           bench::worlds::withholding(seed, delay_s, kSelfPerBlock, scale));
       json.add("txs", static_cast<double>(world.chain.total_tx_count()));
       json.add("blocks", static_cast<double>(world.chain.size()));
-      const core::PoolAttribution attribution(world.chain, registry);
       const auto reports = core::withholding_reports(
-          world.chain, attribution, world.first_seen_map);
+          core::AuditDataset::build(world.chain, registry), world.first_seen_map);
       std::printf("   delay %.0fs:\n", delay_s);
       for (const auto& r : reports) {
         std::printf("     %-16s %5llu of %5llu blocks flagged (%s) p=%s\n",
@@ -207,12 +206,11 @@ int run(bool smoke) {
 void BM_WithholdingDetector(benchmark::State& state) {
   static const sim::SimResult world =
       sim::make_dataset(sim::DatasetKind::kC, 3, 0.05);
-  static const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  static const core::PoolAttribution attribution(world.chain, registry);
+  static const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
   static const auto first_seen = world.observer.first_seen_map();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::withholding_reports(world.chain, attribution, first_seen));
+    benchmark::DoNotOptimize(core::withholding_reports(dataset, first_seen));
   }
 }
 BENCHMARK(BM_WithholdingDetector)->Unit(benchmark::kMillisecond);

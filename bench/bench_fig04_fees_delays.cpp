@@ -32,11 +32,12 @@ BENCHMARK(BM_CollectSeenTxs)->Unit(benchmark::kMillisecond);
 void BM_CommitDelays(benchmark::State& state) {
   using namespace cn;
   static const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kA, 3, 0.1);
+  static const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
   static const auto seen = core::collect_seen_txs(
-      core::AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry()),
-      [&](const btc::Txid& id) { return world.observer.first_seen(id); });
+      dataset, [&](const btc::Txid& id) { return world.observer.first_seen(id); });
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::commit_delays_blocks(world.chain, seen));
+    benchmark::DoNotOptimize(core::commit_delays_blocks(dataset, seen));
   }
 }
 BENCHMARK(BM_CommitDelays)->Unit(benchmark::kMillisecond);
@@ -64,7 +65,7 @@ int main(int argc, char** argv) {
         dataset, [&](const btc::Txid& id) { return world.first_seen(id); });
     json.add("txs", static_cast<double>(world.chain.total_tx_count()));
     json.add("blocks", static_cast<double>(world.chain.size()));
-    const auto delays = core::commit_delays_blocks(world.chain, seen);
+    const auto delays = core::commit_delays_blocks(dataset, seen);
     const stats::Ecdf delay_cdf{std::span<const double>(delays)};
 
     std::printf("--- data set %s ---\n", name);

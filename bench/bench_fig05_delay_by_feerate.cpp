@@ -16,10 +16,11 @@ namespace {
 void BM_DelaysForBand(benchmark::State& state) {
   using namespace cn;
   static const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kA, 3, 0.1);
+  static const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
   static const auto seen = core::collect_seen_txs(
-      core::AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry()),
-      [&](const btc::Txid& id) { return world.observer.first_seen(id); });
-  static const auto delays = core::commit_delays_blocks(world.chain, seen);
+      dataset, [&](const btc::Txid& id) { return world.observer.first_seen(id); });
+  static const auto delays = core::commit_delays_blocks(dataset, seen);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::delays_for_band(seen, delays, core::FeeBand::kHigh));
@@ -42,10 +43,11 @@ int main(int argc, char** argv) {
                                    std::pair{sim::DatasetKind::kB, "B"}}) {
     const io::World world =
         bench::world_for(bench::worlds::baseline(kind, seed, scale));
+    const auto dataset = core::AuditDataset::build(
+        world.chain, btc::CoinbaseTagRegistry::paper_registry());
     const auto seen = core::collect_seen_txs(
-        core::AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry()),
-        [&](const btc::Txid& id) { return world.first_seen(id); });
-    const auto delays = core::commit_delays_blocks(world.chain, seen);
+        dataset, [&](const btc::Txid& id) { return world.first_seen(id); });
+    const auto delays = core::commit_delays_blocks(dataset, seen);
     json.add("txs", static_cast<double>(world.chain.total_tx_count()));
     json.add("blocks", static_cast<double>(world.chain.size()));
 

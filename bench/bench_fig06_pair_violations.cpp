@@ -97,9 +97,10 @@ int main(int argc, char** argv) {
       bench::worlds::baseline(sim::DatasetKind::kA, seed, scale));
   json.metric("txs", static_cast<double>(world.chain.total_tx_count()));
   json.metric("blocks", static_cast<double>(world.chain.size()));
+  const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
   const auto seen = core::collect_seen_txs(
-      core::AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry()),
-      [&](const btc::Txid& id) { return world.first_seen(id); });
+      dataset, [&](const btc::Txid& id) { return world.first_seen(id); });
 
   // Sample 30 snapshot times uniformly at random, as the paper does.
   Rng rng(seed ^ 0xf16f16);
@@ -131,7 +132,7 @@ int main(int argc, char** argv) {
   for (const Config& config : configs) {
     std::vector<double> fractions;
     for (SimTime t : sample_times) {
-      const auto pending = core::pending_at(seen, world.chain, t);
+      const auto pending = core::pending_at(seen, dataset, t);
       const auto stats = core::count_pair_violations(pending, config.epsilon,
                                                      config.exclude_cpfp);
       if (stats.predicted_pairs == 0) continue;
@@ -162,7 +163,7 @@ int main(int argc, char** argv) {
     const core::PoolAttribution attribution(world.chain, registry);
     std::unordered_map<std::string, std::uint64_t> by_pool;
     for (SimTime t : sample_times) {
-      const auto pending = core::pending_at(seen, world.chain, t);
+      const auto pending = core::pending_at(seen, dataset, t);
       for (const auto& [height, n] :
            core::violations_by_block(pending, 0, /*exclude_cpfp=*/true)) {
         const auto pool = attribution.pool_of(height);

@@ -50,11 +50,12 @@ int main(int argc, char** argv) {
       bench::worlds::baseline(sim::DatasetKind::kC, seed, scale));
   json.metric("txs", static_cast<double>(world.chain.total_tx_count()));
   json.metric("blocks", static_cast<double>(world.chain.size()));
+  const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
   const auto seen = core::collect_seen_txs(
-      core::AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry()),
-      [&](const btc::Txid& id) { return world.first_seen(id); });
+      dataset, [&](const btc::Txid& id) { return world.first_seen(id); });
   const SimTime snapshot_time = world.config.duration / 2;
-  const auto pending = core::pending_at(seen, world.chain, snapshot_time);
+  const auto pending = core::pending_at(seen, dataset, snapshot_time);
   json.metric("pending_at_snapshot", static_cast<double>(pending.size()));
 
   sim::AccelerationService service(world.config.quote_model);

@@ -8,9 +8,9 @@
 #include "common.hpp"
 #include "worlds.hpp"
 
+#include "core/audit_dataset.hpp"
 #include "core/darkfee.hpp"
 #include "core/sppe.hpp"
-#include "core/wallet_inference.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
 
@@ -42,14 +42,14 @@ int main(int argc, char** argv) {
       bench::worlds::baseline(sim::DatasetKind::kC, seed, scale));
   json.metric("txs", static_cast<double>(world.chain.total_tx_count()));
   json.metric("blocks", static_cast<double>(world.chain.size()));
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(world.chain, registry);
+  const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
   const auto is_accel = [&](const btc::Txid& id) {
     return world.is_accelerated(id);
   };
 
   static const double kPaperPct[] = {73.89, 64.98, 18.12, 1.06, 0.16};
-  const auto buckets = core::darkfee_buckets(world.chain, attribution, "BTC.com",
+  const auto buckets = core::darkfee_buckets(dataset, dataset.pool_id("BTC.com"),
                                              is_accel, {100.0, 99.0, 90.0, 50.0, 1.0});
 
   CsvWriter csv(bench::out_dir() + "/tab04_darkfee.csv");
@@ -79,15 +79,15 @@ int main(int argc, char** argv) {
   bench::compare("% accelerated monotone in threshold", "yes", monotone ? "yes" : "NO");
 
   const auto random_hits = core::accelerated_in_random_sample(
-      world.chain, attribution, "BTC.com", is_accel, 1000, seed ^ 0xdead);
+      dataset, dataset.pool_id("BTC.com"), is_accel, 1000, seed ^ 0xdead);
   bench::compare("accelerated in 1000-tx random sample", "0",
                  std::to_string(random_hits));
 
   // Bonus: the detector generalizes to the other service-selling pools.
   std::printf("\n  other acceleration-selling pools at SPPE >= 99 (extension):\n");
   for (const char* pool : {"AntPool", "ViaBTC", "F2Pool", "Poolin"}) {
-    const auto other = core::darkfee_buckets(world.chain, attribution, pool,
-                                             is_accel, {99.0});
+    const auto other =
+        core::darkfee_buckets(dataset, dataset.pool_id(pool), is_accel, {99.0});
     std::printf("    %-10s %6llu flagged, %5.1f%% confirmed accelerated\n", pool,
                 static_cast<unsigned long long>(other[0].tx_count),
                 other[0].accelerated_fraction() * 100.0);

@@ -37,11 +37,10 @@ void study(cn::sim::DatasetKind kind, const char* name, std::uint64_t seed) {
   const auto first_seen = [&world](const cn::btc::Txid& id) {
     return world.observer.first_seen(id);
   };
-  const auto seen = cn::core::collect_seen_txs(
-      cn::core::AuditDataset::build(world.chain,
-                                    cn::btc::CoinbaseTagRegistry::paper_registry()),
-      first_seen);
-  const auto delays = cn::core::commit_delays_blocks(world.chain, seen);
+  const auto dataset = cn::core::AuditDataset::build(
+      world.chain, cn::btc::CoinbaseTagRegistry::paper_registry());
+  const auto seen = cn::core::collect_seen_txs(dataset, first_seen);
+  const auto delays = cn::core::commit_delays_blocks(dataset, seen);
   const cn::stats::Ecdf delay_cdf{std::span<const double>(delays)};
   std::printf("commit delays: %.1f%% next-block, %.1f%% wait >=3 blocks, "
               "%.1f%% wait >=10 blocks\n",

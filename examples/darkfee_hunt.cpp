@@ -13,10 +13,8 @@
 #include "core/audit_dataset.hpp"
 #include "core/darkfee.hpp"
 #include "core/report.hpp"
-#include "core/wallet_inference.hpp"
 #include "sim/dataset.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace cn;
@@ -26,8 +24,8 @@ int main(int argc, char** argv) {
   std::printf("Simulating a network with dark-fee acceleration services "
               "(seed %llu)...\n\n", static_cast<unsigned long long>(seed));
   const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kC, seed, scale);
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(world.chain, registry);
+  const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
   const auto is_accel = [&](const btc::Txid& id) {
     return world.acceleration.is_accelerated(id);
   };
@@ -40,7 +38,7 @@ int main(int argc, char** argv) {
                            {12, 12, 11, 11, 12, 14});
   table.print_header();
   for (const char* pool : {"BTC.com", "AntPool", "ViaBTC", "F2Pool", "Poolin"}) {
-    const auto buckets = core::darkfee_buckets(world.chain, attribution, pool,
+    const auto buckets = core::darkfee_buckets(dataset, dataset.pool_id(pool),
                                                is_accel, {99.0, 90.0});
     table.print_row({pool, with_commas(buckets[0].tx_count),
                      with_commas(buckets[0].accelerated),
@@ -51,8 +49,6 @@ int main(int argc, char** argv) {
 
   // Control: honest pools should have (almost) nothing to flag.
   std::printf("\nControls:\n");
-  util::ThreadPool workers;
-  const auto dataset = core::AuditDataset::build(world.chain, attribution, workers);
   for (const char* pool : {"Huobi", "Okex"}) {
     // A pool no block is attributed to flags nothing.
     const auto flagged = core::count_accelerated(dataset, dataset.pool_id(pool), 99.0);
@@ -60,7 +56,7 @@ int main(int argc, char** argv) {
                 pool, static_cast<unsigned long long>(flagged));
   }
   const auto random_hits = core::accelerated_in_random_sample(
-      world.chain, attribution, "BTC.com", is_accel, 1000, seed);
+      dataset, dataset.pool_id("BTC.com"), is_accel, 1000, seed);
   std::printf("  random 1000-tx sample of BTC.com blocks: %llu accelerated "
               "(paper: 0)\n",
               static_cast<unsigned long long>(random_hits));

@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
   const auto is_accel = [&world](const cn::btc::Txid& id) {
     return world.acceleration.is_accelerated(id);
   };
-  const auto buckets = cn::core::darkfee_buckets(world.chain, attribution,
-                                                 "BTC.com", is_accel, {99.0});
+  const auto buckets = cn::core::darkfee_buckets(dataset, dataset.pool_id("BTC.com"),
+                                                 is_accel, {99.0});
   for (const auto& b : buckets) {
     std::printf("  %llu txs flagged, %llu (%.1f%%) confirmed accelerated by the "
                 "service's public API\n",

@@ -38,6 +38,13 @@ bool AuditReport::stage_skipped(std::string_view name) const noexcept {
 
 namespace {
 
+/// Pools below this hash share are not tested (small pools lack power).
+constexpr double kMinShare = 0.03;
+/// SPPE cutoff for dark-fee suspicion (Table 4's strong signal).
+constexpr double kDarkFeeSppeThreshold = 99.0;
+/// Resamples for the SPPE confidence interval of each finding.
+constexpr std::size_t kBootstrapResamples = 500;
+
 bool stage_selected(const AuditOptions& options, std::string_view name) {
   if (options.stages.empty()) return true;
   for (const std::string& s : options.stages) {
@@ -94,7 +101,7 @@ AuditReport run_full_audit(const btc::Chain& chain,
   report.txs = chain.total_tx_count();
 
   util::ThreadPool workers(options.threads);
-  AuditContext ctx{chain, registry, quality, {}, nullptr, {}, {}, {}};
+  AuditContext ctx;
 
   // Runs one named stage (when selected) and records its wall time.
   // "build" and "quality-mask" pass always=true: every later stage reads
@@ -131,7 +138,7 @@ AuditReport run_full_audit(const btc::Chain& chain,
       ctx.dataset = &ctx.built_dataset;
     }
     for (const PoolId id : ctx.attribution.pool_ids_by_blocks()) {
-      if (ctx.attribution.hash_share(id) >= options.min_share) {
+      if (ctx.attribution.hash_share(id) >= kMinShare) {
         ctx.pools.push_back(id);
       }
     }
@@ -217,13 +224,11 @@ AuditReport run_full_audit(const btc::Chain& chain,
           finding.miner = ds.pool_name(pools[m]);
           finding.collusion = pools[o] != pools[m];
           finding.test = test;
-          if (options.bootstrap_resamples > 0) {
-            const auto values = sppe_values(ds, txs, pools[m]);
-            if (!values.empty()) {
-              finding.sppe_ci = stats::bootstrap_mean_ci(
-                  values, 0.95, options.bootstrap_resamples,
-                  stable_hash64(finding.tx_owner + "/" + finding.miner));
-            }
+          const auto values = sppe_values(ds, txs, pools[m]);
+          if (!values.empty()) {
+            finding.sppe_ci = stats::bootstrap_mean_ci(
+                values, 0.95, kBootstrapResamples,
+                stable_hash64(finding.tx_owner + "/" + finding.miner));
           }
           return finding;
         });
@@ -284,7 +289,7 @@ AuditReport run_full_audit(const btc::Chain& chain,
       suspicion.pool = ds.pool_name(pools[p]);
       suspicion.txs = ds.pool_tx_count(pools[p]);
       suspicion.flagged =
-          count_accelerated(ds, pools[p], options.darkfee_sppe_threshold);
+          count_accelerated(ds, pools[p], kDarkFeeSppeThreshold);
       return suspicion;
     });
     std::sort(report.darkfee.begin(), report.darkfee.end(),
@@ -299,7 +304,7 @@ AuditReport run_full_audit(const btc::Chain& chain,
   // neutrality: §6.1 scorecard, fanned out per pool over the cached
   // columns.
   stage("neutrality", false, [&] {
-    report.neutrality = neutrality_reports(ds, options.neutrality, workers);
+    report.neutrality = neutrality_reports(ds, NeutralityOptions{}, workers);
     for (NeutralityReport& n : report.neutrality) {
       const auto id = ctx.attribution.id_of(n.pool);
       n.coverage = id.has_value() ? coverage_of_pool(*id) : 1.0;
@@ -314,9 +319,7 @@ AuditReport run_full_audit(const btc::Chain& chain,
   report.has_first_seen = options.first_seen != nullptr;
   stage("withholding", false, [&] {
     if (options.first_seen == nullptr) return;
-    report.withholding = withholding_reports(chain, ctx.attribution,
-                                             *options.first_seen,
-                                             options.withholding);
+    report.withholding = withholding_reports(ds, *options.first_seen);
   });
 
   return report;
@@ -378,7 +381,7 @@ void print_audit_report(const AuditReport& report, std::FILE* out,
   }
 
   std::fprintf(out, "\n--- dark-fee suspicion (SPPE >= %.0f) ---\n",
-               report.options.darkfee_sppe_threshold);
+               kDarkFeeSppeThreshold);
   if (report.stage_skipped("darkfee")) {
     std::fprintf(out, "  [SKIPPED]\n");
   } else {

@@ -25,10 +25,14 @@
 //
 // Stages are individually timed (AuditReport::stages) and selectable via
 // AuditOptions::stages (cnaudit --stages); a deselected stage is
-// reported as [SKIPPED] rather than silently absent. Every stage reads
-// the same columnar dataset the single-detector entry points
-// (core/prio_test.hpp, neutrality.hpp, ...) take, so a report and a
-// per-detector run agree by construction. The rendered report is
+// reported as [SKIPPED] rather than silently absent. Only the build
+// stage reads the chain; every later stage reads the same columnar
+// dataset the single-detector entry points (core/prio_test.hpp,
+// neutrality.hpp, withholding.hpp, ...) take, so a report and a
+// per-detector run agree by construction. The thresholds the paper
+// fixes (the 3% tested-pool share, Table 4's SPPE >= 99, 500 bootstrap
+// resamples, the default NeutralityOptions, the withholding rule's BSV
+// thresholds) are constants, not options. The rendered report is
 // byte-identical at every thread count; golden digests pin it
 // (tests/sim/test_golden_worlds.cpp, test_audit_differential.cpp).
 #pragma once
@@ -56,16 +60,9 @@ struct AuditOptions {
   /// Significance level for all hypothesis tests (paper: 0.001 implied by
   /// "p-value less than 0.001").
   double alpha = 0.001;
-  /// Pools below this hash share are not tested (small pools lack power).
-  double min_share = 0.03;
-  /// SPPE cutoff for dark-fee suspicion (Table 4's strong signal).
-  double darkfee_sppe_threshold = 99.0;
   /// Addresses to screen for acceleration/deceleration (e.g. scam
   /// wallets, §5.3).
   std::vector<btc::Address> watch_addresses;
-  NeutralityOptions neutrality;
-  /// Resamples for the SPPE confidence interval (0 disables the CI).
-  std::size_t bootstrap_resamples = 500;
   /// Execution lanes for the fan-out stages (pool-pair tests, screens,
   /// dark-fee detection, bootstrap CIs): 0 = hardware concurrency,
   /// 1 = fully serial. The report is byte-identical for every value —
@@ -102,8 +99,6 @@ struct AuditOptions {
   /// detector (core/withholding.hpp); when null the stage is a no-op and
   /// the rendered report is unchanged. Must outlive run_full_audit.
   const util::FlatMap<btc::Txid, SimTime>* first_seen = nullptr;
-  /// Thresholds for the withholding detector.
-  WithholdingOptions withholding;
 };
 
 /// One named pipeline stage with its wall-clock cost.
@@ -116,23 +111,20 @@ struct AuditStage {
 /// Stage names in execution order, for --stages validation and help.
 const std::vector<std::string>& audit_stage_names();
 
-/// The immutable state every analysis stage reads: the raw inputs plus
-/// the derived attribution, columnar dataset, tested-pool list, and
-/// per-pool coverage. Built by the "build" and "quality-mask" stages,
-/// then shared read-only across the fan-out — which is what makes the
-/// staged pipeline trivially thread-safe and, with index-ordered merges,
+/// The immutable state every analysis stage reads: the attribution,
+/// columnar dataset, tested-pool list, and per-pool coverage derived
+/// from the chain. Built by the "build" and "quality-mask" stages, then
+/// shared read-only across the fan-out — which is what makes the staged
+/// pipeline trivially thread-safe and, with index-ordered merges,
 /// byte-identical at every thread count.
 struct AuditContext {
-  const btc::Chain& chain;
-  const btc::CoinbaseTagRegistry& registry;
-  const DataQualityReport* quality = nullptr;
   PoolAttribution attribution;
   /// The dataset every stage reads: AuditOptions::prebuilt_dataset when
   /// the caller passed one, otherwise built_dataset.
   const AuditDataset* dataset = nullptr;
   /// Owned only when the build stage had to build the dataset.
   AuditDataset built_dataset;
-  /// Pools with hash share >= AuditOptions::min_share, by blocks desc.
+  /// Pools with at least a 3% hash share, by blocks desc.
   std::vector<PoolId> pools;
   /// PoolId-indexed mean effective coverage (1.0 without quality data).
   std::vector<double> pool_coverage;

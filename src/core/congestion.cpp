@@ -24,24 +24,26 @@ std::vector<SeenTx> collect_seen_txs(const AuditDataset& dataset,
   return out;
 }
 
-std::vector<SeenTx> pending_at(std::span<const SeenTx> txs, const btc::Chain& chain,
+std::vector<SeenTx> pending_at(std::span<const SeenTx> txs, const AuditDataset& dataset,
                                SimTime t) {
+  // Heights are contiguous, so a height indexes the block-time column.
+  const std::span<const SimTime> mined_at = dataset.block_mined_at();
+  const std::uint64_t first_height = dataset.empty() ? 0 : dataset.block_heights()[0];
   std::vector<SeenTx> out;
   for (const SeenTx& tx : txs) {
     if (tx.first_seen > t) continue;
-    if (chain.at_height(tx.block_height).mined_at() <= t) continue;
+    CN_ASSERT(tx.block_height - first_height < mined_at.size());
+    if (mined_at[tx.block_height - first_height] <= t) continue;
     out.push_back(tx);
   }
   return out;
 }
 
-std::vector<double> commit_delays_blocks(const btc::Chain& chain,
+std::vector<double> commit_delays_blocks(const AuditDataset& dataset,
                                          std::span<const SeenTx> txs) {
-  // Block times are strictly increasing; gather them once.
-  std::vector<SimTime> block_times;
-  block_times.reserve(chain.size());
-  for (const btc::Block& b : chain.blocks()) block_times.push_back(b.mined_at());
-  const std::uint64_t first_height = chain.empty() ? 0 : chain.front().height();
+  // Block times are strictly increasing.
+  const std::span<const SimTime> block_times = dataset.block_mined_at();
+  const std::uint64_t first_height = dataset.empty() ? 0 : dataset.block_heights()[0];
 
   std::vector<double> out;
   out.reserve(txs.size());

@@ -1,6 +1,8 @@
 // Congestion, fee, and commit-delay analytics (paper §4.1, Figures 3-5,
 // 9-12): Mempool occupancy, per-transaction commit delays in blocks, and
-// how fee-rates respond to (and buy relief from) congestion.
+// how fee-rates respond to (and buy relief from) congestion. Block times
+// and heights come from the AuditDataset; arrivals from the observer's
+// first-seen log, joined once by collect_seen_txs.
 #pragma once
 
 #include <functional>
@@ -8,7 +10,7 @@
 #include <span>
 #include <vector>
 
-#include "btc/chain.hpp"
+#include "btc/txid.hpp"
 #include "core/pair_violations.hpp"
 #include "node/snapshot.hpp"
 
@@ -27,15 +29,15 @@ std::vector<SeenTx> collect_seen_txs(const AuditDataset& dataset,
                                      const FirstSeenFn& first_seen);
 
 /// The subset of @p txs pending at time @p t: seen at or before t but
-/// committed in a block mined after t.
-std::vector<SeenTx> pending_at(std::span<const SeenTx> txs, const btc::Chain& chain,
+/// committed in a block of @p dataset mined after t.
+std::vector<SeenTx> pending_at(std::span<const SeenTx> txs, const AuditDataset& dataset,
                                SimTime t);
 
-/// Commit delay in blocks for each transaction: the number of blocks
-/// mined after the observer saw it, up to and including its commit block
-/// (1 = "committed in the very next block"). Entries whose commit block
-/// predates the arrival (propagation races) are clamped to 1.
-std::vector<double> commit_delays_blocks(const btc::Chain& chain,
+/// Commit delay in blocks for each transaction: the number of blocks of
+/// @p dataset mined after the observer saw it, up to and including its
+/// commit block (1 = "committed in the very next block"). Entries whose
+/// commit block predates the arrival (propagation races) are clamped to 1.
+std::vector<double> commit_delays_blocks(const AuditDataset& dataset,
                                          std::span<const SeenTx> txs);
 
 /// The paper's fee-rate bands (Fig 5/12): low < 1e-4 BTC/KB (10 sat/vB),

@@ -6,17 +6,16 @@
 // +100. The detector buckets a pool's committed transactions by SPPE
 // threshold and validates each bucket against the acceleration service's
 // public "was this txid accelerated?" query — the same validation loop
-// the paper ran against BTC.com's pushtx API.
+// the paper ran against BTC.com's pushtx API. Every function reads the
+// dataset's cached SPPE column and txids.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "btc/chain.hpp"
+#include "btc/txid.hpp"
 #include "core/audit_dataset.hpp"
-#include "core/wallet_inference.hpp"
 
 namespace cn::core {
 
@@ -37,30 +36,23 @@ struct DarkFeeBucket {
 /// Table 4 for @p pool: for each threshold (descending, e.g. {100, 99,
 /// 90, 50, 1}), how many of the pool's committed transactions have
 /// SPPE >= threshold and what fraction of those the service confirms as
-/// accelerated.
-std::vector<DarkFeeBucket> darkfee_buckets(const btc::Chain& chain,
-                                           const PoolAttribution& attribution,
-                                           const std::string& pool,
+/// accelerated. The service is asked at most once per transaction; NaN
+/// SPPE (1-tx blocks) never qualifies.
+std::vector<DarkFeeBucket> darkfee_buckets(const AuditDataset& dataset, PoolId pool,
                                            const IsAcceleratedFn& is_accelerated,
                                            const std::vector<double>& thresholds);
 
-/// Control: how many of @p sample_size uniformly sampled transactions of
-/// @p pool are accelerated (the paper found none in 1000).
-std::uint64_t accelerated_in_random_sample(const btc::Chain& chain,
-                                           const PoolAttribution& attribution,
-                                           const std::string& pool,
+/// Control: how many of @p sample_size transactions of @p pool, sampled
+/// uniformly without replacement, are accelerated (the paper found none
+/// in 1000).
+std::uint64_t accelerated_in_random_sample(const AuditDataset& dataset, PoolId pool,
                                            const IsAcceleratedFn& is_accelerated,
                                            std::size_t sample_size,
                                            std::uint64_t seed);
 
-/// Classifier: flags every transaction in @p pool's blocks whose cached
-/// SPPE meets @p threshold, in ascending TxIdx (NaN entries — 1-tx
+/// The audit's Table 4 detector: how many transactions in @p pool's
+/// blocks have a cached SPPE meeting @p threshold (NaN entries — 1-tx
 /// blocks — never qualify).
-std::vector<TxIdx> detect_accelerated(const AuditDataset& dataset, PoolId pool,
-                                      double threshold);
-
-/// Count-only form of the above (the audit's Table 4 detector needs just
-/// the tally).
 std::uint64_t count_accelerated(const AuditDataset& dataset, PoolId pool,
                                 double threshold);
 

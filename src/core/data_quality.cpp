@@ -4,6 +4,16 @@
 
 namespace cn::core {
 
+namespace {
+
+/// Observer snapshot period (paper: one Mempool snapshot every 15 s).
+constexpr SimTime kSnapshotCadence = 15;
+/// Consecutive snapshots further apart than kGapFactor * cadence are an
+/// outage window.
+constexpr double kGapFactor = 2.0;
+
+}  // namespace
+
 double DataQualityReport::coverage_at(std::uint64_t height) const noexcept {
   const BlockCoverage* bc = find(height);
   return bc != nullptr ? bc->coverage : 1.0;
@@ -15,17 +25,9 @@ const BlockCoverage* DataQualityReport::find(std::uint64_t height) const noexcep
   return &blocks[it->second];
 }
 
-std::uint64_t DataQualityReport::low_coverage_blocks(double threshold) const noexcept {
-  std::uint64_t n = 0;
-  for (const BlockCoverage& bc : blocks)
-    if (bc.coverage < threshold) ++n;
-  return n;
-}
-
 DataQualityReport assess_data_quality(
     const btc::Chain& chain, const node::SnapshotSeries* snapshots,
-    const util::FlatMap<btc::Txid, SimTime>* first_seen,
-    const QualityOptions& options) {
+    const util::FlatMap<btc::Txid, SimTime>* first_seen) {
   DataQualityReport report;
   report.has_snapshots = snapshots != nullptr && !snapshots->empty();
   report.has_first_seen = first_seen != nullptr;
@@ -33,7 +35,7 @@ DataQualityReport assess_data_quality(
     report.first_seen_txs = static_cast<std::uint64_t>(first_seen->size());
   }
   if (report.has_snapshots) {
-    report.gaps = snapshots->gaps(options.snapshot_cadence, options.gap_factor);
+    report.gaps = snapshots->gaps(kSnapshotCadence, kGapFactor);
   }
 
   report.blocks.reserve(chain.size());

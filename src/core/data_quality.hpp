@@ -20,14 +20,6 @@
 
 namespace cn::core {
 
-struct QualityOptions {
-  /// Observer snapshot period (paper: one Mempool snapshot every 15 s).
-  SimTime snapshot_cadence = 15;
-  /// Consecutive snapshots further apart than gap_factor * cadence are an
-  /// outage window.
-  double gap_factor = 2.0;
-};
-
 /// Coverage grade for one block.
 struct BlockCoverage {
   std::uint64_t height = 0;
@@ -55,7 +47,6 @@ struct DataQualityReport {
   /// chain (no evidence either way).
   double coverage_at(std::uint64_t height) const noexcept;
   const BlockCoverage* find(std::uint64_t height) const noexcept;
-  std::uint64_t low_coverage_blocks(double threshold) const noexcept;
 
   // Populated by assess_data_quality for O(1) coverage_at lookups.
   std::unordered_map<std::uint64_t, std::size_t> index;
@@ -64,10 +55,11 @@ struct DataQualityReport {
 /// Grades @p chain against the auxiliary observations. Either series may
 /// be null: absent evidence never lowers coverage (a chain audited
 /// without Mempool data keeps the historical perfect-coverage
-/// behaviour); present-but-gappy evidence does.
+/// behaviour); present-but-gappy evidence does. Snapshots are expected
+/// every 15 s (the paper's cadence); consecutive snapshots more than
+/// twice that apart bound an outage window.
 DataQualityReport assess_data_quality(
     const btc::Chain& chain, const node::SnapshotSeries* snapshots,
-    const util::FlatMap<btc::Txid, SimTime>* first_seen,
-    const QualityOptions& options = {});
+    const util::FlatMap<btc::Txid, SimTime>* first_seen);
 
 }  // namespace cn::core

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "stats/rank.hpp"
-#include "util/assert.hpp"
 
 namespace cn::core {
 
@@ -26,12 +25,6 @@ std::vector<double> block_sppe(const btc::Block& block) {
     out.push_back(pred - obs);
   }
   return out;
-}
-
-double tx_sppe(const btc::Block& block, std::size_t position) {
-  const std::vector<double> all = block_sppe(block);
-  CN_ASSERT(position < all.size());
-  return all[position];
 }
 
 std::vector<double> sppe_values(const AuditDataset& dataset,

@@ -22,10 +22,6 @@ namespace cn::core {
 /// than 2 transactions.
 std::vector<double> block_sppe(const btc::Block& block);
 
-/// SPPE of a single transaction (by observed position). Requires a block
-/// with at least 2 transactions.
-double tx_sppe(const btc::Block& block, std::size_t position);
-
 /// Per-transaction SPPE of a TxIdx selection, read from the dataset's
 /// cached column and optionally restricted to blocks of @p pool
 /// (kNoPoolId = no restriction). Order follows @p txs; transactions of

@@ -77,7 +77,7 @@ TEST(CommitDelays, NextBlockIsOne) {
   const auto chain = four_block_chain();
   // Seen at t=100 (before block 1 at 600): delay = 1 block.
   const auto seen = collect_seen_txs(dataset_of(chain), seen_map(chain, {{1, 100}}));
-  const auto delays = commit_delays_blocks(chain, seen);
+  const auto delays = commit_delays_blocks(dataset_of(chain), seen);
   ASSERT_EQ(delays.size(), 2u);
   EXPECT_DOUBLE_EQ(delays[0], 1.0);
 }
@@ -86,7 +86,7 @@ TEST(CommitDelays, SkippedBlocksCount) {
   const auto chain = four_block_chain();
   // Seen at t=100 but committed in block 3 (t=1800): blocks 1,2 passed.
   const auto seen = collect_seen_txs(dataset_of(chain), seen_map(chain, {{3, 100}}));
-  const auto delays = commit_delays_blocks(chain, seen);
+  const auto delays = commit_delays_blocks(dataset_of(chain), seen);
   ASSERT_EQ(delays.size(), 2u);
   EXPECT_DOUBLE_EQ(delays[0], 3.0);
 }
@@ -95,20 +95,21 @@ TEST(CommitDelays, RaceClampsToOne) {
   const auto chain = four_block_chain();
   // Observer saw it after its commit block was mined (propagation race).
   const auto seen = collect_seen_txs(dataset_of(chain), seen_map(chain, {{1, 650}}));
-  const auto delays = commit_delays_blocks(chain, seen);
+  const auto delays = commit_delays_blocks(dataset_of(chain), seen);
   EXPECT_DOUBLE_EQ(delays[0], 1.0);
 }
 
 TEST(PendingAt, FiltersByLifetime) {
   const auto chain = four_block_chain();
-  const auto seen = collect_seen_txs(dataset_of(chain), seen_map(chain, {{2, 700}, {4, 700}}));
+  const AuditDataset dataset = dataset_of(chain);
+  const auto seen = collect_seen_txs(dataset, seen_map(chain, {{2, 700}, {4, 700}}));
   // At t=1000: both block-2 txs (commit at 1200) and block-4 txs (commit
   // at 2400) are pending.
-  EXPECT_EQ(pending_at(seen, chain, 1000).size(), 4u);
+  EXPECT_EQ(pending_at(seen, dataset, 1000).size(), 4u);
   // At t=1200 the block-2 txs are committed.
-  EXPECT_EQ(pending_at(seen, chain, 1200).size(), 2u);
+  EXPECT_EQ(pending_at(seen, dataset, 1200).size(), 2u);
   // At t=500 nothing has been seen yet.
-  EXPECT_TRUE(pending_at(seen, chain, 500).empty());
+  EXPECT_TRUE(pending_at(seen, dataset, 500).empty());
 }
 
 TEST(FeeBand, PaperThresholds) {
@@ -136,7 +137,7 @@ TEST(FeeRatesAtLevel, UsesSnapshotSeries) {
 TEST(DelaysForBand, AlignedFiltering) {
   const auto chain = four_block_chain();
   const auto seen = collect_seen_txs(dataset_of(chain), seen_map(chain, {{1, 100}}));
-  const auto delays = commit_delays_blocks(chain, seen);
+  const auto delays = commit_delays_blocks(dataset_of(chain), seen);
   // Rates are 20 (high band) and 5 (low band).
   EXPECT_EQ(delays_for_band(seen, delays, FeeBand::kHigh).size(), 1u);
   EXPECT_EQ(delays_for_band(seen, delays, FeeBand::kLow).size(), 1u);

@@ -33,17 +33,22 @@ struct DarkFeeWorld {
       chain.append(block_with_rates(h, {1.0, 50.0, 45.0}, "/Other/",
                                     600 * static_cast<SimTime>(h)));
     }
+    // A 1-tx block has no SPPE (NaN in the dataset's column): its
+    // transaction never qualifies, at any threshold.
+    chain.append(block_with_rates(15, {1.0}, "/Other/", 600 * 15));
   }
 
   IsAcceleratedFn query() const {
     return [this](const btc::Txid& id) { return accelerated.contains(id); };
   }
+
+  AuditDataset dataset() const { return cn::test::dataset_of(chain, registry); }
 };
 
 TEST(DarkFee, BucketsCountAndValidate) {
   DarkFeeWorld world;
-  const PoolAttribution attribution(world.chain, world.registry);
-  const auto buckets = darkfee_buckets(world.chain, attribution, "BTC.com",
+  const AuditDataset dataset = world.dataset();
+  const auto buckets = darkfee_buckets(dataset, dataset.pool_id("BTC.com"),
                                        world.query(), {99.0, 50.0, 1.0});
   ASSERT_EQ(buckets.size(), 3u);
   // SPPE >= 99: exactly the 10 hoisted txs, all accelerated.
@@ -61,51 +66,66 @@ TEST(DarkFee, BucketsCountAndValidate) {
 
 TEST(DarkFee, OnlyAuditedPoolsBlocksAreScanned) {
   DarkFeeWorld world;
-  const PoolAttribution attribution(world.chain, world.registry);
-  const auto buckets = darkfee_buckets(world.chain, attribution, "Other",
-                                       world.query(), {99.0});
-  ASSERT_EQ(buckets.size(), 1u);
+  const AuditDataset dataset = world.dataset();
+  const auto buckets = darkfee_buckets(dataset, dataset.pool_id("Other"),
+                                       world.query(), {99.0, -100.0});
+  ASSERT_EQ(buckets.size(), 2u);
   EXPECT_EQ(buckets[0].tx_count, 4u);      // hoisted txs in Other's blocks
   EXPECT_EQ(buckets[0].accelerated, 0u);   // none bought BTC.com's service
+  EXPECT_EQ(buckets[1].tx_count, 12u);     // all but the 1-tx block's
 }
 
-TEST(DarkFee, DetectAcceleratedReturnsRefs) {
+TEST(DarkFee, CountAcceleratedCountsTheHoistedTxs) {
   DarkFeeWorld world;
-  const AuditDataset dataset = cn::test::dataset_of(world.chain, world.registry);
-  const PoolId btc_com = dataset.pool_id("BTC.com");
-  const auto flagged = detect_accelerated(dataset, btc_com, 99.0);
-  ASSERT_EQ(flagged.size(), 10u);
-  for (const TxIdx t : flagged) EXPECT_EQ(dataset.position_of(t), 0u);
-  EXPECT_EQ(count_accelerated(dataset, btc_com, 99.0), 10u);
+  const AuditDataset dataset = world.dataset();
+  EXPECT_EQ(count_accelerated(dataset, dataset.pool_id("BTC.com"), 99.0), 10u);
+  EXPECT_EQ(count_accelerated(dataset, dataset.pool_id("Other"), -100.0), 12u);
+  EXPECT_EQ(count_accelerated(dataset, dataset.pool_id("NoPool"), 99.0), 0u);
+}
+
+TEST(DarkFee, AsksTheServiceOncePerQualifyingTx) {
+  DarkFeeWorld world;
+  const AuditDataset dataset = world.dataset();
+  std::size_t queries = 0;
+  const IsAcceleratedFn counting = [&](const btc::Txid& id) {
+    ++queries;
+    return world.accelerated.contains(id);
+  };
+  const auto buckets = darkfee_buckets(dataset, dataset.pool_id("BTC.com"), counting,
+                                       {99.0, 50.0, 1.0});
+  EXPECT_EQ(queries, buckets[2].tx_count);  // every SPPE >= 1 tx, once
+  EXPECT_EQ(buckets[0].accelerated, 10u);
 }
 
 TEST(DarkFee, RandomSampleControlFindsAlmostNothing) {
   DarkFeeWorld world;
-  const PoolAttribution attribution(world.chain, world.registry);
+  const AuditDataset dataset = world.dataset();
+  const PoolId btc_com = dataset.pool_id("BTC.com");
   // 10 accelerated of 60 BTC.com txs: a 20-tx sample has a few; the real
   // point is that the call is deterministic and bounded.
-  const auto hits = accelerated_in_random_sample(world.chain, attribution,
-                                                 "BTC.com", world.query(), 20, 7);
+  const auto hits =
+      accelerated_in_random_sample(dataset, btc_com, world.query(), 20, 7);
   EXPECT_LE(hits, 10u);
-  const auto again = accelerated_in_random_sample(world.chain, attribution,
-                                                  "BTC.com", world.query(), 20, 7);
+  const auto again =
+      accelerated_in_random_sample(dataset, btc_com, world.query(), 20, 7);
   EXPECT_EQ(hits, again);
+  // A sample as large as the pool finds every accelerated tx.
+  EXPECT_EQ(accelerated_in_random_sample(dataset, btc_com, world.query(), 60, 7), 10u);
 }
 
 TEST(DarkFee, RandomSampleOfUnknownPoolIsZero) {
   DarkFeeWorld world;
-  const PoolAttribution attribution(world.chain, world.registry);
-  EXPECT_EQ(accelerated_in_random_sample(world.chain, attribution, "NoPool",
+  const AuditDataset dataset = world.dataset();
+  EXPECT_EQ(accelerated_in_random_sample(dataset, dataset.pool_id("NoPool"),
                                          world.query(), 100, 1),
             0u);
 }
 
 TEST(DarkFee, EmptyThresholdsYieldEmptyBuckets) {
   DarkFeeWorld world;
-  const PoolAttribution attribution(world.chain, world.registry);
+  const AuditDataset dataset = world.dataset();
   EXPECT_TRUE(
-      darkfee_buckets(world.chain, attribution, "BTC.com", world.query(), {})
-          .empty());
+      darkfee_buckets(dataset, dataset.pool_id("BTC.com"), world.query(), {}).empty());
 }
 
 }  // namespace

@@ -52,9 +52,10 @@ TEST(DataQuality, SnapshotGapZeroesOverlappingBlocks) {
   EXPECT_TRUE(report.find(101)->in_snapshot_gap);
   EXPECT_TRUE(report.find(102)->in_snapshot_gap);
   EXPECT_FALSE(report.find(103)->in_snapshot_gap);
+  EXPECT_DOUBLE_EQ(report.coverage_at(100), 1.0);
   EXPECT_DOUBLE_EQ(report.coverage_at(101), 0.0);
+  EXPECT_DOUBLE_EQ(report.coverage_at(102), 0.0);
   EXPECT_DOUBLE_EQ(report.coverage_at(103), 1.0);
-  EXPECT_EQ(report.low_coverage_blocks(0.5), 2u);
   EXPECT_DOUBLE_EQ(report.mean_coverage, 0.5);
 }
 

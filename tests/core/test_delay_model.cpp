@@ -87,10 +87,11 @@ TEST(DelayModel, SparseBinsBorrowNeighbours) {
 
 TEST(DelayModel, EndToEndOnSimulatedData) {
   const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kA, 21, 0.15);
+  const auto dataset =
+      AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry());
   const auto seen = collect_seen_txs(
-      AuditDataset::build(world.chain, btc::CoinbaseTagRegistry::paper_registry()),
-      [&](const btc::Txid& id) { return world.observer.first_seen(id); });
-  const auto delays = commit_delays_blocks(world.chain, seen);
+      dataset, [&](const btc::Txid& id) { return world.observer.first_seen(id); });
+  const auto delays = commit_delays_blocks(dataset, seen);
   const auto model = DelayModel::fit(seen, delays, world.observer.snapshots(),
                                      world.config.max_block_vsize);
   ASSERT_GT(model.sample_count(), 1000u);

@@ -47,8 +47,12 @@ TEST(Sppe, EmptyForTinyBlocks) {
 }
 
 TEST(Sppe, TxSppeIndexesBlockSppe) {
-  const auto block = block_with_rates(1, {1, 50, 40});
-  EXPECT_DOUBLE_EQ(tx_sppe(block, 0), block_sppe(block)[0]);
+  // The dataset's per-transaction column holds block_sppe by position.
+  btc::Chain chain(1);
+  chain.append(block_with_rates(1, {1, 50, 40}));
+  const AuditDataset dataset = cn::test::dataset_of(chain);
+  const std::vector<double> want = block_sppe(chain.blocks()[0]);
+  for (TxIdx t = 0; t < 3; ++t) EXPECT_EQ(dataset.sppe()[t], want[t]);
 }
 
 TEST(MeanSppe, RestrictsToPool) {

@@ -146,9 +146,9 @@ TEST_F(AuditWorld, DarkFeeDetectorFindsAcceleratedTxs) {
   const auto is_accel = [&](const btc::Txid& id) {
     return world_->acceleration.is_accelerated(id);
   };
-  const auto buckets = core::darkfee_buckets(world_->chain, *attribution_,
-                                             "BTC.com", is_accel,
-                                             {100.0, 99.0, 90.0, 50.0, 1.0});
+  const auto buckets =
+      core::darkfee_buckets(*dataset_, dataset_->pool_id("BTC.com"), is_accel,
+                            {100.0, 99.0, 90.0, 50.0, 1.0});
   ASSERT_EQ(buckets.size(), 5u);
   // The >=99 bucket is non-empty and dominated by accelerated txs.
   EXPECT_GT(buckets[1].tx_count, 0u);
@@ -164,7 +164,7 @@ TEST_F(AuditWorld, DarkFeeRandomSampleControlClean) {
     return world_->acceleration.is_accelerated(id);
   };
   const auto hits = core::accelerated_in_random_sample(
-      world_->chain, *attribution_, "BTC.com", is_accel, 1000, 99);
+      *dataset_, dataset_->pool_id("BTC.com"), is_accel, 1000, 99);
   // Paper: 0 of 1000; allow a whisker of noise.
   EXPECT_LE(hits, 20u);
 }
@@ -178,7 +178,7 @@ TEST_F(AuditWorld, PairViolationsSmallAndEpsilonShrinksThem) {
 
   // A mid-run snapshot.
   const SimTime t = world_->config.duration / 2;
-  const auto pending = core::pending_at(seen, world_->chain, t);
+  const auto pending = core::pending_at(seen, *dataset_, t);
   ASSERT_GT(pending.size(), 50u);
 
   const auto eps0 = core::count_pair_violations(pending, 0, false);

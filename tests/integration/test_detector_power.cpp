@@ -224,9 +224,9 @@ TEST_F(DetectorPower, PowerDegradesMonotonicallyWithEvasionBudget) {
 }
 
 TEST_F(DetectorPower, WithholdingDetectorSeparatesWorlds) {
-  const core::PoolAttribution withheld_attr(withheld_->chain, *registry_);
   const auto flagged_reports = core::withholding_reports(
-      withheld_->chain, withheld_attr, withheld_->observer.first_seen_map());
+      core::AuditDataset::build(withheld_->chain, *registry_),
+      withheld_->observer.first_seen_map());
   const auto* withholder = report_of(flagged_reports, "Selfish");
   ASSERT_NE(withholder, nullptr);
   EXPECT_GT(withholder->blocks, 0u);
@@ -242,9 +242,9 @@ TEST_F(DetectorPower, WithholdingDetectorSeparatesWorlds) {
 
   // ...and with the plant removed (same policies minus the delay) the
   // detector is quiet on everyone.
-  const core::PoolAttribution selfish_attr(selfish_->chain, *registry_);
   const auto clean_reports = core::withholding_reports(
-      selfish_->chain, selfish_attr, selfish_->observer.first_seen_map());
+      core::AuditDataset::build(selfish_->chain, *registry_),
+      selfish_->observer.first_seen_map());
   for (const auto& r : clean_reports) {
     EXPECT_LT(r.flagged_rate, 0.05) << r.pool << " falsely flagged";
   }
