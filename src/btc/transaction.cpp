@@ -104,12 +104,6 @@ bool Transaction::involves(Address a) const noexcept {
   return spends_from(a) || pays_to(a);
 }
 
-bool Transaction::spends_output_of(const Txid& parent) const noexcept {
-  for (const TxInput& in : inputs_)
-    if (in.prev_txid == parent) return true;
-  return false;
-}
-
 Transaction make_payment(SimTime issued, std::uint32_t vsize_vb, Satoshi fee,
                          Address from, Address to, Satoshi amount,
                          std::uint64_t nonce) {

@@ -69,9 +69,6 @@ class Transaction {
   /// spends_from(a) || pays_to(a) — "self-interest" w.r.t. wallet a.
   bool involves(Address a) const noexcept;
 
-  /// True if any input spends an output of @p parent.
-  bool spends_output_of(const Txid& parent) const noexcept;
-
  private:
   Txid id_{};
   SimTime issued_ = 0;

@@ -21,11 +21,6 @@ void FeeEstimator::on_block(const btc::Block& block) {
   while (per_block_rates_.size() > window_blocks_) per_block_rates_.pop_front();
 }
 
-double FeeEstimator::recommend_sat_per_vb(double percentile) const {
-  const std::vector<double> rate = quantiles(std::span(&percentile, 1));
-  return rate.empty() ? 1.0 : rate.front();
-}
-
 std::vector<double> FeeEstimator::quantiles(std::span<const double> qs) const {
   CN_ASSERT(std::is_sorted(qs.begin(), qs.end()) &&
             (qs.empty() || (qs.front() >= 0.0 && qs.back() <= 1.0)));

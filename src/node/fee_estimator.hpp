@@ -23,11 +23,6 @@ class FeeEstimator {
 
   void on_block(const btc::Block& block);
 
-  /// Recommended fee-rate (sat/vB) such that @p percentile of recent
-  /// committed transactions paid no more. Falls back to 1 sat/vB when no
-  /// history is available.
-  double recommend_sat_per_vb(double percentile) const;
-
   /// The window's fee-rates at quantiles @p qs (ascending, each in
   /// [0, 1]), equal to stats::quantile_sorted of the sorted window at
   /// each q. One unsorted copy serves every q: each reads its two order

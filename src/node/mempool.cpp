@@ -13,18 +13,15 @@ namespace {
 
 bool is_real_outpoint(const btc::TxInput& in) { return !in.prev_txid.is_null(); }
 
-/// Admission/eviction telemetry (DESIGN.md §10), aggregated across every
-/// Mempool instance in the process (the per-instance evicted_/replaced_/
-/// expired_ members remain the authoritative per-pool numbers).
+/// Admission telemetry (DESIGN.md §10), aggregated across every Mempool
+/// instance in the process (the per-instance replaced_ member remains the
+/// authoritative per-pool number).
 struct MempoolMetrics {
   obs::Counter accepted{"node.mempool.accepted"};
   obs::Counter rejected_duplicate{"node.mempool.rejected_duplicate"};
   obs::Counter rejected_min_fee{"node.mempool.rejected_min_fee"};
   obs::Counter rejected_conflict{"node.mempool.rejected_conflict"};
-  obs::Counter rejected_full{"node.mempool.rejected_full"};
-  obs::Counter evicted{"node.mempool.evicted"};
   obs::Counter replaced{"node.mempool.replaced"};
-  obs::Counter expired{"node.mempool.expired"};
 };
 
 MempoolMetrics& metrics() {
@@ -54,12 +51,6 @@ std::vector<Mempool::Handle> Mempool::conflicting(const btc::Transaction& tx) co
   return out;
 }
 
-std::vector<btc::Txid> Mempool::conflicts_of(const btc::Transaction& tx) const {
-  std::vector<btc::Txid> out;
-  for (const Handle h : conflicting(tx)) out.push_back(slots_[h].entry.tx.id());
-  return out;
-}
-
 bool Mempool::replacement_allowed(const btc::Transaction& tx,
                                   const std::vector<Handle>& conflicts) const {
   // Simplified BIP-125: the replacement must pay strictly more in absolute
@@ -73,22 +64,6 @@ bool Mempool::replacement_allowed(const btc::Transaction& tx,
     for (const Handle d : descendants(h)) evicted_fees += slots_[d].entry.tx.fee();
   }
   return tx.fee() > evicted_fees;
-}
-
-bool Mempool::make_room(const btc::Transaction& incoming) {
-  if (limits_.max_vsize == 0) return true;
-  while (total_vsize_ + incoming.vsize() > limits_.max_vsize) {
-    if (index_.empty()) return incoming.vsize() <= limits_.max_vsize;
-    // Evict the lowest fee-rate entry (with its descendants): the
-    // eviction floor is the front of the fee-rate index.
-    const auto floor_it = by_rate_.begin();
-    // A full pool only admits transactions that beat its floor.
-    if (incoming.fee_rate() <= floor_it->first) return false;
-    ++evicted_;
-    metrics().evicted.add();
-    remove_subtree(handle_of(floor_it->second));
-  }
-  return true;
 }
 
 AcceptResult Mempool::accept(btc::Transaction tx, SimTime now) {
@@ -113,11 +88,6 @@ AcceptResult Mempool::accept(btc::Transaction tx, SimTime now) {
       m.replaced.add();
       remove_subtree(h);
     }
-  }
-
-  if (!make_room(tx)) {
-    m.rejected_full.add();
-    return AcceptResult::kMempoolFull;
   }
 
   insert(std::move(tx), now);
@@ -152,7 +122,6 @@ void Mempool::insert(btc::Transaction tx, SimTime now) {
     ++in_pool_parents;
   }
   total_vsize_ += tx.vsize();
-  if (limits_.max_vsize != 0) by_rate_.emplace(tx.fee_rate(), tx.id());
   index_.emplace(tx.id(), h);
   slot.entry = MempoolEntry{std::move(tx), now, in_pool_parents};
   adopt_children(h);
@@ -195,7 +164,6 @@ void Mempool::unlink(Handle h) {
   }
   const btc::Transaction& tx = slot.entry.tx;
   total_vsize_ -= tx.vsize();
-  if (limits_.max_vsize != 0) by_rate_.erase({tx.fee_rate(), tx.id()});
   const std::span<const btc::TxInput> inputs = tx.inputs();
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const btc::TxInput& in = inputs[i];
@@ -246,25 +214,6 @@ bool Mempool::remove(const btc::Txid& id) {
   return true;
 }
 
-std::vector<btc::Txid> Mempool::expire_before(SimTime cutoff) {
-  std::vector<Handle> stale;
-  for_each_handle([&](Handle h, const MempoolEntry& entry) {
-    if (entry.arrival < cutoff) stale.push_back(h);
-  });
-  std::vector<btc::Txid> dropped;
-  for (const Handle h : stale) {
-    // Already gone as a descendant (no accept runs meanwhile, so a freed
-    // slot is not reused).
-    if (!slots_[h].live) continue;
-    for (const Handle d : descendants(h)) dropped.push_back(slots_[d].entry.tx.id());
-    dropped.push_back(slots_[h].entry.tx.id());
-    remove_subtree(h);
-    ++expired_;
-    metrics().expired.add();
-  }
-  return dropped;
-}
-
 bool Mempool::contains(const btc::Txid& id) const noexcept {
   return index_.contains(id);
 }
@@ -272,10 +221,6 @@ bool Mempool::contains(const btc::Txid& id) const noexcept {
 const MempoolEntry* Mempool::find(const btc::Txid& id) const noexcept {
   const Handle h = handle_of(id);
   return h == kNoMempoolHandle ? nullptr : &slots_[h].entry;
-}
-
-void Mempool::for_each(const std::function<void(const MempoolEntry&)>& fn) const {
-  for_each_entry(fn);
 }
 
 std::vector<const MempoolEntry*> Mempool::entries_by_arrival() const {
@@ -305,22 +250,6 @@ std::vector<const MempoolEntry*> Mempool::ancestors_of(const btc::Txid& id) cons
       frontier.push_back(parent);
     }
   }
-  return out;
-}
-
-std::vector<const MempoolEntry*> Mempool::children_of(const btc::Txid& id) const {
-  std::vector<const MempoolEntry*> out;
-  const Handle h = handle_of(id);
-  if (h == kNoMempoolHandle) return out;
-  for (const Handle child : slots_[h].children) out.push_back(&slots_[child].entry);
-  return out;
-}
-
-std::vector<btc::Txid> Mempool::descendants_of(const btc::Txid& id) const {
-  std::vector<btc::Txid> out;
-  const Handle h = handle_of(id);
-  if (h == kNoMempoolHandle) return out;
-  for (const Handle d : descendants(h)) out.push_back(slots_[d].entry.tx.id());
   return out;
 }
 

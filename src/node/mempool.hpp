@@ -5,9 +5,9 @@
 //    data set B node was);
 //  * conflict tracking and BIP-125-style replace-by-fee — the paper's
 //    intro: "some transactions may be conflicting... at most one can be
-//    included in the blockchain";
-//  * size-capped eviction (lowest fee-rate first) and age expiry,
-//    mirroring Bitcoin Core's -maxmempool / -mempoolexpiry.
+//    included in the blockchain".
+// The pool has no size cap or age expiry: an entry leaves only when it
+// is committed or replaced (with its descendants).
 //
 // Storage is a slot map (DESIGN.md §7.3): entries live in a dense vector
 // addressed by uint32 handles, freed slots are reused, and one Txid ->
@@ -19,10 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <set>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "btc/amount.hpp"
@@ -68,28 +65,19 @@ enum class AcceptResult {
   kDuplicate,         ///< already queued
   kBelowMinFeeRate,   ///< under the norm-III floor
   kConflictRejected,  ///< conflicts with queued txs and fails the RBF rules
-  kMempoolFull,       ///< would not beat the eviction floor of a full pool
 };
 
-/// Resource limits; zero disables a limit.
-struct MempoolLimits {
-  std::uint64_t max_vsize = 0;  ///< aggregate vbytes cap (Core: -maxmempool)
-  SimTime expiry = 0;           ///< max entry age (Core: -mempoolexpiry)
-};
-
-/// Entry pointers handed out by find(), entries_by_arrival(),
-/// ancestors_of() and children_of() point into the slot vector: they stay
-/// valid until the next accept() or removal.
+/// Entry pointers handed out by find(), entries_by_arrival() and
+/// ancestors_of() point into the slot vector: they stay valid until the
+/// next accept() or removal.
 class Mempool {
  public:
   using Handle = MempoolHandle;
 
   /// @p min_relay_sat_per_vb — norm III threshold; pass 0 to accept
   /// zero-fee transactions (data set B configuration).
-  explicit Mempool(std::int64_t min_relay_sat_per_vb = btc::kDefaultMinRelaySatPerVb,
-                   MempoolLimits limits = {})
-      : min_rate_(btc::FeeRate::from_sat_per_vb(min_relay_sat_per_vb)),
-        limits_(limits) {}
+  explicit Mempool(std::int64_t min_relay_sat_per_vb = btc::kDefaultMinRelaySatPerVb)
+      : min_rate_(btc::FeeRate::from_sat_per_vb(min_relay_sat_per_vb)) {}
 
   AcceptResult accept(btc::Transaction tx, SimTime now);
 
@@ -97,10 +85,6 @@ class Mempool {
   /// Descendants stay queued (they become valid once the parent is
   /// confirmed, which is why a block template includes parents first).
   bool remove(const btc::Txid& id);
-
-  /// Drops entries that arrived before @p cutoff (age expiry), together
-  /// with their in-pool descendants. Returns the dropped ids.
-  std::vector<btc::Txid> expire_before(SimTime cutoff);
 
   bool contains(const btc::Txid& id) const noexcept;
   const MempoolEntry* find(const btc::Txid& id) const noexcept;
@@ -112,16 +96,9 @@ class Mempool {
   std::uint64_t total_vsize() const noexcept { return total_vsize_; }
 
   btc::FeeRate min_relay_rate() const noexcept { return min_rate_; }
-  const MempoolLimits& limits() const noexcept { return limits_; }
 
-  /// Queued transactions spending any outpoint @p tx also spends.
-  std::vector<btc::Txid> conflicts_of(const btc::Transaction& tx) const;
-
-  /// Visits every entry (unspecified order).
-  void for_each(const std::function<void(const MempoolEntry&)>& fn) const;
-
-  /// Like for_each but statically dispatched — the per-entry call is on
-  /// the template-build hot path.
+  /// Visits every entry (unspecified order); statically dispatched, as
+  /// the per-entry call is on the template-build hot path.
   template <typename Fn>
   void for_each_entry(Fn&& fn) const {
     for (const Slot& slot : slots_) {
@@ -137,16 +114,8 @@ class Mempool {
   /// order, nearest parents first along each branch.
   std::vector<const MempoolEntry*> ancestors_of(const btc::Txid& id) const;
 
-  /// Direct in-mempool children of @p id (one per spending input).
-  std::vector<const MempoolEntry*> children_of(const btc::Txid& id) const;
-
-  /// Transitive in-mempool descendants of @p id.
-  std::vector<btc::Txid> descendants_of(const btc::Txid& id) const;
-
-  /// Lifetime counters (diagnostics).
+  /// Lifetime counter (diagnostics).
   std::uint64_t replaced_count() const noexcept { return replaced_; }
-  std::uint64_t evicted_count() const noexcept { return evicted_; }
-  std::uint64_t expired_count() const noexcept { return expired_; }
 
   // Handle view, read by the template builder (node/block_template.cpp).
 
@@ -197,26 +166,15 @@ class Mempool {
   bool replacement_allowed(const btc::Transaction& tx,
                            const std::vector<Handle>& conflicts) const;
 
-  /// Frees space for @p incoming; false if the incoming transaction does
-  /// not beat the eviction floor.
-  bool make_room(const btc::Transaction& incoming);
-
   std::vector<Slot> slots_;
   std::vector<Handle> free_;  ///< released slots, reused last-in first-out
   util::FlatMap<btc::Txid, Handle> index_;
   /// outpoint -> the queued tx spending it (conflict index).
   util::FlatMap<Outpoint, Handle, OutpointHash> spenders_;
-  /// Fee-rate-ordered eviction index, kept only when limits_.max_vsize is
-  /// set: begin() is the eviction floor (lowest fee-rate, txid
-  /// tie-break), so make_room is O(log n) per evicted transaction.
-  std::set<std::pair<btc::FeeRate, btc::Txid>> by_rate_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t total_vsize_ = 0;
   btc::FeeRate min_rate_;
-  MempoolLimits limits_;
   std::uint64_t replaced_ = 0;
-  std::uint64_t evicted_ = 0;
-  std::uint64_t expired_ = 0;
 };
 
 }  // namespace cn::node

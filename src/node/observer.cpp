@@ -20,7 +20,6 @@ AcceptResult ObserverNode::on_transaction(btc::Transaction&& tx, SimTime now) {
       break;
     case AcceptResult::kDuplicate:
     case AcceptResult::kConflictRejected:
-    case AcceptResult::kMempoolFull:
       break;
   }
   return result;

@@ -19,35 +19,20 @@ btc::Satoshi AccelerationService::quote(const btc::Transaction& tx, Rng& rng) co
 
 void AccelerationService::accelerate(const btc::Txid& id, std::string pool,
                                      btc::Satoshi paid) {
-  by_pool_[pool].insert(id);
-  records_.emplace(id, AccelerationRecord{std::move(pool), paid});
+  by_pool_[std::move(pool)].insert(id);
+  paid_.emplace(id, paid);
 }
 
 bool AccelerationService::is_accelerated(const btc::Txid& id) const noexcept {
-  return records_.contains(id);
-}
-
-std::vector<bool> AccelerationService::accelerated_mask(
-    std::span<const btc::Txid> ids) const {
-  std::vector<bool> out;
-  out.reserve(ids.size());
-  for (const btc::Txid& id : ids) out.push_back(records_.contains(id));
-  return out;
+  return paid_.contains(id);
 }
 
 std::vector<btc::Txid> AccelerationService::all_accelerated_sorted() const {
   std::vector<btc::Txid> out;
-  out.reserve(records_.size());
-  for (const auto& [id, record] : records_) out.push_back(id);
+  out.reserve(paid_.size());
+  for (const auto& [id, paid] : paid_) out.push_back(id);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::optional<AccelerationRecord> AccelerationService::record_of(
-    const btc::Txid& id) const {
-  const auto it = records_.find(id);
-  if (it == records_.end()) return std::nullopt;
-  return it->second;
 }
 
 const std::unordered_set<btc::Txid>& AccelerationService::accelerated_via(
@@ -62,8 +47,8 @@ btc::Satoshi AccelerationService::revenue_of(const std::string& pool) const {
   const auto it = by_pool_.find(pool);
   if (it == by_pool_.end()) return total;
   for (const btc::Txid& id : it->second) {
-    const auto rec = records_.find(id);
-    if (rec != records_.end()) total += rec->second.paid;
+    const auto it = paid_.find(id);
+    if (it != paid_.end()) total += it->second;
   }
   return total;
 }

@@ -15,8 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -39,11 +37,6 @@ struct QuoteModel {
   std::int64_t min_fee_sat = 10'000;
 };
 
-struct AccelerationRecord {
-  std::string pool;     ///< pool whose service was paid
-  btc::Satoshi paid{};  ///< dark fee, off-chain
-};
-
 class AccelerationService {
  public:
   explicit AccelerationService(QuoteModel model = {}) : model_(model) {}
@@ -57,19 +50,12 @@ class AccelerationService {
 
   /// Public query (the Table 4 validation path).
   bool is_accelerated(const btc::Txid& id) const noexcept;
-  std::optional<AccelerationRecord> record_of(const btc::Txid& id) const;
-
-  /// Bulk form of is_accelerated(): one flag per txid, in input order.
-  /// The audit's Table 4 validation checks whole blocks of candidate
-  /// txids at a time; answering them in one call keeps the per-query
-  /// overhead out of the detector's hot loop.
-  std::vector<bool> accelerated_mask(std::span<const btc::Txid> ids) const;
 
   /// All txids accelerated through @p pool's service (for the pool's own
   /// prioritization pass).
   const std::unordered_set<btc::Txid>& accelerated_via(const std::string& pool) const;
 
-  std::size_t total_accelerated() const noexcept { return records_.size(); }
+  std::size_t total_accelerated() const noexcept { return paid_.size(); }
 
   /// Every accelerated txid, sorted by byte order — the deterministic
   /// export form a cached world stores (io::SimWorldInfo).
@@ -81,7 +67,7 @@ class AccelerationService {
 
  private:
   QuoteModel model_;
-  std::unordered_map<btc::Txid, AccelerationRecord> records_;
+  std::unordered_map<btc::Txid, btc::Satoshi> paid_;  ///< dark fee, off-chain
   std::unordered_map<std::string, std::unordered_set<btc::Txid>> by_pool_;
 };
 

@@ -54,8 +54,9 @@ TEST(Transaction, ChildSpendsParent) {
       make_payment(0, 250, Satoshi{250}, kAlice, kBob, Satoshi{5000}, 10);
   const Transaction child =
       make_child_payment(60, 200, Satoshi{2000}, parent, kCarol, Satoshi{4000}, 11);
-  EXPECT_TRUE(child.spends_output_of(parent.id()));
-  EXPECT_FALSE(parent.spends_output_of(child.id()));
+  ASSERT_EQ(child.inputs().size(), 1u);
+  EXPECT_EQ(child.inputs()[0].prev_txid, parent.id());
+  EXPECT_NE(parent.inputs()[0].prev_txid, child.id());
   // Child's input owner is the parent's output wallet.
   EXPECT_TRUE(child.spends_from(kBob));
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "../helpers.hpp"
@@ -14,16 +15,25 @@ namespace {
 
 using cn::test::block_with_rates;
 
+/// The window's fee-rate at quantile @p q.
+double quantile(const FeeEstimator& est, double q) {
+  const std::vector<double> rates = est.quantiles(std::span(&q, 1));
+  EXPECT_EQ(rates.size(), 1u);
+  return rates.empty() ? 0.0 : rates.front();
+}
+
 TEST(FeeEstimator, FallsBackWithoutHistory) {
+  // No history, no quantiles: the engine keeps its previous recommendation.
   const FeeEstimator est(6);
-  EXPECT_DOUBLE_EQ(est.recommend_sat_per_vb(0.5), 1.0);
+  const double q = 0.5;
+  EXPECT_TRUE(est.quantiles(std::span(&q, 1)).empty());
   EXPECT_EQ(est.sample_count(), 0u);
 }
 
 TEST(FeeEstimator, MedianOfRecentBlocks) {
   FeeEstimator est(6);
   est.on_block(block_with_rates(1, {1, 2, 3, 4, 5}));
-  EXPECT_DOUBLE_EQ(est.recommend_sat_per_vb(0.5), 3.0);
+  EXPECT_DOUBLE_EQ(quantile(est, 0.5), 3.0);
   EXPECT_EQ(est.sample_count(), 5u);
 }
 
@@ -34,17 +44,18 @@ TEST(FeeEstimator, WindowEvictsOldBlocks) {
   est.on_block(block_with_rates(3, {2, 2}));
   // Block 1 is out of the window: only rates {1,1,2,2} remain.
   EXPECT_EQ(est.sample_count(), 4u);
-  EXPECT_LE(est.recommend_sat_per_vb(1.0), 2.0);
+  EXPECT_DOUBLE_EQ(quantile(est, 1.0), 2.0);
+  EXPECT_DOUBLE_EQ(quantile(est, 0.0), 1.0);
 }
 
 TEST(FeeEstimator, PercentilesOrdered) {
   FeeEstimator est(6);
   est.on_block(block_with_rates(1, {1, 5, 10, 20, 50}));
-  const double p25 = est.recommend_sat_per_vb(0.25);
-  const double p50 = est.recommend_sat_per_vb(0.50);
-  const double p75 = est.recommend_sat_per_vb(0.75);
-  EXPECT_LE(p25, p50);
-  EXPECT_LE(p50, p75);
+  const std::vector<double> qs = {0.25, 0.5, 0.75};
+  const std::vector<double> rates = est.quantiles(qs);
+  ASSERT_EQ(rates.size(), 3u);
+  EXPECT_LE(rates[0], rates[1]);
+  EXPECT_LE(rates[1], rates[2]);
 }
 
 TEST(FeeEstimator, QuantilesEqualQuantileSortedOfTheSortedWindow) {
@@ -77,7 +88,7 @@ TEST(FeeEstimator, QuantilesEqualQuantileSortedOfTheSortedWindow) {
     for (std::size_t i = 0; i < qs.size(); ++i) {
       const double want = stats::quantile_sorted(window, qs[i]);
       EXPECT_EQ(got[i], want) << "n " << n << " q " << qs[i];
-      EXPECT_EQ(est.recommend_sat_per_vb(qs[i]), want) << "n " << n << " q " << qs[i];
+      EXPECT_EQ(quantile(est, qs[i]), want) << "n " << n << " q " << qs[i];
     }
   }
   EXPECT_TRUE(FeeEstimator(6).quantiles(qs).empty());
@@ -87,7 +98,10 @@ TEST(FeeEstimator, EmptyBlocksContributeNothing) {
   FeeEstimator est(3);
   est.on_block(block_with_rates(1, {}));
   EXPECT_EQ(est.sample_count(), 0u);
-  EXPECT_DOUBLE_EQ(est.recommend_sat_per_vb(0.5), 1.0);
+  const double q = 0.5;
+  EXPECT_TRUE(est.quantiles(std::span(&q, 1)).empty());
+  est.on_block(block_with_rates(2, {4}));
+  EXPECT_DOUBLE_EQ(quantile(est, 0.5), 4.0);
 }
 
 }  // namespace

@@ -91,9 +91,10 @@ TEST(Mempool, AncestorsAndChildren) {
   const auto anc = pool.ancestors_of(grandchild.id());
   EXPECT_EQ(anc.size(), 2u);  // child + parent
 
-  const auto kids = pool.children_of(parent.id());
-  ASSERT_EQ(kids.size(), 1u);
-  EXPECT_EQ(kids[0]->tx.id(), child.id());
+  // The child's one input links it to the parent.
+  const auto links = pool.parents_of(pool.handle_of(child.id()));
+  ASSERT_EQ(links.size(), 1u);
+  EXPECT_EQ(links[0], pool.handle_of(parent.id()));
 }
 
 TEST(Mempool, AncestorsStopAtConfirmedBoundary) {
@@ -116,13 +117,21 @@ TEST(Mempool, RemoveCleansChildIndex) {
   pool.accept(parent, 0);
   pool.accept(child, 10);
   pool.remove(child.id());
-  EXPECT_TRUE(pool.children_of(parent.id()).empty());
+  // An unrelated payment reuses the child's slot. Had the parent kept its
+  // link to that slot, replacing the parent would evict the payment too.
+  const auto other = tx_with_rate(3.0, 250, 0, 823);
+  pool.accept(other, 12);
+  const auto bump = btc::make_replacement(20, parent, btc::Satoshi{5'000}, 824);
+  ASSERT_EQ(pool.accept(bump, 20), AcceptResult::kAccepted);
+  EXPECT_TRUE(pool.contains(other.id()));
+  EXPECT_EQ(pool.size(), 2u);
 }
 
 // Gossip can deliver a child before its parent. Links follow outpoints,
 // not arrival order: once the late parent is queued, the early child is
-// its child and descendant. The child's in_pool_parents counter counts
-// only parents queued when the child was accepted, so it stays 0.
+// its child (ReplacingLateParentEvictsEarlyChild checks the descendant
+// side). The child's in_pool_parents counter counts only parents queued
+// when the child was accepted, so it stays 0.
 TEST(Mempool, LateParentAdoptsEarlyChild) {
   Mempool pool(0);
   const auto parent = tx_with_rate(1.0, 250, 0, 831);
@@ -132,12 +141,8 @@ TEST(Mempool, LateParentAdoptsEarlyChild) {
   ASSERT_EQ(pool.accept(child, 10), AcceptResult::kAccepted);
   ASSERT_EQ(pool.accept(parent, 12), AcceptResult::kAccepted);
 
-  const auto kids = pool.children_of(parent.id());
-  ASSERT_EQ(kids.size(), 1u);
-  EXPECT_EQ(kids[0]->tx.id(), child.id());
-  const auto desc = pool.descendants_of(parent.id());
-  ASSERT_EQ(desc.size(), 1u);
-  EXPECT_EQ(desc[0], child.id());
+  EXPECT_EQ(pool.parents_of(pool.handle_of(child.id()))[0],
+            pool.handle_of(parent.id()));
   const auto anc = pool.ancestors_of(child.id());
   ASSERT_EQ(anc.size(), 1u);
   EXPECT_EQ(anc[0]->tx.id(), parent.id());
@@ -182,25 +187,32 @@ TEST(Mempool, LateParentLeavingCostsTheChildACountedParent) {
   ASSERT_EQ(pool.accept(p2, 12), AcceptResult::kAccepted);
   EXPECT_EQ(pool.find(child.id())->in_pool_parents, 1u);
   EXPECT_EQ(pool.ancestors_of(child.id()).size(), 2u);
-  ASSERT_EQ(pool.children_of(p2.id()).size(), 1u);
+  EXPECT_EQ(pool.parents_of(pool.handle_of(child.id()))[1], pool.handle_of(p2.id()));
 
   ASSERT_TRUE(pool.remove(p2.id()));
   EXPECT_EQ(pool.find(child.id())->in_pool_parents, 0u);
   const auto anc = pool.ancestors_of(child.id());
   ASSERT_EQ(anc.size(), 1u);
   EXPECT_EQ(anc[0]->tx.id(), p1.id());
-  const auto kids = pool.children_of(p1.id());
-  ASSERT_EQ(kids.size(), 1u);
-  EXPECT_EQ(kids[0]->tx.id(), child.id());
-  EXPECT_EQ(pool.descendants_of(p1.id()).size(), 1u);
+  const auto links = pool.parents_of(pool.handle_of(child.id()));
+  EXPECT_EQ(links[0], pool.handle_of(p1.id()));
+  EXPECT_EQ(links[1], kNoMempoolHandle);
 }
 
 TEST(Mempool, ForEachVisitsAll) {
   Mempool pool(1);
   for (int i = 0; i < 10; ++i) pool.accept(tx_with_rate(1.0 + i), 0);
   int visits = 0;
-  pool.for_each([&](const MempoolEntry&) { ++visits; });
+  pool.for_each_entry([&](const MempoolEntry&) { ++visits; });
   EXPECT_EQ(visits, 10);
+}
+
+// The pool has no size cap: nothing is evicted to make room.
+TEST(MempoolEviction, UnlimitedByDefault) {
+  Mempool pool(1);
+  for (int i = 0; i < 100; ++i) pool.accept(tx_with_rate(1.0 + i, 250, 0, 7100 + i), 0);
+  EXPECT_EQ(pool.size(), 100u);
+  EXPECT_EQ(pool.total_vsize(), 100u * 250u);
 }
 
 }  // namespace

@@ -18,11 +18,8 @@ TEST(Acceleration, RegistersAndQueries) {
   service.accelerate(tx.id(), "BTC.com", btc::Satoshi{500'000});
   EXPECT_TRUE(service.is_accelerated(tx.id()));
   EXPECT_EQ(service.total_accelerated(), 1u);
-
-  const auto rec = service.record_of(tx.id());
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->pool, "BTC.com");
-  EXPECT_EQ(rec->paid.value, 500'000);
+  EXPECT_TRUE(service.accelerated_via("BTC.com").contains(tx.id()));
+  EXPECT_EQ(service.revenue_of("BTC.com").value, 500'000);
 }
 
 TEST(Acceleration, PerPoolSets) {
@@ -63,26 +60,6 @@ TEST(Acceleration, QuoteIsMuchHigherThanPublicFee) {
   EXPECT_GT(median, 60.0);
   EXPECT_LT(median, 220.0);
   EXPECT_GT(mean / median, 2.5);  // heavy right tail
-}
-
-TEST(Acceleration, AcceleratedMaskMatchesPerTxidQueries) {
-  AccelerationService service;
-  const auto a = tx_with_rate(1.0);
-  const auto b = tx_with_rate(2.0);
-  const auto c = tx_with_rate(3.0);
-  service.accelerate(a.id(), "BTC.com", btc::Satoshi{500'000});
-  service.accelerate(c.id(), "ViaBTC", btc::Satoshi{250'000});
-
-  const std::vector<btc::Txid> ids = {a.id(), b.id(), c.id(), b.id()};
-  const auto mask = service.accelerated_mask(ids);
-  ASSERT_EQ(mask.size(), ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(mask[i], service.is_accelerated(ids[i])) << "i=" << i;
-  }
-  EXPECT_TRUE(mask[0]);
-  EXPECT_FALSE(mask[1]);
-  EXPECT_TRUE(mask[2]);
-  EXPECT_TRUE(service.accelerated_mask({}).empty());
 }
 
 TEST(Acceleration, QuoteHasMinimumFee) {
