@@ -121,6 +121,35 @@ void AuditDaemon::apply_event(const io::StreamEvent& event) {
   events_counter().add();
 }
 
+void AuditDaemon::fail(std::string cause) {
+  {
+    std::lock_guard<std::mutex> lock(fatal_mu_);
+    if (fatal_cause_.empty()) fatal_cause_ = std::move(cause);
+  }
+  fatal_.store(true);
+}
+
+std::string AuditDaemon::fatal_cause() const {
+  std::lock_guard<std::mutex> lock(fatal_mu_);
+  return fatal_cause_;
+}
+
+bool AuditDaemon::on_bad_read(io::StreamStatus status, int& consecutive_failures,
+                              std::uint64_t events_read) {
+  if (status == io::StreamStatus::kCorrupt) {
+    fail("corrupt feed event after " + std::to_string(events_read) + " events");
+    return true;
+  }
+  // Retries already exhausted inside RetryingSource; count and keep
+  // trying until the failure budget runs out.
+  read_failures_.fetch_add(1, std::memory_order_relaxed);
+  if (++consecutive_failures < config_.max_consecutive_failures) return false;
+  fail(std::to_string(consecutive_failures) +
+       " consecutive feed reads failed after retries (after " +
+       std::to_string(events_read) + " events)");
+  return true;
+}
+
 void AuditDaemon::maybe_checkpoint() {
   if (config_.checkpoint_path.empty()) return;
   std::string error;
@@ -128,7 +157,7 @@ void AuditDaemon::maybe_checkpoint() {
                        &error)) {
     // A daemon that cannot persist progress must not pretend to be
     // durable: flag fatal so readiness fails and the operator notices.
-    fatal_.store(true);
+    fail("checkpoint save failed: " + error);
     return;
   }
   testing::crash_point("daemon.post_checkpoint");
@@ -149,28 +178,20 @@ void AuditDaemon::seal_and_cache() {
 io::StreamStatus AuditDaemon::run_to_end() {
   started_.store(true);
   int consecutive_failures = 0;
+  std::uint64_t events_read = 0;
   io::StreamEvent event;
   io::StreamStatus status = io::StreamStatus::kEnd;
   while (!stop_requested_.load(std::memory_order_relaxed)) {
     status = source_.next(event, config_.read_deadline_ms);
     if (status == io::StreamStatus::kOk) {
       consecutive_failures = 0;
+      ++events_read;
       apply_event(event);
       if (fatal_.load()) break;
       continue;
     }
     if (status == io::StreamStatus::kEnd) break;
-    if (status == io::StreamStatus::kCorrupt) {
-      fatal_.store(true);
-      break;
-    }
-    // Retries already exhausted inside RetryingSource; count and keep
-    // trying until the failure budget runs out.
-    read_failures_.fetch_add(1, std::memory_order_relaxed);
-    if (++consecutive_failures >= config_.max_consecutive_failures) {
-      fatal_.store(true);
-      break;
-    }
+    if (on_bad_read(status, consecutive_failures, events_read)) break;
   }
   ingest_done_.store(true);
   apply_done_.store(true);
@@ -186,25 +207,19 @@ void AuditDaemon::start() {
 
 void AuditDaemon::ingest_loop() {
   int consecutive_failures = 0;
+  std::uint64_t events_read = 0;
   io::StreamEvent event;
   while (!stop_requested_.load(std::memory_order_relaxed)) {
     const io::StreamStatus status = source_.next(event, config_.read_deadline_ms);
     if (status == io::StreamStatus::kOk) {
       consecutive_failures = 0;
+      ++events_read;
       queue_gauge().set(static_cast<double>(queue_.size()));
       if (!queue_.push(event)) break;  // queue closed: shutting down
       continue;
     }
     if (status == io::StreamStatus::kEnd) break;
-    if (status == io::StreamStatus::kCorrupt) {
-      fatal_.store(true);
-      break;
-    }
-    read_failures_.fetch_add(1, std::memory_order_relaxed);
-    if (++consecutive_failures >= config_.max_consecutive_failures) {
-      fatal_.store(true);
-      break;
-    }
+    if (on_bad_read(status, consecutive_failures, events_read)) break;
   }
   ingest_done_.store(true);
   queue_.close();  // lets the apply side drain what is queued
@@ -326,7 +341,7 @@ HttpResponse AuditDaemon::handle(const HttpRequest& request) {
       resp.body = "ok\n";
     } else {
       resp.status = 503;
-      resp.body = "fatal error; see logs\n";
+      resp.body = "fatal error: " + fatal_cause() + "\n";
     }
     return resp;
   }

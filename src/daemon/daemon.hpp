@@ -25,7 +25,8 @@
 // Thread discipline: accumulators_ and checkpoint_log_ are touched
 // exclusively by the apply side (run_to_end caller or the apply thread);
 // queries read only the cached sealed report under report_mu_. stats_
-// fields are atomics.
+// fields are atomics. The first fatal error's cause is kept under
+// fatal_mu_, since in pipelined mode ingest and apply can both fail.
 #pragma once
 
 #include <atomic>
@@ -118,6 +119,10 @@ class AuditDaemon {
   std::string seal_report_json();
 
   bool healthy() const noexcept { return !fatal_.load(); }
+  /// Why the daemon stopped: the first fatal error (a checkpoint that
+  /// could not be saved, naming its file and errno; a corrupt feed; an
+  /// exhausted read budget). Empty while healthy().
+  std::string fatal_cause() const;
   /// Ready = started, not stalled, not shedding, no fatal error.
   bool ready() const noexcept;
 
@@ -126,6 +131,14 @@ class AuditDaemon {
 
  private:
   void apply_event(const io::StreamEvent& event);
+  /// Records @p cause unless an earlier one is recorded, then turns the
+  /// daemon unhealthy.
+  void fail(std::string cause);
+  /// A read that was neither an event nor the feed's end: fails the
+  /// daemon on a corrupt event or once the read budget is exhausted.
+  /// Returns true when the read loop must stop.
+  bool on_bad_read(io::StreamStatus status, int& consecutive_failures,
+                   std::uint64_t events_read);
   void maybe_checkpoint();
   void seal_and_cache();
   void ingest_loop();
@@ -151,6 +164,8 @@ class AuditDaemon {
   std::atomic<bool> apply_done_{false};
   std::atomic<bool> started_{false};
   std::atomic<bool> fatal_{false};
+  mutable std::mutex fatal_mu_;
+  std::string fatal_cause_;  ///< guarded by fatal_mu_
   std::atomic<bool> stalled_{false};
 
   // Stats counters (relaxed; read via stats()).

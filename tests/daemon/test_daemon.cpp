@@ -238,6 +238,26 @@ TEST(AuditDaemon, PoisonedFeedTurnsUnhealthy) {
   EXPECT_FALSE(daemon.ready());
   const HttpResponse health = daemon.handle({"GET", "/healthz"});
   EXPECT_EQ(health.status, 503);
+  EXPECT_NE(daemon.fatal_cause().find("corrupt feed event"), std::string::npos)
+      << daemon.fatal_cause();
+}
+
+TEST(AuditDaemon, UnwritableCheckpointNamesTheFileAndErrno) {
+  const io::DatasetHandle feed = make_feed();
+  io::ReplaySource source(feed);
+  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
+  DaemonConfig config = test_config();
+  config.checkpoint_path = ::testing::TempDir() + "/cn_daemon_no_such_dir/x.ckpt";
+  std::filesystem::remove_all(::testing::TempDir() + "/cn_daemon_no_such_dir");
+  AuditDaemon daemon(source, registry, kNoFirstSeen, config);
+  EXPECT_TRUE(daemon.fatal_cause().empty());
+  daemon.run_to_end();
+  EXPECT_FALSE(daemon.healthy());
+  EXPECT_EQ(daemon.stats().blocks_applied, config.checkpoint_every_blocks);
+  const std::string cause = daemon.fatal_cause();
+  EXPECT_NE(cause.find(config.checkpoint_path), std::string::npos) << cause;
+  EXPECT_NE(cause.find("No such file or directory"), std::string::npos) << cause;
+  EXPECT_NE(daemon.handle({"GET", "/healthz"}).body.find(cause), std::string::npos);
 }
 
 // A feed that delivers a few events and then stops answering forever —

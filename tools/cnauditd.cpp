@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   if (!daemon.healthy()) {
-    std::fprintf(stderr, "cnauditd: ingest failed (fatal error)\n");
+    std::fprintf(stderr, "cnauditd: fatal: %s\n", daemon.fatal_cause().c_str());
     rc = 1;
   }
 

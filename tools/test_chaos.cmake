@@ -71,6 +71,19 @@ expect_bad_number(--threads --threads abc)
 expect_bad_number(--seal-every --seal-every abc)
 expect_bad_number(--http-port --serve --http-port 70000)
 
+# A checkpoint that cannot be written stops the daemon with exit 1, and
+# stderr names the file that failed.
+execute_process(
+  COMMAND "${CNAUDITD}" --input "${data}" --oneshot
+          --checkpoint "${workdir}/no_such_dir/x.ckpt" --checkpoint-every 8
+          --out "${workdir}/unwritable.json"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT 60)
+string(FIND "${err}" "x.ckpt" found)
+if(NOT rc EQUAL 1 OR found EQUAL -1)
+  message(FATAL_ERROR "cnauditd with an unwritable checkpoint exited ${rc}, "
+                      "want 1 naming x.ckpt: ${err}")
+endif()
+
 # --- chaos: kill at a point, restart clean, require identical bytes ---
 # Checkpoints every 8 blocks: the 62-block data set makes 7 of them. Its
 # first block arrives after ~120 mempool snapshots, so the single-kill
