@@ -1,7 +1,5 @@
 #include "daemon/daemon.hpp"
 
-#include <chrono>
-
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "testing/crash_points.hpp"
@@ -18,14 +16,6 @@ const obs::Counter& checkpoint_counter() {
   static const obs::Counter c("daemon.checkpoints");
   return c;
 }
-const obs::Counter& shed_counter() {
-  static const obs::Counter c("daemon.seals_shed");
-  return c;
-}
-const obs::Gauge& queue_gauge() {
-  static const obs::Gauge g("daemon.queue_depth");
-  return g;
-}
 
 }  // namespace
 
@@ -36,10 +26,7 @@ AuditDaemon::AuditDaemon(io::StreamSource& source,
       registry_(&registry),
       first_seen_(std::move(first_seen)),
       config_(config),
-      accumulators_(registry, config.accumulators),
-      queue_(config.queue_capacity) {}
-
-AuditDaemon::~AuditDaemon() { stop(); }
+      accumulators_(registry, config.accumulators) {}
 
 bool AuditDaemon::recover(std::string* message) {
   if (config_.checkpoint_path.empty()) {
@@ -106,12 +93,7 @@ void AuditDaemon::apply_event(const io::StreamEvent& event) {
     }
     if (config_.seal_every_blocks > 0 &&
         blocks % config_.seal_every_blocks == 0) {
-      if (shedding()) {
-        seals_shed_.fetch_add(1, std::memory_order_relaxed);
-        shed_counter().add();
-      } else {
-        seal_and_cache();
-      }
+      seal_and_cache();
     }
   } else {
     accumulators_.apply_snapshot(event.snapshot, event.seq);
@@ -140,8 +122,10 @@ bool AuditDaemon::on_bad_read(io::StreamStatus status, int& consecutive_failures
     fail("corrupt feed event after " + std::to_string(events_read) + " events");
     return true;
   }
-  // Retries already exhausted inside RetryingSource; count and keep
-  // trying until the failure budget runs out.
+  // Retries already exhausted inside RetryingSource: the feed is stalled
+  // until an event arrives. Count and keep trying until the failure
+  // budget runs out.
+  stalled_.store(true);
   read_failures_.fetch_add(1, std::memory_order_relaxed);
   if (++consecutive_failures < config_.max_consecutive_failures) return false;
   fail(std::to_string(consecutive_failures) +
@@ -185,6 +169,7 @@ io::StreamStatus AuditDaemon::run_to_end() {
     status = source_.next(event, config_.read_deadline_ms);
     if (status == io::StreamStatus::kOk) {
       consecutive_failures = 0;
+      stalled_.store(false, std::memory_order_relaxed);
       ++events_read;
       apply_event(event);
       if (fatal_.load()) break;
@@ -193,93 +178,11 @@ io::StreamStatus AuditDaemon::run_to_end() {
     if (status == io::StreamStatus::kEnd) break;
     if (on_bad_read(status, consecutive_failures, events_read)) break;
   }
-  ingest_done_.store(true);
-  apply_done_.store(true);
   return status;
 }
 
-void AuditDaemon::start() {
-  started_.store(true);
-  ingest_thread_ = std::thread([this] { ingest_loop(); });
-  apply_thread_ = std::thread([this] { apply_loop(); });
-  watchdog_thread_ = std::thread([this] { watchdog_loop(); });
-}
-
-void AuditDaemon::ingest_loop() {
-  int consecutive_failures = 0;
-  std::uint64_t events_read = 0;
-  io::StreamEvent event;
-  while (!stop_requested_.load(std::memory_order_relaxed)) {
-    const io::StreamStatus status = source_.next(event, config_.read_deadline_ms);
-    if (status == io::StreamStatus::kOk) {
-      consecutive_failures = 0;
-      ++events_read;
-      queue_gauge().set(static_cast<double>(queue_.size()));
-      if (!queue_.push(event)) break;  // queue closed: shutting down
-      continue;
-    }
-    if (status == io::StreamStatus::kEnd) break;
-    if (on_bad_read(status, consecutive_failures, events_read)) break;
-  }
-  ingest_done_.store(true);
-  queue_.close();  // lets the apply side drain what is queued
-}
-
-void AuditDaemon::apply_loop() {
-  while (true) {
-    std::optional<io::StreamEvent> event = queue_.pop();
-    if (!event.has_value()) break;  // closed and drained
-    apply_event(*event);
-    if (fatal_.load()) break;
-  }
-  apply_done_.store(true);
-}
-
-void AuditDaemon::watchdog_loop() {
-  const auto interval =
-      std::chrono::milliseconds(std::max(config_.watchdog_stall_ms / 4, 10));
-  std::uint64_t last_progress = events_applied_.load();
-  auto last_change = std::chrono::steady_clock::now();
-  while (!stop_requested_.load(std::memory_order_relaxed) &&
-         !(ingest_done_.load() && apply_done_.load())) {
-    std::this_thread::sleep_for(interval);
-    const std::uint64_t now_applied = events_applied_.load();
-    const auto now = std::chrono::steady_clock::now();
-    if (now_applied != last_progress) {
-      last_progress = now_applied;
-      last_change = now;
-      stalled_.store(false);
-      continue;
-    }
-    // No progress. That is only a stall when there is work to do:
-    // events queued, or ingest still running (it may be blocked on a
-    // dead source — exactly the case readiness must surface).
-    const bool work_pending = queue_.size() > 0 || !ingest_done_.load();
-    if (work_pending &&
-        now - last_change > std::chrono::milliseconds(config_.watchdog_stall_ms)) {
-      stalled_.store(true);
-    }
-  }
-}
-
-void AuditDaemon::join() {
-  if (ingest_thread_.joinable()) ingest_thread_.join();
-  if (apply_thread_.joinable()) apply_thread_.join();
-  if (watchdog_thread_.joinable()) watchdog_thread_.join();
-}
-
-void AuditDaemon::stop() {
-  stop_requested_.store(true);
-  queue_.close();
-  join();
-}
-
 bool AuditDaemon::ready() const noexcept {
-  return started_.load() && !fatal_.load() && !stalled_.load() && !shedding();
-}
-
-bool AuditDaemon::shedding() const noexcept {
-  return queue_.size() > config_.shed_watermark;
+  return started_.load() && !fatal_.load() && !stalled_.load();
 }
 
 std::string AuditDaemon::seal_report_json() {
@@ -295,8 +198,6 @@ DaemonStats AuditDaemon::stats() const {
   s.snapshots_applied = snapshots_applied_.load();
   s.checkpoints_written = checkpoints_written_.load();
   s.seals = seals_.load();
-  s.seals_shed = seals_shed_.load();
-  s.degraded_reads = degraded_reads_.load();
   s.read_failures = read_failures_.load();
   s.recovered_seq = recovered_seq_.load();
   s.checkpoint_rejected = checkpoint_rejected_.load();
@@ -328,10 +229,6 @@ HttpResponse AuditDaemon::handle(const HttpRequest& request) {
         acc_blocks_.load(std::memory_order_relaxed);
     const std::uint64_t staleness =
         applied_blocks > cached_blocks_ ? applied_blocks - cached_blocks_ : 0;
-    if (shedding() || staleness > config_.seal_every_blocks) {
-      degraded_reads_.fetch_add(1, std::memory_order_relaxed);
-      resp.headers.emplace_back("X-CN-Degraded", "true");
-    }
     resp.headers.emplace_back("X-CN-Staleness-Blocks", std::to_string(staleness));
     return resp;
   }
@@ -352,11 +249,9 @@ HttpResponse AuditDaemon::handle(const HttpRequest& request) {
     } else {
       resp.status = 503;
       resp.body = std::string("not ready: ") +
-                  (!started_.load()      ? "not started"
-                   : fatal_.load()       ? "fatal error"
-                   : stalled_.load()     ? "ingest stalled"
-                   : shedding()          ? "overloaded (shedding)"
-                                         : "unknown") +
+                  (!started_.load() ? "not started"
+                   : fatal_.load()  ? "fatal error"
+                                    : "ingest stalled") +
                   "\n";
     }
     return resp;

@@ -4,40 +4,29 @@
 // applies each event to the incremental AuditAccumulators, persists
 // atomic checkpoints on a block cadence, and serves sealed JSON reports
 // plus health/readiness over HTTP (tools/cnauditd.cpp wires the
-// routes). Two execution modes share every line of apply logic:
+// routes). run_to_end() is the one execution path: it pulls (with a
+// per-read deadline and retry/backoff) and applies on the caller's
+// thread, and seals right after the block that reaches the seal
+// cadence, so a served report is never more than seal_every_blocks
+// behind the applied state. A read that still fails after its retries
+// marks the feed stalled, which fails readiness until the next event.
 //
-//   threads=1  synchronous: run_to_end() pulls and applies on the
-//              caller's thread (the --oneshot path, and the mode the
-//              chaos harness kills);
-//   threads=0  pipelined: an ingest thread pulls (with per-read
-//              deadline + retry/backoff) into a BoundedQueue — blocking
-//              push IS the backpressure — an apply thread drains it,
-//              and a watchdog thread fails readiness when apply stops
-//              making progress while work is pending.
-//
-// Overload behavior (the robustness headline): when the queue depth
-// crosses the shed watermark the daemon stops re-sealing reports
-// (sealing counts the new blocks' pair violations against the whole
-// log and renders the JSON — query work that apply can skip) and
-// serves the last sealed body with degraded/staleness stamps in HTTP
-// headers. Bodies stay byte-deterministic; only freshness degrades.
-//
-// Thread discipline: accumulators_ and checkpoint_log_ are touched
-// exclusively by the apply side (run_to_end caller or the apply thread);
-// queries read only the cached sealed report under report_mu_. stats_
-// fields are atomics. The first fatal error's cause is kept under
-// fatal_mu_, since in pipelined mode ingest and apply can both fail.
+// Thread discipline: accumulators_ and checkpoint_log_ are touched only
+// by the thread running run_to_end(); queries (handle(), from the HTTP
+// thread) read the cached sealed report under report_mu_, and the run
+// counters and readiness flags are atomics. The first fatal error's
+// cause is kept under fatal_mu_, since /healthz reads it while the run
+// may still set it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
 
 #include "daemon/accumulators.hpp"
-#include "daemon/bounded_queue.hpp"
 #include "daemon/checkpoint.hpp"
 #include "daemon/http.hpp"
 #include "io/stream_source.hpp"
@@ -58,12 +47,9 @@ struct DaemonConfig {
   /// Give up (fatal) after this many consecutive exhausted-retry reads.
   int max_consecutive_failures = 100;
 
-  std::size_t queue_capacity = 256;
-  /// Queue depth above which seals are skipped and reads degraded.
-  std::size_t shed_watermark = 192;
-
-  int threads = 1;  ///< 1 = synchronous, 0 = pipelined (ingest/apply/watchdog)
-  int watchdog_stall_ms = 5'000;
+  /// Unread. pipebench/pipebench.cpp still sets it; delete the field
+  /// together with that line.
+  int threads = 1;
 };
 
 /// Monotonic run counters (all readable while the daemon runs).
@@ -73,8 +59,6 @@ struct DaemonStats {
   std::uint64_t snapshots_applied = 0;
   std::uint64_t checkpoints_written = 0;
   std::uint64_t seals = 0;
-  std::uint64_t seals_shed = 0;       ///< seal points skipped under overload
-  std::uint64_t degraded_reads = 0;
   std::uint64_t read_failures = 0;    ///< exhausted-retry next() calls
   std::uint64_t recovered_seq = 0;    ///< checkpoint seq resumed from (0 = cold)
   bool checkpoint_rejected = false;   ///< a checkpoint existed but was unusable
@@ -86,7 +70,6 @@ class AuditDaemon {
   /// resolves observer arrival times (may be empty).
   AuditDaemon(io::StreamSource& source, const btc::CoinbaseTagRegistry& registry,
               core::FirstSeenFn first_seen, DaemonConfig config);
-  ~AuditDaemon();
 
   /// Restores from the configured checkpoint (when present and valid)
   /// and seeks the source to one past the restored sequence number. An
@@ -97,25 +80,23 @@ class AuditDaemon {
   /// @p message receives a one-line description either way.
   bool recover(std::string* message = nullptr);
 
-  // --- synchronous mode (threads = 1) --------------------------------
-
-  /// Pulls and applies until the feed ends (kEnd), a fatal error, or
-  /// stop(). Returns the terminal stream status.
+  /// Pulls and applies on the calling thread until the feed ends
+  /// (kEnd), a fatal error, or stop(). Returns the terminal stream
+  /// status.
   io::StreamStatus run_to_end();
 
-  // --- pipelined mode (threads = 0) ----------------------------------
-
-  void start();          ///< spawn ingest + apply + watchdog threads
-  void join();           ///< wait for the feed to drain, then stop threads
-  void stop();           ///< request shutdown and join (idempotent)
+  /// Asks a run_to_end() on another thread to return after its current
+  /// read (idempotent).
+  void stop() noexcept { stop_requested_.store(true); }
 
   // --- query surface (thread-safe) -----------------------------------
 
   /// Routes /report, /healthz, /readyz, /metrics.
   HttpResponse handle(const HttpRequest& request);
 
-  /// Seals a fresh report NOW on the calling thread. Only valid in
-  /// synchronous mode or after join() (see thread discipline above).
+  /// Seals a fresh report NOW on the calling thread. Only valid on the
+  /// thread that runs run_to_end(), or after it returned (see thread
+  /// discipline above).
   std::string seal_report_json();
 
   bool healthy() const noexcept { return !fatal_.load(); }
@@ -123,7 +104,7 @@ class AuditDaemon {
   /// could not be saved, naming its file and errno; a corrupt feed; an
   /// exhausted read budget). Empty while healthy().
   std::string fatal_cause() const;
-  /// Ready = started, not stalled, not shedding, no fatal error.
+  /// Ready = started, feed not stalled, no fatal error.
   bool ready() const noexcept;
 
   DaemonStats stats() const;
@@ -134,17 +115,13 @@ class AuditDaemon {
   /// Records @p cause unless an earlier one is recorded, then turns the
   /// daemon unhealthy.
   void fail(std::string cause);
-  /// A read that was neither an event nor the feed's end: fails the
-  /// daemon on a corrupt event or once the read budget is exhausted.
-  /// Returns true when the read loop must stop.
+  /// A read that was neither an event nor the feed's end: marks the
+  /// feed stalled, and fails the daemon on a corrupt event or once the
+  /// read budget is exhausted. Returns true when the read loop must stop.
   bool on_bad_read(io::StreamStatus status, int& consecutive_failures,
                    std::uint64_t events_read);
   void maybe_checkpoint();
   void seal_and_cache();
-  void ingest_loop();
-  void apply_loop();
-  void watchdog_loop();
-  bool shedding() const noexcept;
 
   io::RetryingSource source_;
   const btc::CoinbaseTagRegistry* registry_;
@@ -155,17 +132,12 @@ class AuditDaemon {
   /// recover(), reset by every cold start, advanced by each save.
   CheckpointLog checkpoint_log_;
 
-  BoundedQueue<io::StreamEvent> queue_;
-  std::thread ingest_thread_;
-  std::thread apply_thread_;
-  std::thread watchdog_thread_;
   std::atomic<bool> stop_requested_{false};
-  std::atomic<bool> ingest_done_{false};
-  std::atomic<bool> apply_done_{false};
   std::atomic<bool> started_{false};
   std::atomic<bool> fatal_{false};
   mutable std::mutex fatal_mu_;
   std::string fatal_cause_;  ///< guarded by fatal_mu_
+  /// The last read failed after its retries; cleared by the next event.
   std::atomic<bool> stalled_{false};
 
   // Stats counters (relaxed; read via stats()).
@@ -174,8 +146,6 @@ class AuditDaemon {
   std::atomic<std::uint64_t> snapshots_applied_{0};
   std::atomic<std::uint64_t> checkpoints_written_{0};
   std::atomic<std::uint64_t> seals_{0};
-  std::atomic<std::uint64_t> seals_shed_{0};
-  std::atomic<std::uint64_t> degraded_reads_{0};
   std::atomic<std::uint64_t> read_failures_{0};
   std::atomic<std::uint64_t> recovered_seq_{0};
   std::atomic<bool> checkpoint_rejected_{false};

@@ -27,8 +27,8 @@ struct HttpRequest {
 struct HttpResponse {
   int status = 200;
   std::string content_type = "application/json";
-  /// Extra headers (name, value) — staleness stamps travel here so the
-  /// body bytes stay comparable across degraded/fresh serves.
+  /// Extra headers (name, value) — version and staleness stamps travel
+  /// here so the body bytes stay the sealed report's, however stale.
   std::vector<std::pair<std::string, std::string>> headers;
   std::string body;
 };

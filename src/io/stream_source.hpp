@@ -55,8 +55,7 @@ enum class StreamStatus {
 const char* to_string(StreamStatus status);
 
 /// One feed event. Block events point into source-owned storage: the
-/// pointer stays valid for the lifetime of the source (the daemon's
-/// ingest queue holds events across pulls), never past it.
+/// pointer stays valid for the lifetime of the source, never past it.
 struct StreamEvent {
   enum class Kind : std::uint8_t { kBlock, kSnapshot };
   Kind kind = Kind::kBlock;

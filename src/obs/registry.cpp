@@ -32,8 +32,6 @@ const std::vector<double>& depth_buckets() {
   return kBuckets;
 }
 
-#if !defined(CN_OBS_DISABLE)
-
 namespace detail {
 namespace {
 
@@ -305,12 +303,5 @@ std::vector<MetricValue> snapshot() {
 }
 
 void reset_for_test() { detail::RegistryImpl::instance().reset(); }
-
-#else  // CN_OBS_DISABLE
-
-std::vector<MetricValue> snapshot() { return {}; }
-void reset_for_test() {}
-
-#endif  // CN_OBS_DISABLE
 
 }  // namespace cn::obs

@@ -26,14 +26,9 @@
 // determinism suite asserts the exported key set does not wobble across
 // runs or thread counts.
 //
-// Switches:
-//   * runtime  — obs::set_enabled(false) turns every record call into a
-//     single relaxed load-and-branch;
-//   * compile  — building with -DCN_OBS_DISABLE compiles handles to
-//     empty inline bodies (zero code on the hot path). Exports then
-//     produce valid but empty documents, and audit reports are
-//     byte-identical either way (instrumentation never feeds back into
-//     results).
+// Switch: obs::set_enabled(false) turns every record call into a single
+// relaxed load-and-branch. Audit reports are byte-identical either way
+// (instrumentation never feeds back into results).
 #pragma once
 
 #include <atomic>
@@ -48,8 +43,6 @@ namespace cn::obs {
 /// valid; record calls become a load + branch.
 bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
-
-#if !defined(CN_OBS_DISABLE)
 
 namespace detail {
 
@@ -116,31 +109,6 @@ class Histogram {
   detail::MetricId id_ = detail::kNoMetric;
 };
 
-#else  // CN_OBS_DISABLE: handles compile to nothing.
-
-class Counter {
- public:
-  Counter() = default;
-  explicit Counter(std::string_view) {}
-  void add(std::uint64_t = 1) const noexcept {}
-};
-
-class Gauge {
- public:
-  Gauge() = default;
-  explicit Gauge(std::string_view) {}
-  void set(double) const noexcept {}
-};
-
-class Histogram {
- public:
-  Histogram() = default;
-  Histogram(std::string_view, const std::vector<double>&) {}
-  void observe(double) const noexcept {}
-};
-
-#endif  // CN_OBS_DISABLE
-
 /// Exponential seconds buckets suitable for task/stage latencies
 /// (1 us .. ~2 min, x4 steps).
 const std::vector<double>& latency_seconds_buckets();
@@ -148,7 +116,7 @@ const std::vector<double>& latency_seconds_buckets();
 /// Small linear buckets for queue depths (0..256, power-of-two edges).
 const std::vector<double>& depth_buckets();
 
-// --- scrape side (always compiled; empty under CN_OBS_DISABLE) -------
+// --- scrape side ------------------------------------------------------
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 

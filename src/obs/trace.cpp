@@ -67,8 +67,6 @@ void timeline_clear() {
   tl.epoch_set = false;
 }
 
-#if !defined(CN_OBS_DISABLE)
-
 Span::Span(std::string name) {
   if (!enabled()) return;
   TimelineState& tl = timeline();
@@ -95,7 +93,5 @@ Span::~Span() {
   std::lock_guard<std::mutex> lock(tl.mutex);
   tl.events.push_back(std::move(event));
 }
-
-#endif  // CN_OBS_DISABLE
 
 }  // namespace cn::obs

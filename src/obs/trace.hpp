@@ -11,8 +11,7 @@
 // Spans are deliberately coarse: one per stage or file, never one per
 // transaction — the hot path stays on obs::Counter. Recording is a
 // short mutex-guarded append (spans are rare); when obs is disabled at
-// runtime, constructing a Span is a relaxed load and two branches, and
-// under CN_OBS_DISABLE it compiles away entirely.
+// runtime, constructing a Span is a relaxed load and two branches.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +38,6 @@ std::vector<TraceEvent> timeline_events();
 /// servers scrape-and-clear between windows.
 void timeline_clear();
 
-#if !defined(CN_OBS_DISABLE)
-
 class Span {
  public:
   explicit Span(std::string name);
@@ -55,14 +52,5 @@ class Span {
   std::uint32_t id_ = 0;      ///< 0 when obs was disabled at construction
   std::uint32_t parent_ = 0;  ///< enclosing span at construction time
 };
-
-#else
-
-class Span {
- public:
-  explicit Span(const std::string&) {}
-};
-
-#endif  // CN_OBS_DISABLE
 
 }  // namespace cn::obs

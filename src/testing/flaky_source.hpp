@@ -3,11 +3,10 @@
 // Production feeds fail in two characteristic ways the daemon must
 // survive: transient read errors (flaky disk / dropped connection —
 // retryable) and stalls (a peer that stops answering — the per-read
-// deadline must fire so the caller's watchdog, not the kernel, decides
-// what "stuck" means). FlakyStreamSource wraps any StreamSource and
-// injects both, deterministically per seed, so the RetryingSource
-// backoff path and the daemon's watchdog/readiness degradation are
-// testable as properties.
+// deadline must fire so the caller, not the kernel, decides what
+// "stuck" means). FlakyStreamSource wraps any StreamSource and injects
+// both, deterministically per seed, so the RetryingSource backoff path
+// and the daemon's stalled-feed readiness are testable as properties.
 #pragma once
 
 #include <cstdint>

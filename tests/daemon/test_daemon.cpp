@@ -1,13 +1,13 @@
 // AuditDaemon (daemon/daemon.hpp) end-to-end properties, in-process:
-// the synchronous and pipelined modes seal byte-identical reports; a
-// daemon restarted from a mid-stream checkpoint converges to the
-// uninterrupted run's bytes (the chaos harness proves the same with
-// real SIGKILLs — tools/test_chaos.cmake); torn checkpoints and a
-// missing event-log segment are rejected and cold-start; a flaky feed
-// drains through retry/backoff; a poisoned feed turns the daemon
-// unhealthy; a dead feed trips the watchdog out of readiness; the HTTP
-// surface serves reports, health, and degradation stamps; and a client
-// that resets mid-request does not take the server down.
+// run_to_end seals at every cadence point; a daemon restarted from a
+// mid-stream checkpoint converges to the uninterrupted run's bytes (the
+// chaos harness proves the same with real SIGKILLs —
+// tools/test_chaos.cmake); torn checkpoints and a missing event-log
+// segment are rejected and cold-start; a flaky feed drains through
+// retry/backoff; a poisoned feed and an exhausted read budget turn the
+// daemon unhealthy; a dead feed fails readiness but not health; the
+// HTTP surface serves reports, health, and staleness stamps; and a
+// client that resets mid-request does not take the server down.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "../helpers.hpp"
@@ -87,22 +89,25 @@ std::string reference_report(const io::DatasetHandle& feed,
   return daemon.seal_report_json();
 }
 
-TEST(AuditDaemon, PipelinedModeSealsTheSameBytesAsSynchronous) {
+TEST(AuditDaemon, SealsAtEveryCadencePoint) {
   const io::DatasetHandle feed = make_feed();
-  const std::string ref = reference_report(feed);
-  ASSERT_FALSE(ref.empty());
-
   io::ReplaySource source(feed);
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  DaemonConfig config = test_config();
-  config.threads = 0;
+  const DaemonConfig config = test_config();
   AuditDaemon daemon(source, registry, kNoFirstSeen, config);
-  daemon.start();
-  daemon.join();
-  EXPECT_EQ(daemon.seal_report_json(), ref);
+  EXPECT_EQ(daemon.run_to_end(), io::StreamStatus::kEnd);
   const DaemonStats stats = daemon.stats();
   EXPECT_EQ(stats.blocks_applied, feed.chain.size());
   EXPECT_EQ(stats.snapshots_applied, feed.snapshots->size());
+  ASSERT_EQ(feed.chain.size() % config.seal_every_blocks, 0u);
+  EXPECT_EQ(stats.seals, feed.chain.size() / config.seal_every_blocks);
+  // The last block reached the cadence, so the served report is its
+  // seal, with no blocks behind it.
+  const HttpResponse report = daemon.handle({"GET", "/report"});
+  EXPECT_EQ(report.status, 200);
+  const std::pair<std::string, std::string> fresh{"X-CN-Staleness-Blocks", "0"};
+  EXPECT_NE(std::find(report.headers.begin(), report.headers.end(), fresh),
+            report.headers.end());
 }
 
 /// Removes a checkpoint's state file and segment.
@@ -260,8 +265,7 @@ TEST(AuditDaemon, UnwritableCheckpointNamesTheFileAndErrno) {
   EXPECT_NE(daemon.handle({"GET", "/healthz"}).body.find(cause), std::string::npos);
 }
 
-// A feed that delivers a few events and then stops answering forever —
-// the shape the watchdog exists for.
+// A feed that delivers a few events and then stops answering forever.
 class DeadAfterSource : public io::StreamSource {
  public:
   DeadAfterSource(io::StreamSource& inner, std::uint64_t alive)
@@ -284,37 +288,63 @@ class DeadAfterSource : public io::StreamSource {
   std::uint64_t delivered_ = 0;
 };
 
-TEST(AuditDaemon, WatchdogFailsReadinessWhenTheFeedGoesDead) {
+/// test_config() with short reads and two attempts per read, so a dead
+/// feed fails a read after ~20 ms.
+DaemonConfig dead_feed_config() {
+  DaemonConfig config = test_config();
+  config.read_deadline_ms = 10;
+  config.retry.max_attempts = 2;
+  return config;
+}
+
+TEST(AuditDaemon, DeadFeedFailsReadinessButNotHealth) {
   const io::DatasetHandle feed = make_feed();
   io::ReplaySource replay(feed);
   DeadAfterSource dead(replay, 5);
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  DaemonConfig config = test_config();
-  config.threads = 0;
-  config.read_deadline_ms = 10;
-  config.retry.max_attempts = 2;
+  DaemonConfig config = dead_feed_config();
   config.max_consecutive_failures = 1'000'000;  // keep polling, never fatal
-  config.watchdog_stall_ms = 80;
   AuditDaemon daemon(dead, registry, kNoFirstSeen, config);
-  daemon.start();
+  io::StreamStatus status = io::StreamStatus::kOk;
+  std::thread run([&daemon, &status] { status = daemon.run_to_end(); });
 
-  // The five live events apply quickly; then the feed goes dead with
-  // ingest still running, so the stall must surface within a few
-  // watchdog intervals.
+  // The five live events apply quickly; then every read fails after its
+  // retries, and the first such read marks the feed stalled.
   bool became_unready = false;
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 100 && !became_unready; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    if (daemon.stats().events_applied >= 5 && !daemon.ready()) {
-      became_unready = true;
-      break;
-    }
+    became_unready = daemon.stats().events_applied >= 5 && !daemon.ready();
   }
-  EXPECT_TRUE(became_unready);
   const HttpResponse ready = daemon.handle({"GET", "/readyz"});
+  const bool healthy = daemon.healthy();
+  daemon.stop();
+  run.join();
+
+  EXPECT_TRUE(became_unready);
   EXPECT_EQ(ready.status, 503);
   EXPECT_NE(ready.body.find("stalled"), std::string::npos) << ready.body;
-  EXPECT_TRUE(daemon.healthy());  // stalled, not dead
-  daemon.stop();
+  EXPECT_TRUE(healthy);  // stalled, not dead
+  EXPECT_EQ(daemon.handle({"GET", "/healthz"}).status, 200);
+  EXPECT_EQ(status, io::StreamStatus::kTimeout);
+  EXPECT_EQ(daemon.stats().events_applied, 5u);
+}
+
+TEST(AuditDaemon, ExhaustedReadBudgetTurnsUnhealthy) {
+  const io::DatasetHandle feed = make_feed();
+  io::ReplaySource replay(feed);
+  DeadAfterSource dead(replay, 5);
+  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
+  DaemonConfig config = dead_feed_config();
+  config.max_consecutive_failures = 3;
+  AuditDaemon daemon(dead, registry, kNoFirstSeen, config);
+  EXPECT_EQ(daemon.run_to_end(), io::StreamStatus::kTimeout);
+  EXPECT_FALSE(daemon.healthy());
+  EXPECT_FALSE(daemon.ready());
+  EXPECT_EQ(daemon.stats().read_failures, 3u);
+  const std::string cause = daemon.fatal_cause();
+  EXPECT_NE(cause.find("3 consecutive feed reads failed"), std::string::npos) << cause;
+  EXPECT_NE(cause.find("after 5 events"), std::string::npos) << cause;
+  EXPECT_EQ(daemon.handle({"GET", "/healthz"}).status, 503);
 }
 
 // --- HTTP surface -------------------------------------------------------

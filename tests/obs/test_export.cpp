@@ -162,10 +162,8 @@ TEST_F(ObsExport, TraceFileIsValidChromeTrace) {
   EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(doc.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
-#if !defined(CN_OBS_DISABLE)
   EXPECT_NE(doc.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(doc.find("test.export.outer"), std::string::npos);
-#endif
 }
 
 TEST_F(ObsExport, MetricsFileRoundTrips) {
@@ -179,14 +177,12 @@ TEST_F(ObsExport, MetricsFileRoundTrips) {
   ASSERT_TRUE(write_metrics_json(path));
   const std::string doc = slurp(path);
   EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
-#if !defined(CN_OBS_DISABLE)
   EXPECT_NE(doc.find("\"test.export.counter\": 11"), std::string::npos);
   EXPECT_NE(doc.find("\"test.export.gauge\": 2.5"), std::string::npos);
   EXPECT_NE(doc.find("\"test.export.hist\": {\"buckets\": [0.5, 1.5], "
                      "\"counts\": [0, 1, 0], \"count\": 1, \"sum\": 1"),
             std::string::npos)
       << doc;
-#endif
 }
 
 TEST_F(ObsExport, UnwritablePathReportsFailure) {

@@ -30,8 +30,6 @@ class ObsRegistry : public ::testing::Test {
   void TearDown() override { set_enabled(true); }
 };
 
-#if !defined(CN_OBS_DISABLE)
-
 TEST_F(ObsRegistry, CounterAccumulatesAcrossThreads) {
   const Counter c("test.registry.cross_thread");
   constexpr int kThreads = 8;
@@ -161,16 +159,6 @@ TEST_F(ObsRegistry, StockBucketLayouts) {
     EXPECT_LT(depth[i - 1], depth[i]);
   }
 }
-
-#else  // CN_OBS_DISABLE
-
-TEST_F(ObsRegistry, DisabledBuildHasInertHandles) {
-  const Counter c("test.registry.disabled");
-  c.add(42);
-  EXPECT_TRUE(snapshot().empty());
-}
-
-#endif  // CN_OBS_DISABLE
 
 }  // namespace
 }  // namespace cn::obs

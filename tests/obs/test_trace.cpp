@@ -20,8 +20,6 @@ class ObsTrace : public ::testing::Test {
   void TearDown() override { set_enabled(true); }
 };
 
-#if !defined(CN_OBS_DISABLE)
-
 TEST_F(ObsTrace, SpanRecordsOnDestruction) {
   {
     const Span span("test.trace.one");
@@ -92,17 +90,6 @@ TEST_F(ObsTrace, ClearDropsEvents) {
   timeline_clear();
   EXPECT_TRUE(timeline_events().empty());
 }
-
-#else  // CN_OBS_DISABLE
-
-TEST_F(ObsTrace, DisabledBuildRecordsNothing) {
-  {
-    const Span span("test.trace.compiled_out");
-  }
-  EXPECT_TRUE(timeline_events().empty());
-}
-
-#endif  // CN_OBS_DISABLE
 
 }  // namespace
 }  // namespace cn::obs

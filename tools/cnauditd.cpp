@@ -2,18 +2,18 @@
 //
 //   cnauditd --input PATH [--policy strict|lenient]
 //            [--checkpoint PATH] [--checkpoint-every N] [--seal-every N]
-//            [--threads 0|1] [--oneshot] [--out PATH]
-//            [--serve] [--http-port N]
+//            [--oneshot] [--out PATH] [--serve] [--http-port N]
 //            [--read-deadline-ms N] [--metrics-out PATH]
 //
 // Consumes the data set as an ordered event stream (blocks merged with
-// Mempool snapshots), applies each event to incremental audit
-// accumulators, and checkpoints progress atomically every
-// --checkpoint-every blocks. Killed at ANY instant — including mid-
-// checkpoint — a restart with the same flags resumes from the last
-// durable checkpoint and produces the same final report, byte for byte,
-// as an uninterrupted run (tools/test_chaos.cmake proves this under
-// armed kill points; see CN_CRASH_AT in src/testing/crash_points.hpp).
+// Mempool snapshots) on one pull loop, applies each event to incremental
+// audit accumulators, re-seals the served report every --seal-every
+// blocks, and checkpoints progress atomically every --checkpoint-every
+// blocks. Killed at ANY instant — including mid-checkpoint — a restart
+// with the same flags resumes from the last durable checkpoint and
+// produces the same final report, byte for byte, as an uninterrupted
+// run (tools/test_chaos.cmake proves this under armed kill points; see
+// CN_CRASH_AT in src/testing/crash_points.hpp).
 //
 //   --oneshot (default)  drain the feed, write the sealed JSON report
 //                        to --out (stdout when omitted), exit.
@@ -21,16 +21,13 @@
 //                        ephemeral; the bound port is printed) serving
 //                        /report /healthz /readyz /metrics, and keep
 //                        serving after the feed drains until SIGINT or
-//                        SIGTERM.
-//   --threads 1          synchronous pull-apply loop (default);
-//   --threads 0          pipelined: ingest thread with per-read
-//                        deadline + retry/backoff, bounded queue with
-//                        blocking backpressure, apply thread, watchdog
-//                        thread that fails /readyz when apply stalls.
-//                        Reports are identical across both.
+//                        SIGTERM. /readyz answers 503 "ingest
+//                        stalled" while a feed read fails after its
+//                        retries, until the next event arrives.
 //
-// A numeric value that does not parse whole, or a --http-port above
-// 65535, is rejected with exit 2 (tools/args.hpp).
+// An option it does not read, a numeric value that does not parse
+// whole, or a --http-port above 65535 is rejected with exit 2, naming
+// the option (tools/args.hpp).
 #include <csignal>
 #include <cstdio>
 #include <limits>
@@ -58,8 +55,7 @@ int usage() {
       stderr,
       "usage: cnauditd --input PATH [--policy strict|lenient]\n"
       "                [--checkpoint PATH] [--checkpoint-every N] [--seal-every N]\n"
-      "                [--threads 0|1] [--oneshot] [--out PATH]\n"
-      "                [--serve] [--http-port N]\n"
+      "                [--oneshot] [--out PATH] [--serve] [--http-port N]\n"
       "                [--read-deadline-ms N] [--metrics-out PATH]\n");
   return 2;
 }
@@ -82,6 +78,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cnauditd: bad argument '%s'\n", args.bad().c_str());
     return usage();
   }
+  if (const auto bad = args.unknown({"input", "policy", "checkpoint", "checkpoint-every",
+                                     "seal-every", "oneshot", "out", "serve", "http-port",
+                                     "read-deadline-ms", "metrics-out"})) {
+    std::fprintf(stderr, "cnauditd: unknown option --%s\n", bad->c_str());
+    return usage();
+  }
   const auto input = args.get("input");
   if (!input) {
     std::fprintf(stderr, "cnauditd: --input PATH is required\n");
@@ -100,7 +102,6 @@ int main(int argc, char** argv) {
   config.seal_every_blocks = args.get_u64("seal-every", 16);
   config.read_deadline_ms = static_cast<int>(
       args.get_u64("read-deadline-ms", 1000, std::numeric_limits<int>::max()));
-  config.threads = static_cast<int>(args.get_u64("threads", 1, 1));
   const auto port = static_cast<std::uint16_t>(args.get_u64("http-port", 0, 65535));
 
   testing::arm_crash_points_from_env();
@@ -151,12 +152,7 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
   }
 
-  if (config.threads == 1) {
-    daemon.run_to_end();
-  } else {
-    daemon.start();
-    daemon.join();
-  }
+  daemon.run_to_end();
 
   int rc = 0;
   if (!daemon.healthy()) {

@@ -40,19 +40,6 @@ if(ref_len EQUAL 0)
   message(FATAL_ERROR "reference report is empty")
 endif()
 
-# The pipelined mode (--threads 0) must produce the same bytes.
-execute_process(
-  COMMAND "${CNAUDITD}" --input "${data}" --oneshot --threads 0
-          --out "${workdir}/ref_threaded.json"
-  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "threaded reference run failed (${rc}): ${out}${err}")
-endif()
-file(READ "${workdir}/ref_threaded.json" ref_threaded)
-if(NOT ref_threaded STREQUAL ref)
-  message(FATAL_ERROR "--threads 0 report diverged from --threads 1 report")
-endif()
-
 # A numeric value that does not parse whole, or a port above 65535, is
 # rejected with exit 2 naming the flag, before any work starts.
 function(expect_bad_number flag)
@@ -67,9 +54,24 @@ function(expect_bad_number flag)
 endfunction()
 expect_bad_number(--checkpoint-every --checkpoint "${workdir}/bad.ckpt"
                   --checkpoint-every x)
-expect_bad_number(--threads --threads abc)
 expect_bad_number(--seal-every --seal-every abc)
 expect_bad_number(--http-port --serve --http-port 70000)
+
+# An option cnauditd does not read is rejected with exit 2 naming it,
+# before any work starts, so neither a retired option (--threads) nor a
+# typo is ignored silently.
+function(expect_unknown_option flag)
+  execute_process(
+    COMMAND "${CNAUDITD}" --input "${data}" --oneshot ${ARGN}
+            --out "${workdir}/unknown_option.json"
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT 60)
+  string(FIND "${err}" "unknown option ${flag}\n" found)
+  if(NOT rc EQUAL 2 OR found EQUAL -1 OR EXISTS "${workdir}/unknown_option.json")
+    message(FATAL_ERROR "cnauditd ${ARGN} exited ${rc}, want 2 naming ${flag}: ${err}")
+  endif()
+endfunction()
+expect_unknown_option(--threads --threads 0)
+expect_unknown_option(--seal-evry --seal-evry 4)
 
 # A checkpoint that cannot be written stops the daemon with exit 1, and
 # stderr names the file that failed.
@@ -89,16 +91,16 @@ endif()
 # first block arrives after ~120 mempool snapshots, so the single-kill
 # list's daemon.apply kills land before the first checkpoint.
 
-# Runs cnauditd against ${ckpt} and ${report} in --threads ${threads},
-# armed with CN_CRASH_AT=${spec} unless it is empty; sets run_rc and
-# run_err in the caller.
-function(run_daemon spec threads)
+# Runs cnauditd against ${ckpt} and ${report}, armed with
+# CN_CRASH_AT=${spec} unless it is empty; sets run_rc and run_err in the
+# caller.
+function(run_daemon spec)
   set(env_cmd)
   if(spec)
     set(env_cmd "${CMAKE_COMMAND}" -E env "CN_CRASH_AT=${spec}")
   endif()
   execute_process(
-    COMMAND ${env_cmd} "${CNAUDITD}" --input "${data}" --oneshot --threads ${threads}
+    COMMAND ${env_cmd} "${CNAUDITD}" --input "${data}" --oneshot
             --checkpoint "${ckpt}" --checkpoint-every 8 --out "${report}"
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
   set(run_rc "${rc}" PARENT_SCOPE)
@@ -121,8 +123,8 @@ function(expect_start expect err context)
   endif()
 endfunction()
 
-# Each entry is "<CN_CRASH_AT spec>=<restart>[=<threads>]": the restart
-# the kill leads to, and the --threads mode of both runs (default 1).
+# Each entry is "<CN_CRASH_AT spec>=<restart>": the restart the kill
+# leads to.
 set(kill_specs
   "daemon.apply:3=cold"
   "daemon.apply:29=cold"
@@ -135,8 +137,6 @@ set(kill_specs
   "checkpoint.pre_rename:3=resume"
   "checkpoint.post_rename:1=resume"
   "daemon.post_checkpoint:2=resume"
-  # Pipelined: the kill lands on the apply thread while ingest runs.
-  "checkpoint.post_append:3=resume=0"
 )
 set(ckpt "${workdir}/single.ckpt")
 set(report "${workdir}/single.json")
@@ -144,18 +144,13 @@ foreach(entry IN LISTS kill_specs)
   string(REPLACE "=" ";" fields "${entry}")
   list(GET fields 0 spec)
   list(GET fields 1 expect)
-  set(threads 1)
-  list(LENGTH fields field_count)
-  if(field_count GREATER 2)
-    list(GET fields 2 threads)
-  endif()
   file(REMOVE "${ckpt}" "${ckpt}.tmp" "${ckpt}.log" "${report}")
-  run_daemon("${spec}" ${threads})
+  run_daemon("${spec}")
   if(NOT run_rc EQUAL 137)
     message(FATAL_ERROR "kill point ${spec} exited ${run_rc}, expected 137: ${run_err}")
   endif()
   # Restart without the kill switch: must start as expected and converge.
-  run_daemon("" ${threads})
+  run_daemon("")
   if(NOT run_rc EQUAL 0)
     message(FATAL_ERROR "restart after ${spec} failed (${run_rc}): ${run_err}")
   endif()
@@ -189,7 +184,7 @@ foreach(entry
     "daemon.apply:5=resume")
   string(REPLACE "=" ";" fields "${entry}")
   list(GET fields 0 spec)
-  run_daemon("${spec}" 1)
+  run_daemon("${spec}")
   if(NOT run_rc EQUAL 137)
     message(FATAL_ERROR "progressive kill ${spec} exited ${run_rc}, expected 137: ${run_err}")
   endif()
@@ -197,7 +192,7 @@ foreach(entry
   list(GET fields 1 expect)
   set(context "restart after progressive kill ${spec}")
 endforeach()
-run_daemon("" 1)
+run_daemon("")
 if(NOT run_rc EQUAL 0)
   message(FATAL_ERROR "final progressive run failed (${run_rc}): ${run_err}")
 endif()
