@@ -15,7 +15,6 @@
 #include "core/report.hpp"
 #include "sim/dataset.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace cn;
@@ -25,10 +24,9 @@ int main(int argc, char** argv) {
   std::printf("Simulating a year-2020-style network (seed %llu)...\n\n",
               static_cast<unsigned long long>(seed));
   const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kC, seed, scale);
-  util::ThreadPool workers;
   const auto dataset = core::AuditDataset::build(
       world.chain, btc::CoinbaseTagRegistry::paper_registry());
-  const auto reports = core::neutrality_reports(dataset, {}, workers);
+  const auto reports = core::neutrality_reports(dataset, {});
 
   std::printf("Chain-neutrality scorecard (worst first):\n\n");
   core::TablePrinter table({"pool", "blocks", "PPE%", "boost%", "self-p",

@@ -1,13 +1,14 @@
 // The staged columnar audit pipeline (DESIGN.md §9). Every stage reads
 // the shared immutable AuditContext — attribution, AuditDataset, tested
-// pools, per-pool coverage — and writes only its own report section, in
-// index order, so the report is byte-identical at every thread count.
+// pools, per-pool coverage — and writes only its own report section.
+// Only the build stage's per-block pass runs on a thread pool; the
+// stages after it are plain loops, so the report is byte-identical at
+// every thread count.
 #include "core/audit_pipeline.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "core/darkfee.hpp"
@@ -100,7 +101,6 @@ AuditReport run_full_audit(const btc::Chain& chain,
   report.blocks = chain.size();
   report.txs = chain.total_tx_count();
 
-  util::ThreadPool workers(options.threads);
   AuditContext ctx;
 
   // Runs one named stage (when selected) and records its wall time.
@@ -133,6 +133,7 @@ AuditReport run_full_audit(const btc::Chain& chain,
     if (options.prebuilt_dataset != nullptr) {
       ctx.dataset = options.prebuilt_dataset;
     } else {
+      util::ThreadPool workers(options.threads);
       ctx.built_dataset = AuditDataset::build(chain, ctx.attribution, workers,
                                               options.interned_addresses);
       ctx.dataset = &ctx.built_dataset;
@@ -147,8 +148,7 @@ AuditReport run_full_audit(const btc::Chain& chain,
   const AuditDataset& ds = *ctx.dataset;
 
   // quality-mask: which blocks the audit may trust, and how much
-  // observed data each pool's statistics rest on. Derived
-  // deterministically before the fan-out.
+  // observed data each pool's statistics rest on.
   stage("quality-mask", true, [&] {
     report.has_quality = quality != nullptr;
     ctx.pool_coverage.assign(ctx.attribution.pool_count(), 1.0);
@@ -200,45 +200,29 @@ AuditReport run_full_audit(const btc::Chain& chain,
   // self-interest txs. The per-pool tx lists were precomputed by the
   // build stage in one chain scan.
   stage("pool-tests", false, [&] {
-    const std::vector<PoolId>& pools = ctx.pools;
-    // Candidate (owner, miner) pairs in the serial nested-loop order.
-    std::vector<std::pair<std::size_t, std::size_t>> candidates;
-    candidates.reserve(pools.size() * pools.size());
-    for (std::size_t o = 0; o < pools.size(); ++o) {
-      if (ds.self_interest_txs(pools[o]).size() < 10) continue;
-      for (std::size_t m = 0; m < pools.size(); ++m) candidates.emplace_back(o, m);
-    }
-    auto candidate_findings = workers.parallel_map(
-        candidates.size(),
-        [&](std::size_t k) -> std::optional<AccelerationFinding> {
-          const auto [o, m] = candidates[k];
-          const std::span<const TxIdx> txs = ds.self_interest_txs(pools[o]);
-          const auto test =
-              test_differential_prioritization(ds, pools[m], txs);
-          if (test.p_accelerate >= options.alpha || test.sppe <= 25.0) {
-            return std::nullopt;
-          }
+    for (const PoolId owner : ctx.pools) {
+      const std::span<const TxIdx> txs = ds.self_interest_txs(owner);
+      if (txs.size() < 10) continue;
+      for (const PoolId miner : ctx.pools) {
+        const auto test = test_differential_prioritization(ds, miner, txs);
+        if (test.p_accelerate >= options.alpha || test.sppe <= 25.0) continue;
 
-          AccelerationFinding finding;
-          finding.tx_owner = ds.pool_name(pools[o]);
-          finding.miner = ds.pool_name(pools[m]);
-          finding.collusion = pools[o] != pools[m];
-          finding.test = test;
-          const auto values = sppe_values(ds, txs, pools[m]);
-          if (!values.empty()) {
-            finding.sppe_ci = stats::bootstrap_mean_ci(
-                values, 0.95, kBootstrapResamples,
-                stable_hash64(finding.tx_owner + "/" + finding.miner));
-          }
-          return finding;
-        });
-    for (std::size_t k = 0; k < candidate_findings.size(); ++k) {
-      auto& finding = candidate_findings[k];
-      if (!finding.has_value()) continue;
-      finding->coverage = coverage_of_pool(pools[candidates[k].second]);
-      finding->insufficient_data =
-          report.has_quality && finding->coverage < options.min_coverage;
-      report.findings.push_back(std::move(*finding));
+        AccelerationFinding finding;
+        finding.tx_owner = ds.pool_name(owner);
+        finding.miner = ds.pool_name(miner);
+        finding.collusion = owner != miner;
+        finding.test = test;
+        const auto values = sppe_values(ds, txs, miner);
+        if (!values.empty()) {
+          finding.sppe_ci = stats::bootstrap_mean_ci(
+              values, 0.95, kBootstrapResamples,
+              stable_hash64(finding.tx_owner + "/" + finding.miner));
+        }
+        finding.coverage = coverage_of_pool(miner);
+        finding.insufficient_data =
+            report.has_quality && finding.coverage < options.min_coverage;
+        report.findings.push_back(std::move(finding));
+      }
     }
     std::sort(report.findings.begin(), report.findings.end(),
               [](const AccelerationFinding& a, const AccelerationFinding& b) {
@@ -248,29 +232,15 @@ AuditReport run_full_audit(const btc::Chain& chain,
               });
   });
 
-  // screens: §5.3 watched-address screens (one task per address x pool).
+  // screens: §5.3 watched-address screens (one test per address x pool).
   stage("screens", false, [&] {
-    const std::vector<PoolId>& pools = ctx.pools;
-    const auto watched_refs = workers.parallel_map(
-        options.watch_addresses.size(), [&](std::size_t a) {
-          return ds.txs_paying_to(options.watch_addresses[a]);
-        });
-    std::vector<PrioTestResult> screen_tests;
-    if (!pools.empty()) {
-      screen_tests = workers.parallel_map(
-          options.watch_addresses.size() * pools.size(), [&](std::size_t k) {
-            const std::size_t a = k / pools.size();
-            const std::size_t p = k % pools.size();
-            return test_differential_prioritization(ds, pools[p],
-                                                    watched_refs[a]);
-          });
-    }
-    for (std::size_t a = 0; a < options.watch_addresses.size(); ++a) {
+    for (const btc::Address address : options.watch_addresses) {
+      const std::vector<TxIdx> txs = ds.txs_paying_to(address);
       WatchedAddressScreen screen;
-      screen.address = options.watch_addresses[a];
-      screen.tx_count = watched_refs[a].size();
-      for (std::size_t p = 0; p < pools.size(); ++p) {
-        auto test = std::move(screen_tests[a * pools.size() + p]);
+      screen.address = address;
+      screen.tx_count = txs.size();
+      for (const PoolId pool : ctx.pools) {
+        auto test = test_differential_prioritization(ds, pool, txs);
         screen.any_significant = screen.any_significant ||
                                  test.p_accelerate < options.alpha ||
                                  test.p_decelerate < options.alpha;
@@ -283,15 +253,13 @@ AuditReport run_full_audit(const btc::Chain& chain,
   // darkfee: Table 4 detector (counts only; validation needs the
   // service API). Per-pool tx totals and the SPPE column are cached.
   stage("darkfee", false, [&] {
-    const std::vector<PoolId>& pools = ctx.pools;
-    report.darkfee = workers.parallel_map(pools.size(), [&](std::size_t p) {
+    for (const PoolId pool : ctx.pools) {
       DarkFeeSuspicion suspicion;
-      suspicion.pool = ds.pool_name(pools[p]);
-      suspicion.txs = ds.pool_tx_count(pools[p]);
-      suspicion.flagged =
-          count_accelerated(ds, pools[p], kDarkFeeSppeThreshold);
-      return suspicion;
-    });
+      suspicion.pool = ds.pool_name(pool);
+      suspicion.txs = ds.pool_tx_count(pool);
+      suspicion.flagged = count_accelerated(ds, pool, kDarkFeeSppeThreshold);
+      report.darkfee.push_back(std::move(suspicion));
+    }
     std::sort(report.darkfee.begin(), report.darkfee.end(),
               [](const DarkFeeSuspicion& a, const DarkFeeSuspicion& b) {
                 const double ra = a.txs ? static_cast<double>(a.flagged) / a.txs : 0;
@@ -301,10 +269,9 @@ AuditReport run_full_audit(const btc::Chain& chain,
               });
   });
 
-  // neutrality: §6.1 scorecard, fanned out per pool over the cached
-  // columns.
+  // neutrality: §6.1 scorecard, per pool over the cached columns.
   stage("neutrality", false, [&] {
-    report.neutrality = neutrality_reports(ds, NeutralityOptions{}, workers);
+    report.neutrality = neutrality_reports(ds, NeutralityOptions{});
     for (NeutralityReport& n : report.neutrality) {
       const auto id = ctx.attribution.id_of(n.pool);
       n.coverage = id.has_value() ? coverage_of_pool(*id) : 1.0;

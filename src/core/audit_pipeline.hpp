@@ -63,11 +63,11 @@ struct AuditOptions {
   /// Addresses to screen for acceleration/deceleration (e.g. scam
   /// wallets, §5.3).
   std::vector<btc::Address> watch_addresses;
-  /// Execution lanes for the fan-out stages (pool-pair tests, screens,
-  /// dark-fee detection, bootstrap CIs): 0 = hardware concurrency,
-  /// 1 = fully serial. The report is byte-identical for every value —
-  /// tasks use per-task stable_hash64 RNG seeds and results merge in a
-  /// fixed index order.
+  /// Execution lanes for the build stage's per-block pass
+  /// (AuditDataset::build), the one stage that fans out: 0 = hardware
+  /// concurrency, 1 = fully serial. Unused with a prebuilt_dataset. The
+  /// report is byte-identical for every value — each block's task
+  /// writes only its own slots, and every later stage is a serial loop.
   unsigned threads = 0;
   /// Blocks whose effective coverage (see data_quality.hpp) falls below
   /// this are masked from the norm statistics, and findings resting on a
@@ -114,9 +114,7 @@ const std::vector<std::string>& audit_stage_names();
 /// The immutable state every analysis stage reads: the attribution,
 /// columnar dataset, tested-pool list, and per-pool coverage derived
 /// from the chain. Built by the "build" and "quality-mask" stages, then
-/// shared read-only across the fan-out — which is what makes the staged
-/// pipeline trivially thread-safe and, with index-ordered merges,
-/// byte-identical at every thread count.
+/// read, never written, by the serial stages after them.
 struct AuditContext {
   PoolAttribution attribution;
   /// The dataset every stage reads: AuditOptions::prebuilt_dataset when

@@ -6,7 +6,6 @@
 #include "core/audit_dataset.hpp"
 #include "core/prio_test.hpp"
 #include "stats/binomial.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cn::core {
 
@@ -131,18 +130,14 @@ NeutralityTally tally_pool(const AuditDataset& dataset, PoolId pool,
 }  // namespace
 
 std::vector<NeutralityReport> neutrality_reports(const AuditDataset& dataset,
-                                                 const NeutralityOptions& options,
-                                                 util::ThreadPool& workers) {
-  std::vector<PoolId> pools;
+                                                 const NeutralityOptions& options) {
+  std::vector<NeutralityReport> out;
   for (const PoolId id : dataset.pools_by_blocks()) {
-    if (dataset.blocks_of(id) >= options.min_blocks) pools.push_back(id);
+    if (dataset.blocks_of(id) < options.min_blocks) continue;
+    out.push_back(neutrality_report(dataset.pool_name(id),
+                                    tally_pool(dataset, id, options),
+                                    dataset.block_count(), options));
   }
-  std::vector<NeutralityReport> out =
-      workers.parallel_map(pools.size(), [&](std::size_t i) {
-        return neutrality_report(dataset.pool_name(pools[i]),
-                                 tally_pool(dataset, pools[i], options),
-                                 dataset.block_count(), options);
-      });
   sort_worst_first(out);
   return out;
 }

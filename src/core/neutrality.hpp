@@ -26,10 +26,6 @@
 #include <string>
 #include <vector>
 
-namespace cn::util {
-class ThreadPool;
-}
-
 namespace cn::core {
 
 class AuditDataset;
@@ -101,12 +97,9 @@ void sort_worst_first(std::vector<NeutralityReport>& reports);
 /// Builds per-pool scorecards for every pool with at least
 /// options.min_blocks attributed blocks, ordered worst-first. Each
 /// pool's tally reads the dataset's cached PPE/SPPE columns, block lists,
-/// flag bits and self-interest lists; the pools fan out over @p workers,
-/// and the final worst-first sort makes the result the same at every
-/// thread count.
+/// flag bits and self-interest lists, one pool after another.
 std::vector<NeutralityReport> neutrality_reports(const AuditDataset& dataset,
-                                                 const NeutralityOptions& options,
-                                                 util::ThreadPool& workers);
+                                                 const NeutralityOptions& options);
 
 /// The composite score for one report (exposed for testing; also set on
 /// the reports returned above).

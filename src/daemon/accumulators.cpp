@@ -5,7 +5,7 @@
 #include <span>
 
 #include "core/audit_dataset.hpp"
-#include "daemon/wire.hpp"
+#include "util/bytes.hpp"
 
 namespace cn::daemon {
 
@@ -51,14 +51,14 @@ void json_u64(std::uint64_t v, std::string& out) {
 
 std::uint64_t AccumulatorOptions::fingerprint() const noexcept {
   std::vector<std::uint8_t> bytes;
-  ByteWriter w(bytes);
+  util::ByteWriter w(bytes);
   w.f64(neutrality.sppe_boost_threshold);
   w.u64(neutrality.min_blocks);
   w.f64(neutrality.alpha);
   w.i64(kPairEpsilon);
   w.u8(kPairExcludeCpfp ? 1 : 0);
   w.u64(kCongestionUnitVsize);
-  return fnv1a(bytes.data(), bytes.size());
+  return util::fnv1a(bytes.data(), bytes.size());
 }
 
 AuditAccumulators::AuditAccumulators(const btc::CoinbaseTagRegistry& registry,
@@ -245,7 +245,7 @@ std::string AuditAccumulators::to_json(const Report& report) {
 }
 
 void AuditAccumulators::encode(std::vector<std::uint8_t>& out) const {
-  ByteWriter w(out);
+  util::ByteWriter w(out);
   w.u64(last_seq_);
   w.u64(total_blocks_);
   w.u64(total_txs_);
@@ -277,7 +277,7 @@ void AuditAccumulators::encode(std::vector<std::uint8_t>& out) const {
 void AuditAccumulators::encode_log(std::size_t from,
                                    std::vector<std::uint8_t>& out) const {
   out.reserve(out.size() + (seen_txs_.size() - from) * kLogRecordBytes);
-  ByteWriter w(out);
+  util::ByteWriter w(out);
   for (std::size_t i = from; i < seen_txs_.size(); ++i) {
     const core::SeenTx& t = seen_txs_[i];
     w.i64(t.first_seen);
@@ -296,7 +296,7 @@ bool AuditAccumulators::decode_log(const std::uint8_t* data, std::size_t size,
     if (error != nullptr) *error = "truncated event-log entry";
     return false;
   }
-  ByteReader r(data, size);
+  util::ByteReader r(data, size);
   seen_txs_.reserve(seen_txs_.size() + size / kLogRecordBytes);
   // Whole records only, so none of the reads below can run short.
   while (r.remaining() != 0) {
@@ -319,7 +319,7 @@ bool AuditAccumulators::decode(const std::uint8_t* data, std::size_t size,
     if (error != nullptr) *error = what;
     return false;
   };
-  ByteReader r(data, size);
+  util::ByteReader r(data, size);
 
   pools_.clear();
   pool_ids_.clear();

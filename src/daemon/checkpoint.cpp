@@ -119,13 +119,13 @@ bool save_checkpoint(const AuditAccumulators& acc, const std::string& path,
   }
   testing::crash_point("checkpoint.post_append");
   const CheckpointLog next{acc.log_size(),
-                           fnv1a(records.data(), records.size(), log.checksum)};
+                           util::fnv1a(records.data(), records.size(), log.checksum)};
 
   std::vector<std::uint8_t> payload;
   acc.encode(payload);
   std::vector<std::uint8_t> file;
   file.reserve(payload.size() + 64);
-  ByteWriter w(file);
+  util::ByteWriter w(file);
   for (char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
   w.u8(static_cast<std::uint8_t>(kVersion & 0xff));
   w.u8(static_cast<std::uint8_t>(kVersion >> 8));
@@ -136,7 +136,7 @@ bool save_checkpoint(const AuditAccumulators& acc, const std::string& path,
   w.u64(next.records);
   w.u64(next.checksum);
   w.u64(payload.size());
-  w.u64(fnv1a(payload.data(), payload.size()));
+  w.u64(util::fnv1a(payload.data(), payload.size()));
   file.insert(file.end(), payload.begin(), payload.end());
 
   const std::string tmp = path + ".tmp";
@@ -188,7 +188,7 @@ CheckpointLoad load_checkpoint(AuditAccumulators& acc, const std::string& path,
                                  std::istreambuf_iterator<char>());
   in.close();
 
-  ByteReader r(file.data(), file.size());
+  util::ByteReader r(file.data(), file.size());
   char magic[6] = {};
   for (char& c : magic) {
     std::uint8_t b = 0;
@@ -244,7 +244,7 @@ CheckpointLoad load_checkpoint(AuditAccumulators& acc, const std::string& path,
     return result;
   }
   const std::uint8_t* payload = file.data() + (file.size() - payload_size);
-  if (fnv1a(payload, payload_size) != checksum) {
+  if (util::fnv1a(payload, payload_size) != checksum) {
     result.error = make_error(io::LoadErrorKind::kSectionChecksum, path,
                               "payload checksum mismatch");
     return result;
@@ -282,7 +282,7 @@ CheckpointLoad load_checkpoint(AuditAccumulators& acc, const std::string& path,
                               "short read of the committed records");
     return result;
   }
-  if (fnv1a(prefix.data(), prefix.size()) != log_checksum) {
+  if (util::fnv1a(prefix.data(), prefix.size()) != log_checksum) {
     result.error = make_error(io::LoadErrorKind::kSectionChecksum, segment_path,
                               "event-log checksum mismatch");
     return result;

@@ -52,8 +52,8 @@
 #include <string>
 
 #include "daemon/accumulators.hpp"
-#include "daemon/wire.hpp"
 #include "io/load_report.hpp"
+#include "util/bytes.hpp"
 
 namespace cn::daemon {
 
@@ -62,7 +62,7 @@ namespace cn::daemon {
 /// value (no records) is the cold-start state.
 struct CheckpointLog {
   std::uint64_t records = 0;
-  std::uint64_t checksum = kFnv1aBasis;
+  std::uint64_t checksum = util::kFnv1aBasis;
 };
 
 /// The segment file that goes with the state file at @p path.

@@ -2,10 +2,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -14,6 +16,11 @@
 namespace cn::daemon {
 
 namespace {
+
+/// The whole request head must arrive within this long of the accept.
+/// Connections are served one at a time, so an idle or trickling client
+/// holds the next request back by at most this much.
+constexpr std::chrono::milliseconds kHeadDeadline{1000};
 
 ssize_t read_retry(int fd, char* buf, std::size_t n) {
   ssize_t r;
@@ -109,7 +116,6 @@ void HttpServer::serve_loop() {
     }
     timeval tv{};
     tv.tv_sec = 5;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
     handle_connection(fd);
     // Count before close(): the client sees EOF at close, and a client
@@ -121,10 +127,23 @@ void HttpServer::serve_loop() {
 }
 
 void HttpServer::handle_connection(int fd) {
-  // Read until the end of the request head (no bodies: GET only).
+  // Read until the end of the request head (no bodies: GET only), all of
+  // it within one deadline: a client that sends nothing, or a byte at a
+  // time, gets a 400 when the deadline passes.
+  const auto deadline = std::chrono::steady_clock::now() + kHeadDeadline;
   std::string head;
+  bool expired = false;
   char buf[1024];
   while (head.find("\r\n\r\n") == std::string::npos && head.size() < 16 * 1024) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd readable{fd, POLLIN, 0};
+    const int ready = left.count() > 0
+                          ? ::poll(&readable, 1, static_cast<int>(left.count()))
+                          : 0;
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready == 0) expired = true;
+    if (ready <= 0) break;
     const ssize_t r = read_retry(fd, buf, sizeof buf);
     if (r <= 0) break;
     head.append(buf, static_cast<std::size_t>(r));
@@ -137,10 +156,10 @@ void HttpServer::handle_connection(int fd) {
     sp1 = head.find(' ');
     if (sp1 != std::string::npos && sp1 < line_end) sp2 = head.find(' ', sp1 + 1);
   }
-  if (sp2 == std::string::npos || sp2 > line_end) {
+  if (expired || sp2 == std::string::npos || sp2 > line_end) {
     resp.status = 400;
     resp.content_type = "text/plain";
-    resp.body = "malformed request line\n";
+    resp.body = expired ? "request head timed out\n" : "malformed request line\n";
   } else {
     HttpRequest req;
     req.method = head.substr(0, sp1);

@@ -4,9 +4,10 @@
 // (Connection: close), GET-only targets, no TLS, no keep-alive. The
 // daemon's reports are small JSON documents read by a scraper or a
 // human with curl; a request router and a socket loop are all that is
-// warranted. Robustness over features: read timeouts on every
-// connection, EINTR-safe syscall wrappers, and a stop() that unblocks
-// accept() so shutdown never hangs.
+// warranted. Robustness over features: one 1 s deadline for each
+// request head (an idle or trickling client gets a 400 and cannot hold
+// the one-at-a-time loop), EINTR-safe syscall wrappers, and a stop()
+// that unblocks accept() so shutdown never hangs.
 #pragma once
 
 #include <atomic>

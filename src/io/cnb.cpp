@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <limits>
 #include <map>
 #include <utility>
@@ -17,17 +16,11 @@
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
+#include "util/bytes.hpp"
 
 namespace cn::io {
 
 namespace {
-
-/// Below these sizes the loader stays strictly single-threaded: spawning
-/// helpers costs more than the work they would absorb, and the many tiny
-/// fixture files in the test suite stay allocation-light.
-constexpr std::uint64_t kParallelLoadBytes = 8u << 20;
-constexpr std::uint64_t kParallelLoadTxs = 1u << 16;
 
 /// Load/store telemetry (DESIGN.md §10), mirroring io.ingest.*.
 struct CnbMetrics {
@@ -46,29 +39,51 @@ CnbMetrics& cnb_metrics() {
 }
 
 // ---------------------------------------------------------------------
-// Little-endian scalar packing. The format is defined little-endian; on
-// a big-endian host these would need byte swaps, but such a host also
-// fails the header's endianness tag, so the reader rejects before any
-// column is misread.
+// Header and directory decoding, shared by inspect_cnb and read_cnb. The
+// format is defined little-endian (util/bytes.hpp); a big-endian
+// producer fails the header's endianness tag, so the reader rejects
+// before any column is misread.
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+struct CnbHeader {
+  std::uint32_t version = 0;
+  std::uint32_t endian = 0;
+  std::uint32_t section_count = 0;
+  std::uint32_t header_bytes = 0;
+  std::uint64_t genesis_height = 0;
+  std::uint64_t block_count = 0;
+  std::uint64_t tx_count = 0;
+  std::uint64_t flags = 0;
+  std::uint64_t fingerprint = 0;
+};
+
+/// @p p holds kCnbHeaderBytes bytes, magic first.
+CnbHeader decode_header(const std::uint8_t* p) {
+  util::ByteReader r(p + sizeof kCnbMagic, kCnbHeaderBytes - sizeof kCnbMagic);
+  CnbHeader h;
+  r.u32(h.version);
+  r.u32(h.endian);
+  r.u32(h.section_count);
+  r.u32(h.header_bytes);
+  r.u64(h.genesis_height);
+  r.u64(h.block_count);
+  r.u64(h.tx_count);
+  r.u64(h.flags);
+  r.u64(h.fingerprint);
+  return h;
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
+/// One 32-byte directory entry: id, a reserved u32, offset, byte size
+/// and checksum.
+CnbSectionInfo decode_entry(const std::uint8_t* p) {
+  util::ByteReader r(p, 32);
+  CnbSectionInfo s;
+  std::uint32_t reserved = 0;
+  r.u32(s.id);
+  r.u32(reserved);
+  r.u64(s.offset);
+  r.u64(s.byte_size);
+  r.u64(s.checksum);
+  return s;
 }
 
 // ---------------------------------------------------------------------
@@ -263,19 +278,17 @@ std::optional<CnbInfo> inspect_cnb(const std::string& path,
   if (std::memcmp(header.data(), kCnbMagic, sizeof kCnbMagic) != 0) {
     return fail("bad magic (not a CNB1 file)");
   }
+  const CnbHeader h = decode_header(header.data());
   CnbInfo info;
-  info.version = get_u32(header.data() + 8);
-  const std::uint32_t endian = get_u32(header.data() + 12);
-  const std::uint32_t section_count = get_u32(header.data() + 16);
-  const std::uint32_t header_bytes = get_u32(header.data() + 20);
-  info.genesis_height = get_u64(header.data() + 24);
-  info.block_count = get_u64(header.data() + 32);
-  info.tx_count = get_u64(header.data() + 40);
-  info.flags = get_u64(header.data() + 48);
-  info.registry_fingerprint = get_u64(header.data() + 56);
-  if (info.version != kCnbVersion) return fail("unsupported CNB version");
-  if (endian != kCnbEndianTag) return fail("endianness mismatch");
-  if (header_bytes < kCnbHeaderBytes) return fail("malformed header size");
+  info.version = h.version;
+  info.genesis_height = h.genesis_height;
+  info.block_count = h.block_count;
+  info.tx_count = h.tx_count;
+  info.flags = h.flags;
+  info.registry_fingerprint = h.fingerprint;
+  if (h.version != kCnbVersion) return fail("unsupported CNB version");
+  if (h.endian != kCnbEndianTag) return fail("endianness mismatch");
+  if (h.header_bytes < kCnbHeaderBytes) return fail("malformed header size");
 
   std::error_code ec;
   info.file_size = std::filesystem::file_size(path, ec);
@@ -284,22 +297,17 @@ std::optional<CnbInfo> inspect_cnb(const std::string& path,
   // Validate the directory fits BEFORE sizing anything by section_count:
   // a crafted header with section_count = 0xFFFFFFFF would otherwise
   // drive a ~137 GB reserve straight into std::bad_alloc.
-  if (header_bytes + 32ull * section_count > info.file_size) {
+  if (h.header_bytes + 32ull * h.section_count > info.file_size) {
     return fail("directory extends past EOF");
   }
 
-  in.seekg(header_bytes);
-  std::vector<std::uint8_t> entry(32);
-  info.sections.reserve(section_count);
-  for (std::uint32_t i = 0; i < section_count; ++i) {
-    in.read(reinterpret_cast<char*>(entry.data()), 32);
-    if (in.gcount() != 32) return fail("directory extends past EOF");
-    CnbSectionInfo s;
-    s.id = get_u32(entry.data());
-    s.offset = get_u64(entry.data() + 8);
-    s.byte_size = get_u64(entry.data() + 16);
-    s.checksum = get_u64(entry.data() + 24);
-    info.sections.push_back(s);
+  in.seekg(h.header_bytes);
+  std::uint8_t entry[32];
+  info.sections.reserve(h.section_count);
+  for (std::uint32_t i = 0; i < h.section_count; ++i) {
+    in.read(reinterpret_cast<char*>(entry), sizeof entry);
+    if (in.gcount() != sizeof entry) return fail("directory extends past EOF");
+    info.sections.push_back(decode_entry(entry));
   }
   return info;
 }
@@ -518,28 +526,28 @@ bool write_cnb(const btc::Chain& chain, const std::string& path,
   }
 
   // --- header + directory + payloads ---
-  std::vector<std::uint8_t> header;
-  header.reserve(kCnbHeaderBytes);
-  header.insert(header.end(), kCnbMagic, kCnbMagic + sizeof kCnbMagic);
-  put_u32(header, kCnbVersion);
-  put_u32(header, kCnbEndianTag);
-  put_u32(header, static_cast<std::uint32_t>(sections.size()));
-  put_u32(header, kCnbHeaderBytes);
-  put_u64(header, genesis_height);
-  put_u64(header, nb);
-  put_u64(header, nt);
-  put_u64(header, flags);
-  put_u64(header, options.dataset != nullptr ? options.registry_fingerprint : 0);
+  std::vector<std::uint8_t> header(kCnbMagic, kCnbMagic + sizeof kCnbMagic);
+  util::ByteWriter hw(header);
+  hw.u32(kCnbVersion);
+  hw.u32(kCnbEndianTag);
+  hw.u32(static_cast<std::uint32_t>(sections.size()));
+  hw.u32(kCnbHeaderBytes);
+  hw.u64(genesis_height);
+  hw.u64(nb);
+  hw.u64(nt);
+  hw.u64(flags);
+  hw.u64(options.dataset != nullptr ? options.registry_fingerprint : 0);
 
   std::vector<std::uint8_t> directory;
   directory.reserve(sections.size() * 32);
+  util::ByteWriter dw(directory);
   std::uint64_t offset = kCnbHeaderBytes + sections.size() * 32;
   for (const SectionBlob& s : sections) {
-    put_u32(directory, static_cast<std::uint32_t>(s.id));
-    put_u32(directory, 0);  // reserved
-    put_u64(directory, offset);
-    put_u64(directory, s.bytes.size());
-    put_u64(directory, cnb_checksum(s.bytes.data(), s.bytes.size()));
+    dw.u32(static_cast<std::uint32_t>(s.id));
+    dw.u32(0);  // reserved
+    dw.u64(offset);
+    dw.u64(s.bytes.size());
+    dw.u64(cnb_checksum(s.bytes.data(), s.bytes.size()));
     offset += (s.bytes.size() + 7) & ~std::uint64_t{7};  // 8-byte aligned
   }
 
@@ -649,14 +657,9 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
   LoadResult<DatasetHandle> result;
   CnbLoad load{policy, path, {}, false};
   load.report.policy = policy;
-  // The chain rebuild may still be running on a helper thread (see
-  // below); every exit joins it first so it never outlives the locals
-  // it reads.
-  std::future<void> rebuild;
   // Returns an xvalue so every `return finish();` moves the handle out —
   // a plain lvalue reference here would deep-copy the whole chain.
   const auto finish = [&]() -> LoadResult<DatasetHandle>&& {
-    if (rebuild.valid()) rebuild.get();
     CnbMetrics& m = cnb_metrics();
     m.loads.add();
     if (!result.value.has_value()) m.loads_failed.add();
@@ -701,23 +704,21 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
     load.defect(LoadErrorKind::kBadMagic, 0, "not a CNB1 file", true);
     return finish();
   }
-  const std::uint32_t version = get_u32(map.data + 8);
-  const std::uint32_t endian = get_u32(map.data + 12);
-  const std::uint32_t section_count = get_u32(map.data + 16);
-  const std::uint32_t header_bytes = get_u32(map.data + 20);
-  const std::uint64_t genesis_height = get_u64(map.data + 24);
-  const std::uint64_t nb = get_u64(map.data + 32);
-  const std::uint64_t nt = get_u64(map.data + 40);
-  const std::uint64_t flags = get_u64(map.data + 48);
-  const std::uint64_t fingerprint = get_u64(map.data + 56);
-  if (version != kCnbVersion) {
+  const CnbHeader header = decode_header(map.data);
+  const std::uint32_t section_count = header.section_count;
+  const std::uint32_t header_bytes = header.header_bytes;
+  const std::uint64_t genesis_height = header.genesis_height;
+  const std::uint64_t nb = header.block_count;
+  const std::uint64_t nt = header.tx_count;
+  const std::uint64_t flags = header.flags;
+  if (header.version != kCnbVersion) {
     load.defect(LoadErrorKind::kUnsupportedVersion, 0,
-                "version " + std::to_string(version) + " (reader speaks " +
+                "version " + std::to_string(header.version) + " (reader speaks " +
                     std::to_string(kCnbVersion) + ")",
                 true);
     return finish();
   }
-  if (endian != kCnbEndianTag) {
+  if (header.endian != kCnbEndianTag) {
     load.defect(LoadErrorKind::kUnsupportedVersion, 0,
                 "endianness tag mismatch (big-endian producer?)", true);
     return finish();
@@ -741,33 +742,16 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
     return finish();
   }
 
-  // --- directory: bounds + alignment + checksum pass, in file order.
-  // Unrecognised ids are skipped (forward compatibility). Duplicates
-  // keep the first entry; the duplicate itself is a recorded defect —
-  // droppable in lenient mode for optional sections, fatal for required
-  // ones (and, like any defect, fatal under strict).
-  // The digests are the only O(file) cost of the walk and are pure reads
-  // over disjoint payload ranges, so big files fold them in parallel up
-  // front; the serial walk below just compares, keeping defect discovery
-  // in exactly the file order that strict mode promises.
-  std::vector<std::uint64_t> digest(section_count, 0);
-  {
-    util::ThreadPool folders(file_size >= kParallelLoadBytes ? 0u : 1u);
-    folders.parallel_for(section_count, [&](std::size_t i) {
-      const std::uint8_t* entry = map.data + header_bytes + i * 32;
-      const std::uint64_t offset = get_u64(entry + 8);
-      const std::uint64_t byte_size = get_u64(entry + 16);
-      if (offset > file_size || byte_size > file_size - offset) return;
-      digest[i] = cnb_checksum(map.data + offset, byte_size);
-    });
-  }
+  // --- directory: bounds + alignment + checksum pass, in file order, so
+  // strict mode reports the first defect the file holds. Unrecognised
+  // ids are skipped (forward compatibility). Duplicates keep the first
+  // entry; the duplicate itself is a recorded defect — droppable in
+  // lenient mode for optional sections, fatal for required ones (and,
+  // like any defect, fatal under strict).
   std::map<std::uint32_t, Verified> sections;
   for (std::uint32_t i = 0; i < section_count; ++i) {
-    const std::uint8_t* entry = map.data + header_bytes + i * 32;
-    const std::uint32_t id = get_u32(entry);
-    const std::uint64_t offset = get_u64(entry + 8);
-    const std::uint64_t byte_size = get_u64(entry + 16);
-    const std::uint64_t checksum = get_u64(entry + 24);
+    const auto [id, offset, byte_size, checksum] =
+        decode_entry(map.data + header_bytes + i * 32);
     const std::size_t dir_line = i + 1;
     const char* name = to_string(static_cast<CnbSection>(id));
     if (std::string_view(name) == "unknown") continue;
@@ -777,7 +761,7 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
                        required_section(id))) {
         return finish();
       }
-      continue;  // keep the first entry, already verified above
+      continue;  // keep the first entry, verified earlier in the walk
     }
     Verified v;
     v.dir_line = dir_line;
@@ -803,7 +787,7 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
       sections.emplace(id, v);  // present but unusable
       continue;
     }
-    if (digest[i] != checksum) {
+    if (cnb_checksum(map.data + offset, byte_size) != checksum) {
       if (!load.defect(LoadErrorKind::kSectionChecksum, dir_line,
                        std::string("section ") + name + " failed its checksum",
                        false)) {
@@ -877,7 +861,7 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
   group_ok = true;
   DatasetHandle handle;
   handle.format = DatasetFormat::kCnb;
-  handle.registry_fingerprint = fingerprint;
+  handle.registry_fingerprint = header.fingerprint;
 
   // The relational columns are consumed within this call (chain rebuild,
   // intern pass, derived-column copies), so they are read straight out
@@ -1007,65 +991,48 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
   // With stored Merkle roots each append is a header restore; without
   // them it re-seals, re-hashing every txid (the dominant rebuild cost
   // before the fast path).
-  //
-  // The rebuild reads only the mapped relational columns and writes only
-  // handle.chain / handle.addresses; the optional groups below read the
-  // same columns and write the *other* handle members. Multi-core hosts
-  // therefore overlap the two on a helper thread — finish() and the tail
-  // join before anything observes the handle (or unmaps the file). On a
-  // single core the helper would only add context switches, so the
-  // rebuild runs inline.
-  const bool adopt_headers = merkle_root != nullptr;
-  const auto rebuild_chain = [&, adopt_headers] {
-    handle.chain = btc::Chain(genesis_height);
-    for (std::uint64_t b = 0; b < nb; ++b) {
-      btc::Coinbase coinbase;
-      coinbase.tag.assign(reinterpret_cast<const char*>(tag_bytes) +
-                              tag_offsets[b],
-                          tag_offsets[b + 1] - tag_offsets[b]);
-      coinbase.reward_address = btc::Address{reward_addr[b]};
-      coinbase.reward = btc::Satoshi{reward_sat[b]};
-      std::vector<btc::Transaction> txs;
-      txs.reserve(block_tx_begin[b + 1] - block_tx_begin[b]);
-      for (std::uint64_t t = block_tx_begin[b]; t < block_tx_begin[b + 1];
-           ++t) {
-        std::vector<btc::TxInput> inputs;
-        inputs.reserve(in_begin[t + 1] - in_begin[t]);
-        for (std::uint64_t i = in_begin[t]; i < in_begin[t + 1]; ++i) {
-          inputs.push_back(btc::TxInput{in_prev_txid[i], in_prev_vout[i],
-                                        btc::Address{in_owner[i]}});
-        }
-        std::vector<btc::TxOutput> outputs;
-        outputs.reserve(out_begin[t + 1] - out_begin[t]);
-        for (std::uint64_t o = out_begin[t]; o < out_begin[t + 1]; ++o) {
-          outputs.push_back(btc::TxOutput{btc::Address{out_to[o]},
-                                          btc::Satoshi{out_value[o]}});
-        }
-        txs.push_back(btc::Transaction::restore(
-            txid[t], issued[t], vsize[t], btc::Satoshi{fee[t]},
-            std::move(inputs), std::move(outputs)));
+  handle.chain = btc::Chain(genesis_height);
+  for (std::uint64_t b = 0; b < nb; ++b) {
+    btc::Coinbase coinbase;
+    coinbase.tag.assign(reinterpret_cast<const char*>(tag_bytes) +
+                            tag_offsets[b],
+                        tag_offsets[b + 1] - tag_offsets[b]);
+    coinbase.reward_address = btc::Address{reward_addr[b]};
+    coinbase.reward = btc::Satoshi{reward_sat[b]};
+    std::vector<btc::Transaction> txs;
+    txs.reserve(block_tx_begin[b + 1] - block_tx_begin[b]);
+    for (std::uint64_t t = block_tx_begin[b]; t < block_tx_begin[b + 1]; ++t) {
+      std::vector<btc::TxInput> inputs;
+      inputs.reserve(in_begin[t + 1] - in_begin[t]);
+      for (std::uint64_t i = in_begin[t]; i < in_begin[t + 1]; ++i) {
+        inputs.push_back(btc::TxInput{in_prev_txid[i], in_prev_vout[i],
+                                      btc::Address{in_owner[i]}});
       }
-      btc::Block block(genesis_height + b, mined_at[b], std::move(coinbase),
-                       std::move(txs));
-      if (adopt_headers) {
-        block.restore_header(merkle_root[b], handle.chain.tip_hash());
+      std::vector<btc::TxOutput> outputs;
+      outputs.reserve(out_begin[t + 1] - out_begin[t]);
+      for (std::uint64_t o = out_begin[t]; o < out_begin[t + 1]; ++o) {
+        outputs.push_back(btc::TxOutput{btc::Address{out_to[o]},
+                                        btc::Satoshi{out_value[o]}});
       }
-      handle.chain.append(std::move(block));
+      txs.push_back(btc::Transaction::restore(
+          txid[t], issued[t], vsize[t], btc::Satoshi{fee[t]},
+          std::move(inputs), std::move(outputs)));
     }
-    for (std::uint64_t b = 0; b < nb; ++b) {
-      handle.addresses.intern(btc::Address{reward_addr[b]});
+    btc::Block block(genesis_height + b, mined_at[b], std::move(coinbase),
+                     std::move(txs));
+    if (merkle_root != nullptr) {
+      block.restore_header(merkle_root[b], handle.chain.tip_hash());
     }
-    for (std::uint64_t i = 0; i < ni; ++i) {
-      handle.addresses.intern(btc::Address{in_owner[i]});
-    }
-    for (std::uint64_t o = 0; o < no; ++o) {
-      handle.addresses.intern(btc::Address{out_to[o]});
-    }
-  };
-  if (nt >= kParallelLoadTxs && util::resolve_threads(0) > 1) {
-    rebuild = std::async(std::launch::async, rebuild_chain);
-  } else {
-    rebuild_chain();
+    handle.chain.append(std::move(block));
+  }
+  for (std::uint64_t b = 0; b < nb; ++b) {
+    handle.addresses.intern(btc::Address{reward_addr[b]});
+  }
+  for (std::uint64_t i = 0; i < ni; ++i) {
+    handle.addresses.intern(btc::Address{in_owner[i]});
+  }
+  for (std::uint64_t o = 0; o < no; ++o) {
+    handle.addresses.intern(btc::Address{out_to[o]});
   }
 
   // --- optional: snapshots ---
@@ -1104,9 +1071,9 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
   }
 
   // --- optional: first-seen ---
-  // Read from the mapped columns, not from copies: copies would hold 40
-  // bytes a transaction while the rebuild may still be allocating, so
-  // the load's peak RSS would depend on which thread finished first.
+  // Read from the mapped columns, not from copies: a copy would add 40
+  // bytes a transaction to the load's peak RSS, on top of the chain just
+  // rebuilt, only to be folded into the map and freed.
   if (flags & kCnbFlagFirstSeen) {
     group_ok = true;
     const Verified* vt =
@@ -1290,7 +1257,6 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
     if (load.fatal) return finish();
   }
 
-  if (rebuild.valid()) rebuild.get();
   result.value = std::move(handle);
   return finish();
 }

@@ -1,8 +1,8 @@
 // Process-wide metric registry (DESIGN.md §10).
 //
-// The audit pipeline is a staged fan-out over a thread pool; watching it
-// at production scale needs counters that cost ~one relaxed atomic add
-// on the hot path and never serialize writers. The design is the usual
+// The audit's dataset build and cnsweep fan out over thread pools;
+// watching them at production scale needs counters that cost ~one
+// relaxed atomic add on the hot path and never serialize writers. The design is the usual
 // per-thread-shard scheme:
 //
 //   * a metric is interned once by name into a dense MetricId;

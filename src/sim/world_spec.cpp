@@ -1,26 +1,20 @@
 #include "sim/world_spec.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+
+#include "util/bytes.hpp"
 
 namespace cn::sim {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
+/// A u32 length, then the bytes (ByteWriter::str's prefix is a u64).
+void put_string(util::ByteWriter& w, const std::string& s) {
+  w.u32(static_cast<std::uint32_t>(s.size()));
+  w.bytes(s);
 }
 
 bool knob_is(const std::pair<std::string, double>& knob, std::string_view name,
@@ -62,32 +56,28 @@ std::optional<double> WorldSpec::knob(std::string_view name) const {
 
 std::vector<std::uint8_t> WorldSpec::canonical_bytes() const {
   std::vector<std::uint8_t> out;
-  put_u32(out, kWorldSpecVersion);
-  out.push_back(static_cast<std::uint8_t>(kind));
-  put_u64(out, seed);
-  put_u64(out, std::bit_cast<std::uint64_t>(scale));
-  put_string(out, scenario);
+  util::ByteWriter w(out);
+  w.u32(kWorldSpecVersion);
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.u64(seed);
+  w.f64(scale);
+  put_string(w, scenario);
   // set() keeps the list sorted, but serialize a sorted copy anyway so a
   // hand-built knob vector still canonicalizes.
   std::vector<std::pair<std::string, double>> sorted = knobs;
   std::sort(sorted.begin(), sorted.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  put_u32(out, static_cast<std::uint32_t>(sorted.size()));
+  w.u32(static_cast<std::uint32_t>(sorted.size()));
   for (const auto& [name, value] : sorted) {
-    put_string(out, name);
-    put_u64(out, std::bit_cast<std::uint64_t>(value));
+    put_string(w, name);
+    w.f64(value);
   }
   return out;
 }
 
 std::uint64_t WorldSpec::fingerprint() const {
-  constexpr std::uint64_t kOffset = 1469598103934665603ull;
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h = kOffset;
-  for (const std::uint8_t byte : canonical_bytes()) {
-    h = (h ^ byte) * kPrime;
-  }
-  return h;
+  const std::vector<std::uint8_t> bytes = canonical_bytes();
+  return util::fnv1a(bytes.data(), bytes.size());
 }
 
 std::string WorldSpec::label() const {

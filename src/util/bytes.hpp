@@ -1,5 +1,6 @@
-// Byte-level encode/decode helpers shared by the daemon's checkpoint
-// writer and the accumulator state serializer.
+// The one little-endian byte codec: the daemon's checkpoint writer and
+// accumulator state, the CNB1 header and directory, and the WorldSpec's
+// canonical bytes all encode and decode through it.
 //
 // Everything is little-endian fixed-width; doubles travel as their raw
 // IEEE-754 bit pattern so a restored accumulator resumes from *exactly*
@@ -10,9 +11,10 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
-namespace cn::daemon {
+namespace cn::util {
 
 class ByteWriter {
  public:
@@ -31,9 +33,12 @@ class ByteWriter {
     std::memcpy(&bits, &v, sizeof bits);
     u64(bits);
   }
+  /// The bytes of @p s with no length prefix.
+  void bytes(std::string_view s) { out_->insert(out_->end(), s.begin(), s.end()); }
+  /// A u64 length, then the bytes.
   void str(const std::string& s) {
     u64(s.size());
-    out_->insert(out_->end(), s.begin(), s.end());
+    bytes(s);
   }
 
  private:
@@ -96,11 +101,12 @@ class ByteReader {
 /// FNV-1a's offset basis: the hash of no bytes.
 inline constexpr std::uint64_t kFnv1aBasis = 1469598103934665603ULL;
 
-/// FNV-1a over a byte range — the checkpoint checksums. Not
-/// cryptographic; it only needs to catch torn/garbled writes. @p h is the
-/// hash of the bytes before this range, so hashing a range in pieces,
-/// each seeded with the previous piece's result, equals hashing it whole:
-/// the event-log segment's checksum runs on across appends this way.
+/// FNV-1a over a byte range: the checkpoint checksums and the WorldSpec
+/// fingerprint. Not cryptographic; it only needs to catch torn/garbled
+/// writes and tell specs apart. @p h is the hash of the bytes before
+/// this range, so hashing a range in pieces, each seeded with the
+/// previous piece's result, equals hashing it whole: the event-log
+/// segment's checksum runs on across appends this way.
 inline std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size,
                            std::uint64_t h = kFnv1aBasis) noexcept {
   for (std::size_t i = 0; i < size; ++i) {
@@ -110,4 +116,4 @@ inline std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size,
   return h;
 }
 
-}  // namespace cn::daemon
+}  // namespace cn::util

@@ -1,22 +1,23 @@
 // A small fixed-size worker pool for deterministic fan-out.
 //
-// The audit pipeline parallelizes embarrassingly parallel stages (per-pool
-// tests, bootstrap resampling, watched-address screens) without giving up
-// reproducibility: tasks write into index-addressed result slots and every
-// merge happens in index order, so the output is byte-identical whatever
-// the thread count or scheduling. Work distribution is a shared atomic
-// counter (no work stealing, no per-thread queues) — the simplest scheme
-// that load-balances uneven task costs.
+// It serves the two fan-outs a measurement pays for (DESIGN.md §7.2):
+// AuditDataset::build's per-block pass, the dominant cost of an audit,
+// and cnsweep's world generation and bench subprocesses. Tasks write
+// into index-addressed slots and every merge happens in index order, so
+// the output is byte-identical whatever the thread count or scheduling.
+// Work distribution is a shared atomic counter (no work stealing, no
+// per-thread queues) — the simplest scheme that load-balances uneven
+// task costs.
 //
 // ThreadPool(1) spawns no workers and runs everything inline on the
 // calling thread, which keeps the serial path trivially identical.
 //
-// Exception safety: parallel_for / parallel_map capture the first
-// exception any fn(i) throws (on a worker or the calling thread), keep
-// draining the remaining indices, wait for every helper to finish, and
-// rethrow in the caller — so a throwing fn can never unwind the caller
-// while helpers still reference its stack frame. Fire-and-forget
-// submit() tasks must not throw (nothing can receive the exception).
+// Exception safety: parallel_for captures the first exception any fn(i)
+// throws (on a worker or the calling thread), keeps draining the
+// remaining indices, waits for every helper to finish, and rethrows in
+// the caller — so a throwing fn can never unwind the caller while
+// helpers still reference its stack frame. Fire-and-forget submit()
+// tasks must not throw (nothing can receive the exception).
 //
 // Observability (DESIGN.md §10): the pool reports
 //   util.thread_pool.workers_spawned / tasks_submitted / tasks_inline
@@ -34,7 +35,6 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace cn::util {
@@ -74,17 +74,6 @@ class ThreadPool {
   /// skipped), all helpers quiesce, and the first captured exception is
   /// rethrown here. Not reentrant from inside a pool task.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// parallel_for that collects fn(i) into a vector in index order. The
-  /// result is byte-identical to the serial loop regardless of threads().
-  template <typename Fn>
-  auto parallel_map(std::size_t n, Fn&& fn)
-      -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
-    using T = std::decay_t<std::invoke_result_t<Fn&, std::size_t>>;
-    std::vector<T> out(n);
-    parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
-    return out;
-  }
 
  private:
   void worker_loop();

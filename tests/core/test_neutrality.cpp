@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "../helpers.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cn::core {
 namespace {
@@ -48,8 +47,7 @@ struct ScoreWorld {
   }
 
   std::vector<NeutralityReport> reports(const NeutralityOptions& options = {}) const {
-    util::ThreadPool workers(1);
-    return neutrality_reports(cn::test::dataset_of(chain, registry), options, workers);
+    return neutrality_reports(cn::test::dataset_of(chain, registry), options);
   }
 };
 

@@ -6,8 +6,10 @@
 // segment are rejected and cold-start; a flaky feed drains through
 // retry/backoff; a poisoned feed and an exhausted read budget turn the
 // daemon unhealthy; a dead feed fails readiness but not health; the
-// HTTP surface serves reports, health, and staleness stamps; and a
-// client that resets mid-request does not take the server down.
+// HTTP surface serves reports, health, and staleness stamps; a client
+// that resets mid-request does not take the server down; and a client
+// that is idle or sends its head a byte at a time holds the server for
+// at most the head deadline.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -16,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -349,17 +352,24 @@ TEST(AuditDaemon, ExhaustedReadBudgetTurnsUnhealthy) {
 
 // --- HTTP surface -------------------------------------------------------
 
-std::string http_get_once(std::uint16_t port, const std::string& target) {
+/// A connected loopback socket, or -1.
+int connect_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
     ::close(fd);
-    return {};
+    return -1;
   }
+  return fd;
+}
+
+std::string http_get_once(std::uint16_t port, const std::string& target) {
+  const int fd = connect_loopback(port);
+  if (fd < 0) return {};
   const std::string request =
       "GET " + target + " HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
   std::size_t sent = 0;
@@ -447,13 +457,8 @@ TEST(AuditDaemon, ClientResetMidRequestLeavesTheServerServing) {
   // A request line without the blank line that ends the head, then an
   // abortive close (SO_LINGER {1, 0} sends a reset). The server's read
   // fails, it answers anyway, and that write meets the reset connection.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_loopback(server.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
   const std::string partial = "GET /report HTTP/1.1\r\n";
   ASSERT_EQ(::send(fd, partial.data(), partial.size(), 0),
             static_cast<ssize_t>(partial.size()));
@@ -464,6 +469,69 @@ TEST(AuditDaemon, ClientResetMidRequestLeavesTheServerServing) {
 
   const std::string resp = http_get(server.port(), "/healthz");
   EXPECT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos) << resp;
+  server.stop();
+}
+
+/// Seconds a GET /healthz takes; it must be answered 200.
+double timed_healthz(std::uint16_t port) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string resp = http_get(port, "/healthz");
+  EXPECT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos) << resp;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+TEST(AuditDaemon, IdleConnectionDoesNotHoldBackHealthz) {
+  const io::DatasetHandle feed = make_feed();
+  io::ReplaySource source(feed);
+  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
+  AuditDaemon daemon(source, registry, kNoFirstSeen, test_config());
+  HttpServer server;
+  std::string error;
+  ASSERT_TRUE(server.start(
+      0, [&daemon](const HttpRequest& r) { return daemon.handle(r); }, &error))
+      << error;
+
+  // Connected first and never sends a byte: the server takes it first
+  // and must give up on it at the head deadline, not after 5 s.
+  const int idle = connect_loopback(server.port());
+  ASSERT_GE(idle, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LT(timed_healthz(server.port()), 2.0);
+  ::close(idle);
+  server.stop();
+}
+
+TEST(AuditDaemon, TricklingClientIsCutOffAtTheHeadDeadline) {
+  const io::DatasetHandle feed = make_feed();
+  io::ReplaySource source(feed);
+  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
+  AuditDaemon daemon(source, registry, kNoFirstSeen, test_config());
+  HttpServer server;
+  std::string error;
+  ASSERT_TRUE(server.start(
+      0, [&daemon](const HttpRequest& r) { return daemon.handle(r); }, &error))
+      << error;
+
+  // One byte every 100 ms of a head that would take 10 s to finish. A
+  // send fails once the server has closed the connection.
+  const int slow = connect_loopback(server.port());
+  ASSERT_GE(slow, 0);
+  std::atomic<bool> cut_off{false};
+  std::thread trickler([slow, &cut_off] {
+    const std::string head = "GET /healthz HTTP/1.1\r\nX-Slow: " + std::string(80, 'x');
+    for (const char c : head) {
+      if (::send(slow, &c, 1, MSG_NOSIGNAL) != 1) {
+        cut_off.store(true);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LT(timed_healthz(server.port()), 2.0);
+  trickler.join();
+  EXPECT_TRUE(cut_off.load()) << "the server read the whole trickled head";
+  ::close(slow);
   server.stop();
 }
 

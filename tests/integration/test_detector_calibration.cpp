@@ -32,7 +32,6 @@
 #include "core/prio_test.hpp"
 #include "core/wallet_inference.hpp"
 #include "sim/engine.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cn {
 namespace {
@@ -136,8 +135,7 @@ class DetectorCalibration : public ::testing::Test {
 
   static std::vector<core::NeutralityReport> scorecards(
       const core::AuditDataset& dataset) {
-    util::ThreadPool workers(1);
-    return core::neutrality_reports(dataset, {}, workers);
+    return core::neutrality_reports(dataset, {});
   }
 
   static const core::NeutralityReport* report_of(

@@ -162,13 +162,11 @@ TEST_F(CnbFormatTest, ChainAndSeriesRoundTripExactly) {
   EXPECT_FALSE(loaded->audit_dataset.has_value());
 }
 
-// A chain at the parallel-load threshold (65,536 transactions): a strict
-// load rebuilds the chain on a helper thread while the main thread builds
-// the first-seen map and snapshots from the same mapped file, so under
-// TSan (tools/ci.sh) this is the race check for that overlap. On a
-// one-core host the load stays serial and the test checks only the round
-// trip.
-TEST_F(CnbFormatTest, ThreadedLoadOfALargeChainRoundTrips) {
+// A chain of 65,600 transactions with snapshots and a first-seen log: a
+// strict load must give back every block, transaction, input and
+// output, the header chain, the first-seen map and the snapshots
+// exactly.
+TEST_F(CnbFormatTest, LargeChainRoundTrips) {
   constexpr std::uint64_t kBlocks = 64;
   constexpr std::size_t kTxsPerBlock = 1025;  // 65,600 transactions in all
   btc::Chain original(500);

@@ -55,18 +55,6 @@ TEST(ThreadPool, ParallelForEdgeSizes) {
   EXPECT_EQ(calls.load(), 3);
 }
 
-TEST(ThreadPool, ParallelMapMatchesSerialByteForByte) {
-  const auto fn = [](std::size_t i) {
-    return static_cast<double>(i) * 1.5 + static_cast<double>(i % 7);
-  };
-  ThreadPool serial(1);
-  ThreadPool parallel(4);
-  const auto a = serial.parallel_map(5'000, fn);
-  const auto b = parallel.parallel_map(5'000, fn);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
-}
-
 TEST(ThreadPool, SubmitRunsAllTasksBeforeDestruction) {
   std::atomic<int> ran{0};
   {
@@ -162,20 +150,6 @@ TEST(ThreadPool, PoolIsReusableAfterAnException) {
     ran.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(ran.load(), 1'000);
-  const auto doubled = pool.parallel_map(
-      100, [](std::size_t i) { return 2 * static_cast<int>(i); });
-  ASSERT_EQ(doubled.size(), 100u);
-  EXPECT_EQ(doubled[99], 198);
-}
-
-TEST(ThreadPool, ParallelMapPropagatesExceptions) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_map(50,
-                                 [](std::size_t i) -> int {
-                                   if (i == 49) throw std::out_of_range("map");
-                                   return static_cast<int>(i);
-                                 }),
-               std::out_of_range);
 }
 
 TEST(ThreadPool, DestructionDrainsSlowQueuedTasks) {

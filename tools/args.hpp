@@ -1,8 +1,8 @@
-// Command-line options for cnaudit, cnauditd, cnconvert and cninject:
-// "--key value" or "--key=value"; a positional argument is an error. A
-// numeric value must parse whole: an empty value, trailing characters, a
-// sign on a count or a value out of range prints "<tool>: --key 'value'
-// is not ..." and exits 2.
+// Command-line options for cnaudit, cnauditd, cnconvert, cninject and
+// cnsweep: "--key value" or "--key=value"; a positional argument is an
+// error. A numeric value must parse whole: an empty value, trailing
+// characters, a sign on a count or a value out of range prints
+// "<tool>: --key 'value' is not ..." and exits 2.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +20,11 @@
 #include <string_view>
 
 namespace cn::cli {
+
+/// The most execution lanes --threads or --jobs may ask for (0 still
+/// means one per core): util::ThreadPool spawns a thread for every lane
+/// up front.
+inline constexpr std::uint64_t kMaxLanes = 256;
 
 class Args {
  public:

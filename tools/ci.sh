@@ -8,10 +8,10 @@
 # (tools/check_bench_outputs.sh), gates the observability overhead on
 # the bit bench_audit writes to bench_out/BENCH_audit.json, re-runs the
 # concurrency-sensitive tests (the ThreadPool, the lock-free obs
-# registry, the parallel audit pipeline, the pinned-report suite, the
-# fault-injection property suite, the two-thread CNB1 load of a
-# 65,536-transaction chain, and the daemon's serving and checkpoint
-# tests) under tsan, runs the fault-injection and CSV reader
+# registry, the audit pipeline and the pinned-report suite with their
+# parallel dataset build, the fault-injection property suite, and the
+# daemon's serving and checkpoint tests) under tsan, runs the
+# fault-injection and CSV reader
 # suites under asan plus the ingestion throughput bench, exercises the
 # CNB1 leg (round-trip suite under asan, a cnconvert-built fixture whose
 # report must equal the reports from its source CSV export and from the
@@ -259,14 +259,13 @@ run ./build-tsan/tests/cn_tests_util --gtest_filter='ThreadPool*'
 # The lock-free metric registry (per-thread shards, CAS-installed chunks)
 # is exactly the kind of code tsan exists for.
 run ./build-tsan/tests/cn_tests_obs
-# The parallel audit fan-outs, the pinned-report suite (parallel
-# AuditDataset build + staged pipeline at threads 1, 4 and 0), and the
-# fault-injection property tests all drive the thread pool; run them
-# race-checked. A CNB1 file of at least 65,536 transactions loads on two
-# threads (the chain rebuild beside the first-seen and snapshot groups);
-# ThreadedLoadOfALargeChainRoundTrips is that load.
+# The audit pipeline, the pinned-report suite (the parallel
+# AuditDataset build at threads 1, 4 and 0, then the serial stages), and
+# the fault-injection property tests all drive the thread pool through
+# that build; run them race-checked. The CNB1 loader and the stages after
+# the build run on one thread.
 run ./build-tsan/tests/cn_tests_core --gtest_filter='AuditPipeline*:AuditReportPins*:AuditStages*'
-run ./build-tsan/tests/cn_tests_io --gtest_filter='FaultInjection*:CnbFormatTest.ThreadedLoadOfALargeChainRoundTrips'
+run ./build-tsan/tests/cn_tests_io --gtest_filter='FaultInjection*'
 # The daemon's HTTP thread reads the cached report, the run counters and
 # the readiness flags while run_to_end applies and seals on another
 # thread. The single-threaded SealedPairs* recounts are left out: under

@@ -66,7 +66,6 @@
 // re-simulating.
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -273,10 +272,10 @@ int cmd_report(const Args& args) {
   const btc::Chain& chain = data->chain;
   core::AuditOptions options;
   options.alpha = args.get_double("alpha", 0.001);
-  // 0 = all hardware threads, 1 = serial; the report is byte-identical
-  // at any setting (DESIGN.md §7.2, §9).
-  options.threads = static_cast<unsigned>(
-      args.get_u64("threads", 0, std::numeric_limits<unsigned>::max()));
+  // Lanes for the dataset build's per-block pass: 0 = all hardware
+  // threads, 1 = serial; the report is byte-identical at any setting
+  // (DESIGN.md §7.2, §9).
+  options.threads = static_cast<unsigned>(args.get_u64("threads", 0, cli::kMaxLanes));
   options.min_coverage = args.get_double("min-coverage", options.min_coverage);
   // The loader interned every address it touched; the build stage reuses
   // the table instead of re-hashing the address universe.
@@ -329,8 +328,7 @@ int cmd_neutrality(const Args& args) {
   auto data = load_dataset(args);
   if (!data) return 1;
   const core::AuditDataset& ds = audit_dataset(*data);
-  util::ThreadPool workers(0);
-  const auto reports = core::neutrality_reports(ds, {}, workers);
+  const auto reports = core::neutrality_reports(ds, {});
 
   core::TablePrinter table({"pool", "blocks", "PPE%", "boost%", "self-p",
                             "floor%", "score"},

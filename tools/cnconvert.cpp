@@ -14,9 +14,8 @@
 // (blocks/txs/inputs/outputs + any snapshot/first-seen series the
 // source carried). Both directions are atomic: bytes land in temporary
 // files renamed into place only after every write succeeded. An unknown
-// option or a --threads that is not a whole count exits 2.
+// option or a --threads that is not a whole count in [0, 256] exits 2.
 #include <cstdio>
-#include <limits>
 #include <string>
 
 #include "args.hpp"
@@ -59,8 +58,7 @@ int main(int argc, char** argv) {
   const std::string out_path = args.get_or("output", "");
   if (in_path.empty() || out_path.empty()) return usage();
   const bool no_derived = args.has("no-derived");
-  const auto threads = static_cast<unsigned>(
-      args.get_u64("threads", 0, std::numeric_limits<unsigned>::max()));
+  const auto threads = static_cast<unsigned>(args.get_u64("threads", 0, cli::kMaxLanes));
 
   io::LoadPolicy policy = io::LoadPolicy::kStrict;
   if (const auto p = args.get("policy")) {

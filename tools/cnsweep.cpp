@@ -10,8 +10,11 @@
 //   cnsweep                      # full matrix, default seed/scales
 //   cnsweep --smoke              # tiny CI matrix (3 benches, scale 0.1)
 //   cnsweep --resume             # skip jobs whose .ok marker exists
-//   cnsweep --jobs 4             # bench subprocess parallelism
+//   cnsweep --jobs 4             # bench subprocess parallelism (at most 256)
 //   cnsweep --seed 7 --scale 0.5 # override every bench's env knobs
+//
+// A malformed number, a --jobs above 256 or an unknown option exits 2
+// before anything runs.
 //
 // Outputs: bench_out/sweep/<bench>.log per job, one consolidated
 // bench_out/BENCH_sweep.json (job statuses, cache hit/miss/eviction
@@ -21,7 +24,6 @@
 // speedup), plus the cn::obs metrics/trace documents next to it.
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -50,61 +53,21 @@ struct Options {
   std::string bench_dir;  ///< defaults to <cnsweep dir>/../bench
 };
 
-[[noreturn]] void usage_error(const char* what) {
-  std::fprintf(stderr, "error: %s\n", what);
+int usage() {
   std::fprintf(stderr,
                "usage: cnsweep [--smoke] [--resume] [--jobs N] [--seed N] "
                "[--scale X] [--bench-dir PATH]\n");
-  std::exit(2);
+  return 2;
 }
 
-std::uint64_t parse_u64(const char* flag, const char* s) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "error: %s='%s' is not an unsigned integer\n", flag, s);
-    std::exit(2);
-  }
-  return v;
-}
-
-double parse_scale(const char* flag, const char* s) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
-      v <= 0.0) {
-    std::fprintf(stderr, "error: %s='%s' is not a positive number\n", flag, s);
-    std::exit(2);
-  }
-  return v;
-}
-
-Options parse_args(int argc, char** argv) {
+Options options_from(const cli::Args& args) {
   Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error((arg + " needs a value").c_str());
-      return argv[++i];
-    };
-    if (arg == "--smoke") {
-      options.smoke = true;
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--jobs") {
-      options.jobs = static_cast<unsigned>(parse_u64("--jobs", value()));
-    } else if (arg == "--seed") {
-      options.seed = parse_u64("--seed", value());
-    } else if (arg == "--scale") {
-      options.scale = parse_scale("--scale", value());
-    } else if (arg == "--bench-dir") {
-      options.bench_dir = value();
-    } else {
-      usage_error(("unknown argument '" + arg + "'").c_str());
-    }
-  }
+  options.smoke = args.has("smoke");
+  options.resume = args.has("resume");
+  options.jobs = static_cast<unsigned>(args.get_u64("jobs", 0, cli::kMaxLanes));
+  if (args.has("seed")) options.seed = args.get_u64("seed", 0);
+  if (args.has("scale")) options.scale = args.get_positive("scale", 1.0);
+  options.bench_dir = args.get_or("bench-dir", "");
   return options;
 }
 
@@ -172,7 +135,17 @@ std::optional<double> previous_wall_seconds(const std::string& path) {
 
 int main(int argc, char** argv) {
   const auto sweep_start = std::chrono::steady_clock::now();
-  Options options = parse_args(argc, argv);
+  const cli::Args args("cnsweep", argc, argv, 1, {"smoke", "resume"});
+  if (!args.ok()) {
+    std::fprintf(stderr, "cnsweep: bad argument '%s'\n", args.bad().c_str());
+    return usage();
+  }
+  if (const auto bad = args.unknown({"smoke", "resume", "jobs", "seed", "scale",
+                                     "bench-dir"})) {
+    std::fprintf(stderr, "cnsweep: unknown option --%s\n", bad->c_str());
+    return usage();
+  }
+  Options options = options_from(args);
   if (options.bench_dir.empty()) {
     options.bench_dir = default_bench_dir(argv[0]);
   }
@@ -210,7 +183,10 @@ int main(int argc, char** argv) {
     }
     jobs.push_back(job);
   }
-  if (jobs.empty()) usage_error("the matrix expanded to zero jobs");
+  if (jobs.empty()) {
+    std::fprintf(stderr, "cnsweep: the matrix expanded to zero jobs\n");
+    return 2;
+  }
 
   // Group the worlds the jobs will request by fingerprint: each unique
   // world is generated once, no matter how many benches want it.

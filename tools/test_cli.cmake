@@ -129,6 +129,9 @@ function(expect_bad_number option)
 endfunction()
 expect_bad_number(--seed simulate --dataset A --seed abc --out "${workdir}_seed")
 expect_bad_number(--alpha report --data "${workdir}" --alpha 0.001x)
+# A lane count above 256 is rejected: the thread pool would spawn every
+# lane as a thread up front.
+expect_bad_number(--threads report --data "${workdir}" --threads 257)
 # A scale must be positive and a timeout non-negative (0 = no limit).
 expect_bad_number(--scale simulate --dataset A --scale -1 --out "${workdir}_seed")
 expect_bad_number(--scale simulate --dataset A --scale 0 --out "${workdir}_seed")
@@ -216,14 +219,17 @@ if(DEFINED CNCONVERT)
   file(REMOVE "${cnb}")
   file(REMOVE_RECURSE "${csv2}")
 
-  # A count that does not parse whole, or an option cnconvert does not
-  # know, exits 2 before anything is written.
-  foreach(bad "--threads;abc" "--bogus;1")
+  # A count that does not parse whole or exceeds 256 lanes, or an option
+  # cnconvert does not know, exits 2 naming it before anything is written.
+  foreach(bad "--threads;abc" "--threads;257" "--bogus;1")
     execute_process(
       COMMAND "${CNCONVERT}" --input "${workdir}" --output "${cnb}" ${bad}
       RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-    if(NOT rc EQUAL 2 OR EXISTS "${cnb}")
-      message(FATAL_ERROR "cnconvert ${bad} exited ${rc}, want 2 and no output: ${err}")
+    list(GET bad 0 option)
+    string(FIND "${err}" "${option}" named)
+    if(NOT rc EQUAL 2 OR named EQUAL -1 OR EXISTS "${cnb}")
+      message(FATAL_ERROR "cnconvert ${bad} exited ${rc}, want 2 naming ${option} "
+                          "and no output: ${err}")
     endif()
   endforeach()
 endif()
@@ -280,6 +286,27 @@ if(DEFINED CNINJECT)
       message(FATAL_ERROR "cninject ${bad} exited ${rc}, want 2 and no output: ${err}")
     endif()
   endforeach()
+endif()
+
+# cnsweep: a --jobs above 256 lanes or an unknown option exits 2 naming
+# it, before any world or bench output is made.
+if(DEFINED CNSWEEP)
+  set(sweepdir "${workdir}_sweep")
+  file(REMOVE_RECURSE "${sweepdir}")
+  file(MAKE_DIRECTORY "${sweepdir}")
+  foreach(bad "--jobs;257" "--bogus;1")
+    execute_process(
+      COMMAND "${CNSWEEP}" --smoke ${bad}
+      WORKING_DIRECTORY "${sweepdir}"
+      RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    list(GET bad 0 option)
+    string(FIND "${err}" "${option}" named)
+    if(NOT rc EQUAL 2 OR named EQUAL -1 OR EXISTS "${sweepdir}/bench_out")
+      message(FATAL_ERROR "cnsweep ${bad} exited ${rc}, want 2 naming ${option} "
+                          "and no output: ${err}")
+    endif()
+  endforeach()
+  file(REMOVE_RECURSE "${sweepdir}")
 endif()
 
 file(REMOVE_RECURSE "${workdir}")
