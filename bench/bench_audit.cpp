@@ -10,11 +10,9 @@
 #include <filesystem>
 
 #include "core/audit_pipeline.hpp"
-#include "core/wallet_inference.hpp"
 #include "io/cnb.hpp"
 #include "io/dataset_source.hpp"
 #include "obs/registry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -138,13 +136,9 @@ int main(int argc, char** argv) {
   const std::string cnb_path =
       (fs::path(cn::bench::out_dir()) / "audit_world.cnb").string();
   {
-    util::ThreadPool workers(0);
-    const core::PoolAttribution attribution(world.chain, registry);
-    const auto dataset =
-        core::AuditDataset::build(world.chain, attribution, workers);
+    const auto dataset = core::AuditDataset::build(world.chain, registry);
     io::CnbWriteOptions cnb_options;
     cnb_options.dataset = &dataset;
-    cnb_options.registry_fingerprint = registry.fingerprint();
     std::string io_error;
     if (!io::write_cnb(world.chain, cnb_path, cnb_options, &io_error)) {
       std::fprintf(stderr, "FATAL: write_cnb: %s\n", io_error.c_str());

@@ -1,8 +1,8 @@
 // AuditDataset build cost: the columnar audit's one-time overhead —
-// wall time to intern pools/addresses and lay out the per-block spans,
-// and the resulting bytes per transaction — reported separately from
-// BENCH_audit.json so the pipeline speedup is never silently bought
-// with an unaccounted build phase.
+// wall time to attribute blocks to pools, intern addresses and lay out
+// the per-block spans, and the resulting bytes per transaction —
+// reported separately from BENCH_audit.json so the pipeline speedup is
+// never silently bought with an unaccounted build phase.
 #include "common.hpp"
 #include "worlds.hpp"
 
@@ -11,35 +11,24 @@
 
 #include "btc/intern.hpp"
 #include "core/audit_dataset.hpp"
-#include "core/wallet_inference.hpp"
 #include "io/cnb.hpp"
 #include "io/dataset_source.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace cn;
 
 const io::World* g_world = nullptr;
-const core::PoolAttribution* g_attribution = nullptr;
 
+// The whole build, pool attribution included.
 void BM_DatasetBuild(benchmark::State& state) {
-  util::ThreadPool workers(0);
+  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
   for (auto _ : state) {
-    auto ds = core::AuditDataset::build(g_world->chain, *g_attribution, workers);
+    auto ds = core::AuditDataset::build(g_world->chain, registry);
     benchmark::DoNotOptimize(ds);
   }
 }
 BENCHMARK(BM_DatasetBuild)->Unit(benchmark::kMillisecond);
-
-void BM_AttributionBuild(benchmark::State& state) {
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  for (auto _ : state) {
-    core::PoolAttribution attribution(g_world->chain, registry);
-    benchmark::DoNotOptimize(attribution);
-  }
-}
-BENCHMARK(BM_AttributionBuild)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
@@ -52,23 +41,20 @@ int main(int argc, char** argv) {
   const double scale = cn::bench::scale_from_env(0.5);
   const io::World world = cn::bench::world_for(
       cn::bench::worlds::baseline(sim::DatasetKind::kC, seed, scale));
-  const core::PoolAttribution attribution(
-      world.chain, btc::CoinbaseTagRegistry::paper_registry());
+  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
   g_world = &world;
-  g_attribution = &attribution;
 
   const double txs = static_cast<double>(world.chain.total_tx_count());
   std::printf("world: %zu blocks, %.0f transactions\n\n", world.chain.size(), txs);
   json.metric("blocks", static_cast<double>(world.chain.size()));
   json.metric("txs", txs);
 
-  util::ThreadPool workers(0);
   constexpr int kReps = 5;
   double best = 1e300;
   std::size_t bytes = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto ds = core::AuditDataset::build(world.chain, attribution, workers);
+    const auto ds = core::AuditDataset::build(world.chain, registry);
     best = std::min(
         best,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -86,9 +72,9 @@ int main(int argc, char** argv) {
 
   // --- CSV vs CNB1 ingest (the DESIGN.md §11 acceptance gate) ---
   // "Ingest" is everything between a path on disk and an audit-ready
-  // dataset: the CSV side parses text, attributes pools, and builds the
-  // columnar view; the CNB1 side verifies checksums and copies columns
-  // out — the derived sections ride inside the file. The hard gate
+  // dataset: the CSV side parses text and builds the columnar view,
+  // which attributes pools; the CNB1 side verifies checksums and copies
+  // columns out — the derived sections ride inside the file. The hard gate
   // asserts the binary path ingests the same rows at >= kIngestGate times
   // the CSV throughput. A slower CNB1 loader lowers the ratio and fails
   // it; a slower CSV loader raises the ratio, so CSV regressions are
@@ -99,7 +85,6 @@ int main(int argc, char** argv) {
   // alternating runs each at the default scale, RelWithDebInfo, 4-core
   // host), so the gate became ceil(20 * 0.637 / 2.39) = 6: CNB1 keeps
   // the time budget of about csv_old / 20 it had before.
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
   namespace fs = std::filesystem;
   const fs::path ingest_dir = fs::path(cn::bench::out_dir()) / "ingest";
   std::error_code ec;
@@ -115,13 +100,11 @@ int main(int argc, char** argv) {
       io::export_first_seen(world.first_seen_map,
                             csv_dir + "/first_seen.csv", &io_error);
   if (exported) {
-    const auto dataset =
-        core::AuditDataset::build(world.chain, attribution, workers);
+    const auto dataset = core::AuditDataset::build(world.chain, registry);
     io::CnbWriteOptions cnb_options;
     cnb_options.snapshots = &world.snapshots;
     cnb_options.first_seen = &world.first_seen_map;
     cnb_options.dataset = &dataset;
-    cnb_options.registry_fingerprint = registry.fingerprint();
     exported = io::write_cnb(world.chain, cnb_path, cnb_options, &io_error);
   }
   if (!exported) {
@@ -145,7 +128,7 @@ int main(int argc, char** argv) {
       static_cast<double>(world.snapshots.size()) +
       static_cast<double>(world.first_seen_map.size());
 
-  // Raw load: open_dataset alone (no attribution / build on either side).
+  // Raw load: open_dataset alone (no dataset build on either side).
   const auto time_open = [](const std::string& path, int reps) {
     double load_best = 1e300;
     for (int rep = 0; rep < reps; ++rep) {
@@ -162,7 +145,7 @@ int main(int argc, char** argv) {
   const double load_csv_s = time_open(csv_dir, 2);
   const double load_cnb_s = time_open(cnb_path, 5);
 
-  // Audit-ready ingest. CSV: load + pool attribution + dataset build.
+  // Audit-ready ingest. CSV: load + dataset build (attribution included).
   // CNB1: load alone — prebuilt_for() must hand back the stored dataset,
   // otherwise the embedded columns were silently unusable.
   double ingest_csv_s = 1e300;
@@ -170,8 +153,7 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     const auto loaded = io::open_dataset(csv_dir, io::LoadPolicy::kStrict);
     if (!loaded.has_value()) { ingest_csv_s = -1.0; break; }
-    const core::PoolAttribution attr(loaded->chain, registry);
-    const auto ds = core::AuditDataset::build(loaded->chain, attr, workers);
+    const auto ds = core::AuditDataset::build(loaded->chain, registry);
     benchmark::DoNotOptimize(ds);
     ingest_csv_s = std::min(
         ingest_csv_s,

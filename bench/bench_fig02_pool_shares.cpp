@@ -7,7 +7,7 @@
 #include "common.hpp"
 #include "worlds.hpp"
 
-#include "core/wallet_inference.hpp"
+#include "core/audit_dataset.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
 
@@ -20,37 +20,31 @@ void report(cn::sim::DatasetKind kind, const char* name, std::uint64_t seed,
       bench::world_for(bench::worlds::baseline(kind, seed, scale));
   json.add("txs", static_cast<double>(world.chain.total_tx_count()));
   json.add("blocks", static_cast<double>(world.chain.size()));
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(world.chain, registry);
-
-  // Transactions confirmed per pool.
-  std::unordered_map<std::string, std::uint64_t> txs_by_pool;
-  for (const auto& block : world.chain.blocks()) {
-    const auto pool = attribution.pool_of(block.height());
-    if (pool.has_value()) txs_by_pool[*pool] += block.tx_count();
-  }
+  const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
 
   std::printf("--- data set %s: top pools by blocks mined ---\n", name);
   core::TablePrinter table({"pool", "blocks", "share%", "cfg%", "txs"},
                            {16, 9, 9, 9, 11});
   table.print_header();
-  const auto order = attribution.pools_by_blocks();
+  const auto order = dataset.pools_by_blocks();
   double top20 = 0.0;
   for (std::size_t i = 0; i < order.size(); ++i) {
-    const double share = attribution.hash_share(order[i]);
+    const std::string& pool = dataset.pool_name(order[i]);
+    const double share = dataset.hash_share(order[i]);
     if (i < 20) top20 += share;
     double configured = 0.0;
     for (const auto& spec : world.config.pools) {
-      if (spec.name == order[i]) configured = spec.hash_share;
+      if (spec.name == pool) configured = spec.hash_share;
     }
     if (i < 10) {
-      table.print_row({order[i], with_commas(attribution.blocks_of(order[i])),
+      table.print_row({pool, with_commas(dataset.blocks_of(order[i])),
                        fixed(share * 100.0, 2), fixed(configured, 2),
-                       with_commas(txs_by_pool[order[i]])});
+                       with_commas(dataset.pool_tx_count(order[i]))});
     }
-    csv.field(std::string(name)).field(order[i]);
-    csv.field(attribution.blocks_of(order[i])).field(share * 100.0, 3);
-    csv.field(txs_by_pool[order[i]]);
+    csv.field(std::string(name)).field(pool);
+    csv.field(dataset.blocks_of(order[i])).field(share * 100.0, 3);
+    csv.field(dataset.pool_tx_count(order[i]));
     csv.end_row();
   }
   bench::compare("top-20 combined share",
@@ -60,20 +54,10 @@ void report(cn::sim::DatasetKind kind, const char* name, std::uint64_t seed,
                  percent(top20));
   bench::compare("unidentified blocks",
                  kind == sim::DatasetKind::kC ? "1.32%" : "(unreported)",
-                 percent(static_cast<double>(attribution.unidentified_blocks()) /
-                         static_cast<double>(attribution.total_blocks())));
+                 percent(static_cast<double>(dataset.unidentified_blocks()) /
+                         static_cast<double>(dataset.block_count())));
   std::printf("\n");
 }
-
-void BM_Attribution(benchmark::State& state) {
-  using namespace cn;
-  static const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kA, 3, 0.05);
-  static const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::PoolAttribution(world.chain, registry));
-  }
-}
-BENCHMARK(BM_Attribution)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -12,7 +12,6 @@
 
 #include "core/audit_dataset.hpp"
 #include "core/congestion.hpp"
-#include "core/wallet_inference.hpp"
 #include "stats/ecdf.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -159,21 +158,19 @@ int main(int argc, char** argv) {
   // blocks absorbed the worse-qualified transaction early. The planted
   // misbehaving pools should dominate per-block.
   {
-    const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-    const core::PoolAttribution attribution(world.chain, registry);
     std::unordered_map<std::string, std::uint64_t> by_pool;
     for (SimTime t : sample_times) {
       const auto pending = core::pending_at(seen, dataset, t);
       for (const auto& [height, n] :
            core::violations_by_block(pending, 0, /*exclude_cpfp=*/true)) {
-        const auto pool = attribution.pool_of(height);
-        by_pool[pool.value_or("(unknown)")] += n;
+        const core::PoolId pool = dataset.pool_at(height);
+        by_pool[pool == core::kNoPoolId ? "(unknown)" : dataset.pool_name(pool)] += n;
       }
     }
     std::printf("\n  non-CPFP violations per mined block, by pool (extension):\n");
     std::vector<std::pair<std::string, double>> rates;
     for (const auto& [pool, n] : by_pool) {
-      const std::uint64_t blocks = attribution.blocks_of(pool);
+      const std::uint64_t blocks = dataset.blocks_of(dataset.pool_id(pool));
       if (blocks < 10) continue;
       rates.emplace_back(pool, static_cast<double>(n) / static_cast<double>(blocks));
     }

@@ -10,23 +10,19 @@
 #include "worlds.hpp"
 
 #include "core/audit_dataset.hpp"
-#include "core/wallet_inference.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
-// Every pool's self-interest list comes out of the one dataset build.
+// Every pool's wallets and self-interest list come out of the one
+// dataset build.
 void BM_SelfInterestLists(benchmark::State& state) {
   using namespace cn;
   static const sim::SimResult world = sim::make_dataset(sim::DatasetKind::kC, 3, 0.1);
   static const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  static const core::PoolAttribution attribution(world.chain, registry);
-  util::ThreadPool workers(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::AuditDataset::build(world.chain, attribution, workers));
+    benchmark::DoNotOptimize(core::AuditDataset::build(world.chain, registry, 1));
   }
 }
 BENCHMARK(BM_SelfInterestLists)->Unit(benchmark::kMillisecond);
@@ -46,10 +42,8 @@ int main(int argc, char** argv) {
       bench::worlds::baseline(sim::DatasetKind::kC, seed, scale));
   json.metric("txs", static_cast<double>(world.chain.total_tx_count()));
   json.metric("blocks", static_cast<double>(world.chain.size()));
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(world.chain, registry);
-  util::ThreadPool workers(0);
-  const auto dataset = core::AuditDataset::build(world.chain, attribution, workers);
+  const auto dataset = core::AuditDataset::build(
+      world.chain, btc::CoinbaseTagRegistry::paper_registry());
 
   CsvWriter csv(bench::out_dir() + "/fig08_wallets.csv");
   csv.header({"pool", "blocks", "reward_wallets", "self_interest_txs"});
@@ -62,11 +56,12 @@ int main(int argc, char** argv) {
     const std::string& pool = dataset.pool_name(id);
     const auto txs = dataset.self_interest_txs(id);
     total_self += txs.size();
-    table.print_row({pool, with_commas(attribution.blocks_of(pool)),
-                     std::to_string(attribution.wallets_of(pool).size()),
+    const auto wallets = dataset.reward_wallets(id);
+    table.print_row({pool, with_commas(dataset.blocks_of(id)),
+                     std::to_string(wallets.size()),
                      with_commas(static_cast<std::uint64_t>(txs.size()))});
-    csv.field(pool).field(attribution.blocks_of(pool));
-    csv.field(static_cast<std::uint64_t>(attribution.wallets_of(pool).size()));
+    csv.field(pool).field(dataset.blocks_of(id));
+    csv.field(static_cast<std::uint64_t>(wallets.size()));
     csv.field(static_cast<std::uint64_t>(txs.size()));
     csv.end_row();
   }

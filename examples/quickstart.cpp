@@ -20,11 +20,9 @@
 #include "core/ppe.hpp"
 #include "core/prio_test.hpp"
 #include "core/report.hpp"
-#include "core/wallet_inference.hpp"
 #include "sim/dataset.hpp"
 #include "stats/descriptive.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
@@ -38,23 +36,21 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(world.chain.total_tx_count()),
               static_cast<unsigned long long>(world.issued_count));
 
-  // 2. Attribute blocks from coinbase markers (no ground truth involved).
-  // The columnar audit view every detector below reads, built once.
-  const auto registry = cn::btc::CoinbaseTagRegistry::paper_registry();
-  const cn::core::PoolAttribution attribution(world.chain, registry);
-  cn::util::ThreadPool workers;
-  const auto dataset = cn::core::AuditDataset::build(world.chain, attribution, workers);
+  // 2. Attribute blocks from coinbase markers (no ground truth involved):
+  // the columnar audit view every detector below reads, built once.
+  const auto dataset = cn::core::AuditDataset::build(
+      world.chain, cn::btc::CoinbaseTagRegistry::paper_registry());
   std::printf("Top pools by mined blocks:\n");
-  const auto pools = attribution.pools_by_blocks();
-  for (std::size_t i = 0; i < pools.size() && i < 5; ++i) {
+  const auto pool_ids = dataset.pools_by_blocks();
+  for (std::size_t i = 0; i < pool_ids.size() && i < 5; ++i) {
     std::printf("  %-16s %5llu blocks (%.2f%% hash share), %zu reward wallets\n",
-                pools[i].c_str(),
-                static_cast<unsigned long long>(attribution.blocks_of(pools[i])),
-                attribution.hash_share(pools[i]) * 100.0,
-                attribution.wallets_of(pools[i]).size());
+                dataset.pool_name(pool_ids[i]).c_str(),
+                static_cast<unsigned long long>(dataset.blocks_of(pool_ids[i])),
+                dataset.hash_share(pool_ids[i]) * 100.0,
+                dataset.reward_wallets(pool_ids[i]).size());
   }
   std::printf("  unidentified blocks: %llu\n\n",
-              static_cast<unsigned long long>(attribution.unidentified_blocks()));
+              static_cast<unsigned long long>(dataset.unidentified_blocks()));
 
   // 3. Norm adherence: position prediction error.
   const std::vector<double> ppe = cn::core::chain_ppe(dataset);
@@ -67,7 +63,6 @@ int main(int argc, char** argv) {
   cn::core::TablePrinter table({"pool", "theta0", "x", "y", "p-accel", "SPPE"},
                                {16, 9, 7, 7, 10, 9});
   table.print_header();
-  const auto pool_ids = dataset.pools_by_blocks();
   for (std::size_t i = 0; i < pool_ids.size() && i < 8; ++i) {
     const auto txs = dataset.self_interest_txs(pool_ids[i]);
     if (txs.empty()) continue;

@@ -1,6 +1,8 @@
 #include "core/audit_dataset.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <numeric>
 #include <unordered_set>
 
 #include "core/ppe.hpp"
@@ -39,6 +41,22 @@ BuildMetrics& build_metrics() {
   return *m;
 }
 
+/// Each pool's distinct reward wallets, ascending: the coinbase reward
+/// address of every block attributed to it (Figure 8a).
+std::vector<std::vector<btc::Address>> reward_wallets_of(
+    std::span<const PoolId> block_pool, std::span<const btc::Address> reward,
+    std::size_t npools) {
+  std::vector<std::vector<btc::Address>> wallets(npools);
+  for (std::size_t b = 0; b < block_pool.size(); ++b) {
+    if (block_pool[b] != kNoPoolId) wallets[block_pool[b]].push_back(reward[b]);
+  }
+  for (std::vector<btc::Address>& w : wallets) {
+    std::sort(w.begin(), w.end());
+    w.erase(std::unique(w.begin(), w.end()), w.end());
+  }
+  return wallets;
+}
+
 }  // namespace
 
 void block_flags(const btc::Block& block, std::span<std::uint8_t> flags) {
@@ -74,20 +92,19 @@ double block_columns(const btc::Block& block, std::span<double> sppe,
 }
 
 AuditDataset AuditDataset::build(const btc::Chain& chain,
-                                 const PoolAttribution& attribution,
-                                 util::ThreadPool& workers,
+                                 const btc::CoinbaseTagRegistry& registry,
+                                 unsigned threads,
                                  const btc::AddressTable* interned_addresses) {
   const obs::Span span("core.audit_dataset.build");
   AuditDataset ds;
+  ds.registry_fingerprint_ = registry.fingerprint();
   const std::size_t nblocks = chain.size();
-  const std::size_t npools = attribution.pool_count();
-
-  ds.pool_names_.reserve(npools);
-  for (PoolId id = 0; id < npools; ++id) ds.pool_names_.push_back(attribution.name_of(id));
-  ds.pools_by_blocks_ = attribution.pool_ids_by_blocks();
   if (interned_addresses != nullptr) ds.addresses_ = *interned_addresses;
 
-  // Pass 1 (serial): block columns and the tx offset table.
+  // Pass 1 (serial): attribution, block columns and the tx offset table.
+  // Pools are interned in chain order of first appearance.
+  std::vector<btc::Address> rewards;
+  rewards.reserve(nblocks);
   ds.block_height_.reserve(nblocks);
   ds.block_mined_at_.reserve(nblocks);
   ds.block_pool_.reserve(nblocks);
@@ -95,17 +112,30 @@ AuditDataset AuditDataset::build(const btc::Chain& chain,
   ds.tx_begin_.reserve(nblocks + 1);
   std::size_t ntxs = 0;
   for (const btc::Block& block : chain.blocks()) {
+    PoolId pool = kNoPoolId;
+    if (const auto name = registry.identify(block.coinbase().tag)) {
+      pool = ds.pool_id(*name);
+      if (pool == kNoPoolId) {
+        pool = static_cast<PoolId>(ds.pool_names_.size());
+        ds.pool_names_.push_back(*name);
+      }
+    } else {
+      ++ds.unidentified_blocks_;
+    }
     ds.block_height_.push_back(block.height());
     ds.block_mined_at_.push_back(block.mined_at());
-    ds.block_pool_.push_back(attribution.pool_id_at(block.height()));
+    ds.block_pool_.push_back(pool);
+    rewards.push_back(block.coinbase().reward_address);
     ds.block_fees_.push_back(block.total_fees().value);
     ds.tx_begin_.push_back(static_cast<TxIdx>(ntxs));
     ntxs += block.tx_count();
   }
   CN_ASSERT(ntxs < static_cast<std::size_t>(~TxIdx{0}));
   ds.tx_begin_.push_back(static_cast<TxIdx>(ntxs));
+  const std::size_t npools = ds.pool_names_.size();
 
-  // Per-pool block lists and tx counts fall straight out of pass 1.
+  // Per-pool block lists, tx counts and wallets fall straight out of
+  // pass 1.
   ds.pool_blocks_.resize(npools);
   ds.pool_tx_counts_.assign(npools, 0);
   for (std::size_t b = 0; b < nblocks; ++b) {
@@ -114,11 +144,21 @@ AuditDataset AuditDataset::build(const btc::Chain& chain,
     ds.pool_blocks_[p].push_back(static_cast<std::uint32_t>(b));
     ds.pool_tx_counts_[p] += ds.tx_begin_[b + 1] - ds.tx_begin_[b];
   }
+  ds.pools_by_blocks_.resize(npools);
+  std::iota(ds.pools_by_blocks_.begin(), ds.pools_by_blocks_.end(), PoolId{0});
+  std::sort(ds.pools_by_blocks_.begin(), ds.pools_by_blocks_.end(),
+            [&ds](PoolId a, PoolId b) {
+              if (ds.blocks_of(a) != ds.blocks_of(b)) {
+                return ds.blocks_of(a) > ds.blocks_of(b);
+              }
+              return ds.pool_names_[a] < ds.pool_names_[b];
+            });
+  ds.reward_wallets_ = reward_wallets_of(ds.block_pool_, rewards, npools);
 
   // Every wallet any pool names, known before the self-interest scan.
   WalletIndex wallets;
   for (PoolId p = 0; p < npools; ++p) {
-    for (const btc::Address& a : attribution.wallets_of(p)) wallets.add(a, p);
+    for (const btc::Address& a : ds.reward_wallets_[p]) wallets.add(a, p);
   }
 
   // Pass 2 (serial): transaction columns, interned outputs, and the
@@ -172,6 +212,7 @@ AuditDataset AuditDataset::build(const btc::Chain& chain,
   ds.block_ppe_.resize(nblocks);
   ds.sppe_.resize(ntxs);
   ds.tx_flags_.resize(ntxs);
+  util::ThreadPool workers(threads);
   workers.parallel_for(nblocks, [&](std::size_t b) {
     const TxIdx begin = ds.tx_begin_[b];
     const std::size_t n = ds.tx_begin_[b + 1] - begin;
@@ -194,17 +235,10 @@ AuditDataset AuditDataset::build(const btc::Chain& chain,
   return ds;
 }
 
-AuditDataset AuditDataset::build(const btc::Chain& chain,
-                                 const btc::CoinbaseTagRegistry& registry,
-                                 unsigned threads) {
-  const PoolAttribution attribution(chain, registry);
-  util::ThreadPool workers(threads);
-  return build(chain, attribution, workers);
-}
-
 AuditDataset AuditDataset::restore(AuditDatasetColumns&& columns) {
   const obs::Span span("core.audit_dataset.restore");
   AuditDataset ds;
+  ds.registry_fingerprint_ = columns.registry_fingerprint;
   ds.pool_names_ = std::move(columns.pool_names);
   ds.pools_by_blocks_ = std::move(columns.pools_by_blocks);
   ds.block_height_ = std::move(columns.block_height);
@@ -228,6 +262,11 @@ AuditDataset AuditDataset::restore(AuditDatasetColumns&& columns) {
 
   CN_ASSERT(ds.tx_begin_.size() == ds.block_height_.size() + 1);
   CN_ASSERT(ds.out_begin_.size() == ds.fee_rate_.size() + 1);
+  CN_ASSERT(columns.block_reward.size() == ds.block_pool_.size());
+  ds.unidentified_blocks_ = static_cast<std::uint64_t>(
+      std::count(ds.block_pool_.begin(), ds.block_pool_.end(), kNoPoolId));
+  ds.reward_wallets_ =
+      reward_wallets_of(ds.block_pool_, columns.block_reward, ds.pool_names_.size());
   ds.tx_block_.resize(ds.fee_rate_.size());
   for (std::size_t b = 0; b + 1 < ds.tx_begin_.size(); ++b) {
     for (TxIdx t = ds.tx_begin_[b]; t < ds.tx_begin_[b + 1]; ++t) {
@@ -247,6 +286,18 @@ PoolId AuditDataset::pool_id(std::string_view name) const noexcept {
     if (pool_names_[id] == name) return id;
   }
   return kNoPoolId;
+}
+
+std::span<const btc::Address> AuditDataset::reward_wallets(PoolId id) const {
+  static const std::vector<btc::Address> kEmpty;
+  return id < reward_wallets_.size() ? std::span<const btc::Address>(reward_wallets_[id])
+                                     : std::span<const btc::Address>(kEmpty);
+}
+
+PoolId AuditDataset::pool_at(std::uint64_t height) const noexcept {
+  if (block_height_.empty() || height < block_height_.front()) return kNoPoolId;
+  const std::uint64_t b = height - block_height_.front();
+  return b < block_pool_.size() ? block_pool_[b] : kNoPoolId;
 }
 
 double AuditDataset::hash_share(PoolId id) const noexcept {
@@ -298,6 +349,7 @@ std::size_t AuditDataset::memory_bytes() const noexcept {
   for (const auto& name : pool_names_) total += name.size();
   for (const auto& v : pool_blocks_) total += vec_bytes(v);
   for (const auto& v : self_interest_) total += vec_bytes(v);
+  for (const auto& v : reward_wallets_) total += vec_bytes(v);
   return total;
 }
 

@@ -1,4 +1,5 @@
-// Columnar (structure-of-arrays) view of a chain for the audit layer.
+// Columnar (structure-of-arrays) view of a chain for the audit layer,
+// and the audit's one pool table.
 //
 // The audit's analyses (§4-§6) are embarrassingly columnar: every one of
 // them scans {fee_rate, vsize, first_seen, position} over contiguous
@@ -7,7 +8,8 @@
 // per-transaction statistic: flat arrays addressed by dense interned
 // ids instead of btc::Chain object graphs and pool-name strings:
 //
-//   * PoolId    — interned pool name (core/wallet_inference.hpp);
+//   * PoolId    — interned pool name (core/wallet_inference.hpp),
+//                 assigned by build() in chain order of first appearance;
 //   * TxIdx     — chain-global transaction ordinal, assigned in
 //                 (block, position) commit order;
 //   * AddressId — interned wallet (btc/intern.hpp).
@@ -24,9 +26,17 @@
 //     core/sppe.hpp verbatim, with quiet NaN standing in for "undefined"
 //     (fewer than 2 retained/total transactions); consumers skip NaN.
 //
-// The build fans out per block over a util::ThreadPool: each block's
-// task writes only its own slots, so the dataset is bit-identical for
-// every thread count.
+// build() does the paper's pool attribution (§5.2, Figure 8) in its
+// serial pass over the blocks: it attributes each block to a pool by its
+// coinbase marker, collects each pool's reward wallets from its
+// coinbases, and flags as self-interest every transaction spending from
+// or paying to one of those wallets. The dataset records the registry's
+// fingerprint, so a stored copy (the CNB1 derived sections) says which
+// registry its PoolIds belong to.
+//
+// The norm columns fan out per block over a util::ThreadPool: each
+// block's task writes only its own slots, so the dataset is
+// bit-identical for every thread count.
 #pragma once
 
 #include <cstdint>
@@ -36,13 +46,10 @@
 #include <vector>
 
 #include "btc/chain.hpp"
+#include "btc/coinbase_tags.hpp"
 #include "btc/intern.hpp"
 #include "core/wallet_inference.hpp"
 #include "util/time.hpp"
-
-namespace cn::util {
-class ThreadPool;
-}
 
 namespace cn::core {
 
@@ -68,17 +75,21 @@ void block_flags(const btc::Block& block, std::span<std::uint8_t> flags);
 double block_columns(const btc::Block& block, std::span<double> sppe,
                      std::span<std::uint8_t> flags);
 
-/// Deserialized column bundle for AuditDataset::restore() — a
-/// field-for-field mirror of the private columns, produced by the CNB1
-/// loader (io/cnb.cpp) after it has bounds-checked every array. The
-/// spans must satisfy the invariants in the file comment; restore()
-/// trusts them and only derives what build() derives (tx_block_).
+/// Deserialized column bundle for AuditDataset::restore(), produced by
+/// the CNB1 loader (io/cnb.cpp) after it has bounds-checked every array.
+/// The spans must satisfy the invariants in the file comment; restore()
+/// trusts them. It derives tx_block_ from tx_begin, the unidentified
+/// count from block_pool, and each pool's reward wallets from
+/// block_pool and block_reward.
 struct AuditDatasetColumns {
+  /// CoinbaseTagRegistry::fingerprint of the registry build() ran under.
+  std::uint64_t registry_fingerprint = 0;
   std::vector<std::string> pool_names;
   std::vector<PoolId> pools_by_blocks;
   std::vector<std::uint64_t> block_height;
   std::vector<SimTime> block_mined_at;
   std::vector<PoolId> block_pool;
+  std::vector<btc::Address> block_reward;  ///< coinbase reward address
   std::vector<std::int64_t> block_fees;
   std::vector<double> block_ppe;
   std::vector<TxIdx> tx_begin;  // size block_count + 1
@@ -100,25 +111,21 @@ class AuditDataset {
  public:
   AuditDataset() = default;
 
-  /// Builds the columnar view. @p interned_addresses may carry a table an
-  /// importer produced during load (io::import_chain); it is copied and
-  /// extended as needed, so the ids stay stable for the caller.
-  static AuditDataset build(const btc::Chain& chain,
-                            const PoolAttribution& attribution,
-                            util::ThreadPool& workers,
-                            const btc::AddressTable* interned_addresses = nullptr);
-
-  /// For callers holding only a chain: attributes its blocks under
-  /// @p registry and builds on @p threads lanes (0 = hardware
-  /// concurrency; the dataset is the same at every count).
+  /// Attributes every block of @p chain under @p registry and builds the
+  /// columnar view; the per-block norm columns run on @p threads lanes
+  /// (0 = hardware concurrency; the dataset is the same at every count).
+  /// @p interned_addresses may carry a table an importer produced during
+  /// load (io::import_chain); it is copied and extended as needed, so the
+  /// ids stay stable for the caller.
   static AuditDataset build(const btc::Chain& chain,
                             const btc::CoinbaseTagRegistry& registry,
-                            unsigned threads = 0);
+                            unsigned threads = 0,
+                            const btc::AddressTable* interned_addresses = nullptr);
 
   /// Rebuilds a dataset from deserialized columns without touching a
-  /// chain: every column is adopted as-is and tx_block_ is derived from
-  /// the tx_begin CSR, so a restored dataset is indistinguishable from
-  /// the build() that produced the columns.
+  /// chain: every stored column is adopted as-is and the rest is derived
+  /// (see AuditDatasetColumns), so a restored dataset is
+  /// indistinguishable from the build() that produced the columns.
   static AuditDataset restore(AuditDatasetColumns&& columns);
 
   // --- sizes ---------------------------------------------------------
@@ -127,7 +134,12 @@ class AuditDataset {
   std::size_t pool_count() const noexcept { return pool_names_.size(); }
   bool empty() const noexcept { return block_height_.empty(); }
 
-  // --- pool tables (mirrors PoolAttribution) -------------------------
+  // --- pool table -----------------------------------------------------
+  /// CoinbaseTagRegistry::fingerprint of the registry the blocks were
+  /// attributed under: PoolIds are meaningful only under that registry.
+  std::uint64_t registry_fingerprint() const noexcept { return registry_fingerprint_; }
+  /// Blocks whose coinbase marker matched no pool.
+  std::uint64_t unidentified_blocks() const noexcept { return unidentified_blocks_; }
   const std::string& pool_name(PoolId id) const;
   /// Id of the pool named @p name; kNoPoolId when no block is
   /// attributed to it.
@@ -135,10 +147,15 @@ class AuditDataset {
   std::uint64_t blocks_of(PoolId id) const noexcept {
     return id < pool_blocks_.size() ? pool_blocks_[id].size() : 0;
   }
-  /// blocks_of(id) / block_count() — same estimate the attribution uses.
+  /// Normalized hash rate estimate: blocks_of(id) / block_count().
   double hash_share(PoolId id) const noexcept;
   /// Ids ordered by descending block count (ties by name).
   std::span<const PoolId> pools_by_blocks() const noexcept { return pools_by_blocks_; }
+  /// Distinct reward wallets the pool named in its coinbases, ascending.
+  std::span<const btc::Address> reward_wallets(PoolId id) const;
+  /// Pool that mined the block at @p height; kNoPoolId when the block is
+  /// unidentified or @p height is outside the chain.
+  PoolId pool_at(std::uint64_t height) const noexcept;
 
   // --- block columns (index = block ordinal) -------------------------
   std::span<const std::uint64_t> block_heights() const noexcept { return block_height_; }
@@ -183,8 +200,7 @@ class AuditDataset {
   /// Committed transactions of the pool's blocks (sum over its blocks).
   std::uint64_t pool_tx_count(PoolId id) const noexcept;
   /// Ascending TxIdx of transactions spending from or paying to one of
-  /// the pool's inferred wallets (same set and order as
-  /// core/wallet_inference.hpp self_interest_txs).
+  /// the pool's reward wallets (reward_wallets(id)).
   std::span<const TxIdx> self_interest_txs(PoolId id) const;
 
   /// Ascending TxIdx of transactions paying to @p address (scam-wallet
@@ -196,9 +212,12 @@ class AuditDataset {
   std::size_t memory_bytes() const noexcept;
 
  private:
-  // pool tables
+  // pool table
+  std::uint64_t registry_fingerprint_ = 0;
+  std::uint64_t unidentified_blocks_ = 0;
   std::vector<std::string> pool_names_;
   std::vector<PoolId> pools_by_blocks_;
+  std::vector<std::vector<btc::Address>> reward_wallets_;
 
   // block columns
   std::vector<std::uint64_t> block_height_;

@@ -1,6 +1,7 @@
 // The staged columnar audit pipeline (DESIGN.md §9). Every stage reads
-// the shared immutable AuditContext — attribution, AuditDataset, tested
-// pools, per-pool coverage — and writes only its own report section.
+// the shared immutable AuditContext — the AuditDataset with its pool
+// table, tested pools, per-pool coverage — and writes only its own
+// report section.
 // Only the build stage's per-block pass runs on a thread pool; the
 // stages after it are plain loops, so the report is byte-identical at
 // every thread count.
@@ -17,9 +18,9 @@
 #include "core/sppe.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cn::core {
 
@@ -98,8 +99,6 @@ AuditReport run_full_audit(const btc::Chain& chain,
 
   AuditReport report;
   report.options = options;
-  report.blocks = chain.size();
-  report.txs = chain.total_tx_count();
 
   AuditContext ctx;
 
@@ -127,23 +126,25 @@ AuditReport run_full_audit(const btc::Chain& chain,
     report.stages.push_back(std::move(s));
   };
 
-  // build: attribution, the columnar dataset, and the tested-pool list.
+  // build: the columnar dataset with its pool table, and the tested-pool
+  // list. A prebuilt dataset is adopted without reading the chain.
   stage("build", true, [&] {
-    ctx.attribution = PoolAttribution(chain, registry);
     if (options.prebuilt_dataset != nullptr) {
+      CN_ASSERT(options.prebuilt_dataset->registry_fingerprint() ==
+                registry.fingerprint());
       ctx.dataset = options.prebuilt_dataset;
     } else {
-      util::ThreadPool workers(options.threads);
-      ctx.built_dataset = AuditDataset::build(chain, ctx.attribution, workers,
+      ctx.built_dataset = AuditDataset::build(chain, registry, options.threads,
                                               options.interned_addresses);
       ctx.dataset = &ctx.built_dataset;
     }
-    for (const PoolId id : ctx.attribution.pool_ids_by_blocks()) {
-      if (ctx.attribution.hash_share(id) >= kMinShare) {
-        ctx.pools.push_back(id);
-      }
+    const AuditDataset& ds = *ctx.dataset;
+    for (const PoolId id : ds.pools_by_blocks()) {
+      if (ds.hash_share(id) >= kMinShare) ctx.pools.push_back(id);
     }
-    report.unidentified_blocks = ctx.attribution.unidentified_blocks();
+    report.blocks = ds.block_count();
+    report.txs = ds.tx_count();
+    report.unidentified_blocks = ds.unidentified_blocks();
   });
   const AuditDataset& ds = *ctx.dataset;
 
@@ -151,12 +152,12 @@ AuditReport run_full_audit(const btc::Chain& chain,
   // observed data each pool's statistics rest on.
   stage("quality-mask", true, [&] {
     report.has_quality = quality != nullptr;
-    ctx.pool_coverage.assign(ctx.attribution.pool_count(), 1.0);
+    ctx.pool_coverage.assign(ds.pool_count(), 1.0);
     if (quality == nullptr) return;
     report.mean_coverage = quality->mean_coverage;
     report.snapshot_gaps = static_cast<std::uint64_t>(quality->gaps.size());
-    std::vector<double> sum(ctx.attribution.pool_count(), 0.0);
-    std::vector<std::uint64_t> n(ctx.attribution.pool_count(), 0);
+    std::vector<double> sum(ds.pool_count(), 0.0);
+    std::vector<std::uint64_t> n(ds.pool_count(), 0);
     const std::span<const std::uint64_t> heights = ds.block_heights();
     const std::span<const PoolId> owners = ds.block_pool();
     for (std::size_t b = 0; b < ds.block_count(); ++b) {
@@ -273,8 +274,7 @@ AuditReport run_full_audit(const btc::Chain& chain,
   stage("neutrality", false, [&] {
     report.neutrality = neutrality_reports(ds, NeutralityOptions{});
     for (NeutralityReport& n : report.neutrality) {
-      const auto id = ctx.attribution.id_of(n.pool);
-      n.coverage = id.has_value() ? coverage_of_pool(*id) : 1.0;
+      n.coverage = coverage_of_pool(ds.pool_id(n.pool));
       n.insufficient_data =
           report.has_quality && n.coverage < options.min_coverage;
     }

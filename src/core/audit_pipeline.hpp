@@ -11,7 +11,8 @@
 // Internally the audit is a sequence of named stages over one immutable
 // AuditContext (DESIGN.md §9):
 //
-//   build        — attribution + columnar AuditDataset (always runs)
+//   build        — the columnar AuditDataset, which attributes the
+//                  blocks to pools (always runs)
 //   quality-mask — coverage accounting from the DataQualityReport (always)
 //   norm-stats   — norm-II adherence (PPE summary)
 //   pool-tests   — §5.2 cross-pool differential prioritization
@@ -26,7 +27,8 @@
 // Stages are individually timed (AuditReport::stages) and selectable via
 // AuditOptions::stages (cnaudit --stages); a deselected stage is
 // reported as [SKIPPED] rather than silently absent. Only the build
-// stage reads the chain; every later stage reads the same columnar
+// stage reads the chain, and only when it builds the dataset; every
+// later stage reads the same columnar
 // dataset the single-detector entry points (core/prio_test.hpp,
 // neutrality.hpp, withholding.hpp, ...) take, so a report and a
 // per-detector run agree by construction. The thresholds the paper
@@ -87,10 +89,10 @@ struct AuditOptions {
   /// Optional dataset a loader already holds (a CNB1 file's derived
   /// sections, io::DatasetHandle::prebuilt_for). When set, the build
   /// stage references it instead of calling AuditDataset::build, the
-  /// dominant cost of an audit; nothing is copied. The caller
-  /// guarantees it was built from this chain under this registry (the
-  /// fingerprint gate in prebuilt_for enforces the registry half); it
-  /// must outlive the run_full_audit call.
+  /// dominant cost of an audit; nothing is copied and the chain is not
+  /// read. The caller guarantees it was built from this chain; its
+  /// registry_fingerprint() must equal the registry's, or
+  /// run_full_audit aborts. It must outlive the run_full_audit call.
   const AuditDataset* prebuilt_dataset = nullptr;
   /// Optional observer first-seen log (txid -> first-seen time; the
   /// type io::FirstSeenMap names, spelled from util and btc so core
@@ -111,12 +113,11 @@ struct AuditStage {
 /// Stage names in execution order, for --stages validation and help.
 const std::vector<std::string>& audit_stage_names();
 
-/// The immutable state every analysis stage reads: the attribution,
-/// columnar dataset, tested-pool list, and per-pool coverage derived
-/// from the chain. Built by the "build" and "quality-mask" stages, then
-/// read, never written, by the serial stages after them.
+/// The immutable state every analysis stage reads: the columnar dataset
+/// (with its pool table), the tested-pool list, and per-pool coverage.
+/// Built by the "build" and "quality-mask" stages, then read, never
+/// written, by the serial stages after them.
 struct AuditContext {
-  PoolAttribution attribution;
   /// The dataset every stage reads: AuditOptions::prebuilt_dataset when
   /// the caller passed one, otherwise built_dataset.
   const AuditDataset* dataset = nullptr;
@@ -192,8 +193,9 @@ struct AuditReport {
   bool stage_skipped(std::string_view name) const noexcept;
 };
 
-/// Runs the whole §4-§5 methodology. The attribution is rebuilt
-/// internally from @p registry.
+/// Runs the whole §4-§5 methodology. The build stage attributes the
+/// chain's blocks under @p registry (or adopts
+/// AuditOptions::prebuilt_dataset).
 AuditReport run_full_audit(const btc::Chain& chain,
                            const btc::CoinbaseTagRegistry& registry,
                            const AuditOptions& options = {});

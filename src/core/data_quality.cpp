@@ -20,9 +20,11 @@ double DataQualityReport::coverage_at(std::uint64_t height) const noexcept {
 }
 
 const BlockCoverage* DataQualityReport::find(std::uint64_t height) const noexcept {
-  const auto it = index.find(height);
-  if (it == index.end()) return nullptr;
-  return &blocks[it->second];
+  // Chain::append keeps heights contiguous, so a block's slot is its
+  // offset from the first graded height.
+  if (blocks.empty() || height < blocks.front().height) return nullptr;
+  const std::uint64_t slot = height - blocks.front().height;
+  return slot < blocks.size() ? &blocks[slot] : nullptr;
 }
 
 DataQualityReport assess_data_quality(
@@ -68,7 +70,6 @@ DataQualityReport assess_data_quality(
 
     bc.coverage = bc.in_snapshot_gap ? 0.0 : bc.first_seen_coverage;
     coverage_sum += bc.coverage;
-    report.index.emplace(bc.height, report.blocks.size());
     report.blocks.push_back(bc);
     prev_mined_at = block.mined_at();
   }

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "btc/chain.hpp"
@@ -39,17 +38,15 @@ struct DataQualityReport {
   bool has_snapshots = false;
   bool has_first_seen = false;
   std::vector<node::SnapshotGap> gaps;  ///< observer outage windows
-  std::vector<BlockCoverage> blocks;    ///< chain order
+  std::vector<BlockCoverage> blocks;    ///< chain order, contiguous heights
   double mean_coverage = 1.0;           ///< mean effective coverage
   std::uint64_t first_seen_txs = 0;     ///< entries in the first-seen log
 
   /// Effective coverage of @p height; 1.0 for heights outside the graded
   /// chain (no evidence either way).
   double coverage_at(std::uint64_t height) const noexcept;
+  /// The grade of @p height; nullptr outside the graded chain.
   const BlockCoverage* find(std::uint64_t height) const noexcept;
-
-  // Populated by assess_data_quality for O(1) coverage_at lookups.
-  std::unordered_map<std::uint64_t, std::size_t> index;
 };
 
 /// Grades @p chain against the auxiliary observations. Either series may

@@ -70,7 +70,8 @@ PairViolationStats count_pair_violations(
 /// lower-fee transaction j while the better-qualified i was left pending
 /// (i.e. b_j; the miner of that block skipped i). Returns violation
 /// counts per block height, which callers can fold by pool via
-/// PoolAttribution. Same filtering semantics as count_pair_violations.
+/// AuditDataset::pool_at. Same filtering semantics as
+/// count_pair_violations.
 std::unordered_map<std::uint64_t, std::uint64_t> violations_by_block(
     std::vector<SeenTx> txs, SimTime epsilon, bool exclude_cpfp,
     PairAlgorithm algorithm = PairAlgorithm::kFenwick);

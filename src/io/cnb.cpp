@@ -536,7 +536,7 @@ bool write_cnb(const btc::Chain& chain, const std::string& path,
   hw.u64(nb);
   hw.u64(nt);
   hw.u64(flags);
-  hw.u64(options.dataset != nullptr ? options.registry_fingerprint : 0);
+  hw.u64(options.dataset != nullptr ? options.dataset->registry_fingerprint() : 0);
 
   std::vector<std::uint8_t> directory;
   directory.reserve(sections.size() * 32);
@@ -593,10 +593,7 @@ bool write_cnb(const DatasetHandle& handle, const std::string& path,
   CnbWriteOptions options;
   if (handle.snapshots) options.snapshots = &*handle.snapshots;
   if (handle.first_seen) options.first_seen = &*handle.first_seen;
-  if (handle.audit_dataset) {
-    options.dataset = &*handle.audit_dataset;
-    options.registry_fingerprint = handle.registry_fingerprint;
-  }
+  if (handle.audit_dataset) options.dataset = &*handle.audit_dataset;
   if (handle.sim_world) options.world = &*handle.sim_world;
   return write_cnb(handle.chain, path, options, error);
 }
@@ -861,7 +858,6 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
   group_ok = true;
   DatasetHandle handle;
   handle.format = DatasetFormat::kCnb;
-  handle.registry_fingerprint = header.fingerprint;
 
   // The relational columns are consumed within this call (chain rebuild,
   // intern pass, derived-column copies), so they are read straight out
@@ -1241,7 +1237,12 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
       for (std::uint64_t b = 0; b < nb; ++b) {
         cols.block_height.push_back(genesis_height + b);
       }
+      cols.registry_fingerprint = header.fingerprint;
       cols.block_mined_at.assign(mined_at, mined_at + nb);
+      cols.block_reward.reserve(nb);
+      for (std::uint64_t b = 0; b < nb; ++b) {
+        cols.block_reward.push_back(btc::Address{reward_addr[b]});
+      }
       cols.tx_begin.assign(block_tx_begin, block_tx_begin + nb + 1);
       cols.vsize.assign(vsize, vsize + nt);
       cols.issued.assign(issued, issued + nt);

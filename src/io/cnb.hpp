@@ -30,9 +30,10 @@
 //                 derived audit-dataset sections, bit 3 sealed block
 //                 headers present, bit 4 simulator ground truth for
 //                 cached worlds)
-//       56     8  registry_fingerprint (CoinbaseTagRegistry::fingerprint
-//                 of the registry the derived sections were built under;
-//                 0 when flags bit 2 is clear)
+//       56     8  registry_fingerprint (the derived dataset's
+//                 AuditDataset::registry_fingerprint, the
+//                 CoinbaseTagRegistry it was attributed under; 0 when
+//                 flags bit 2 is clear)
 //
 // Directory entry: {section_id u32, reserved u32, offset u64,
 // byte_size u64, checksum u64}. The checksum is four interleaved
@@ -187,10 +188,9 @@ std::optional<CnbInfo> inspect_cnb(const std::string& path,
 struct CnbWriteOptions {
   const node::SnapshotSeries* snapshots = nullptr;
   const FirstSeenMap* first_seen = nullptr;
-  /// Derived audit columns to embed; requires registry_fingerprint to
-  /// identify the CoinbaseTagRegistry they were built under.
+  /// Derived audit columns to embed (flag bit 2); the header records the
+  /// dataset's own registry_fingerprint().
   const core::AuditDataset* dataset = nullptr;
-  std::uint64_t registry_fingerprint = 0;
   /// Simulator ground truth for cached worlds (flag bit 4); the
   /// accelerated txid list is re-sorted on write.
   const SimWorldInfo* world = nullptr;

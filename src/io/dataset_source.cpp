@@ -94,7 +94,7 @@ std::optional<DatasetFormat> parse_dataset_format(std::string_view name) {
 const core::AuditDataset* DatasetHandle::prebuilt_for(
     const btc::CoinbaseTagRegistry& registry) const {
   if (!audit_dataset.has_value()) return nullptr;
-  if (registry.fingerprint() != registry_fingerprint) return nullptr;
+  if (audit_dataset->registry_fingerprint() != registry.fingerprint()) return nullptr;
   return &*audit_dataset;
 }
 

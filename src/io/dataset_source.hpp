@@ -82,17 +82,17 @@ struct DatasetHandle {
   /// table import_chain builds); pass to AuditOptions::interned_addresses.
   btc::AddressTable addresses;
 
-  /// CNB1 only: the derived audit columns stored alongside the chain,
-  /// valid for the registry identified by registry_fingerprint.
+  /// The derived audit columns a CNB1 file stored alongside the chain
+  /// (or a dataset a caller built and kept here). Valid only under the
+  /// registry its registry_fingerprint() names.
   std::optional<core::AuditDataset> audit_dataset;
-  std::uint64_t registry_fingerprint = 0;
 
   /// CNB1 only: simulator ground truth for cached worlds.
   std::optional<SimWorldInfo> sim_world;
 
   /// The stored audit dataset, or nullptr when none was stored or it was
-  /// derived under a different CoinbaseTagRegistry than @p registry (the
-  /// pool interning would not line up, so the caller must rebuild).
+  /// attributed under a different CoinbaseTagRegistry than @p registry
+  /// (the pool interning would not line up, so the caller must rebuild).
   const core::AuditDataset* prebuilt_for(
       const btc::CoinbaseTagRegistry& registry) const;
 };

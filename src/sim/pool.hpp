@@ -54,13 +54,13 @@ struct PoolSpec {
   double withhold_delay_s = 0.0;
   /// BitcoinF-style fair queue: FIFO ordering above the relay floor.
   bool fair_queue = false;
-  std::vector<std::string> accelerates_for;   ///< collusion partners
+  std::vector<std::string> accelerates_for{}; ///< collusion partners
   bool offers_acceleration = false;           ///< sells dark-fee service
   /// Probability per block of a one-off, off-the-books boost of a random
   /// low-fee pending tx (see CourtesyBoostPolicy). 0 disables.
   double courtesy_boost_per_block = 0.0;
   bool tolerates_low_fee = false;             ///< sporadically lifts floor
-  std::vector<btc::Address> censored_wallets; ///< refuses these (ablation)
+  std::vector<btc::Address> censored_wallets{}; ///< refuses these (ablation)
 
   /// Pools that lost their marker (the paper's ~1.3% unidentified blocks)
   /// write an empty coinbase tag.

@@ -222,5 +222,20 @@ TEST(AuditPipeline, EmptyChainYieldsEmptyReport) {
   EXPECT_TRUE(report.neutrality.empty());
 }
 
+// A prebuilt dataset's PoolIds are those of the registry it was
+// attributed under: audited under another registry, run_full_audit
+// aborts instead of naming pools by the wrong ids.
+TEST(PrebuiltDatasetDeathTest, ForeignRegistryAborts) {
+  btc::Chain chain(1);
+  btc::CoinbaseTagRegistry other;
+  other.add("F2Pool", "/F2Pool/");
+  const AuditDataset foreign = AuditDataset::build(chain, other, 1);
+  AuditOptions options;
+  options.prebuilt_dataset = &foreign;
+  EXPECT_DEATH((void)run_full_audit(
+                   chain, btc::CoinbaseTagRegistry::paper_registry(), options),
+               "registry_fingerprint");
+}
+
 }  // namespace
 }  // namespace cn::core

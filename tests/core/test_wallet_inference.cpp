@@ -1,4 +1,4 @@
-#include "core/wallet_inference.hpp"
+#include "core/audit_dataset.hpp"
 
 #include <gtest/gtest.h>
 
@@ -27,59 +27,65 @@ btc::CoinbaseTagRegistry small_registry() {
   return reg;
 }
 
-TEST(PoolAttribution, CountsAndShares) {
+TEST(PoolTable, CountsAndShares) {
   btc::Chain chain(1);
   chain.append(block_for_pool(1, "F2Pool", "f2/w0"));
   chain.append(block_for_pool(2, "F2Pool", "f2/w1"));
   chain.append(block_for_pool(3, "ViaBTC", "via/w0"));
-  const PoolAttribution attribution(chain, small_registry());
-  EXPECT_EQ(attribution.total_blocks(), 3u);
-  EXPECT_EQ(attribution.blocks_of("F2Pool"), 2u);
-  EXPECT_EQ(attribution.blocks_of("ViaBTC"), 1u);
-  EXPECT_EQ(attribution.blocks_of("Nobody"), 0u);
-  EXPECT_NEAR(attribution.hash_share("F2Pool"), 2.0 / 3.0, 1e-12);
+  const AuditDataset dataset = cn::test::dataset_of(chain, small_registry());
+  EXPECT_EQ(dataset.block_count(), 3u);
+  EXPECT_EQ(dataset.blocks_of(dataset.pool_id("F2Pool")), 2u);
+  EXPECT_EQ(dataset.blocks_of(dataset.pool_id("ViaBTC")), 1u);
+  EXPECT_EQ(dataset.blocks_of(dataset.pool_id("Nobody")), 0u);
+  EXPECT_NEAR(dataset.hash_share(dataset.pool_id("F2Pool")), 2.0 / 3.0, 1e-12);
 }
 
-TEST(PoolAttribution, PoolOfHeight) {
+TEST(PoolTable, PoolOfHeight) {
   btc::Chain chain(10);
   chain.append(block_for_pool(10, "F2Pool", "w"));
-  const PoolAttribution attribution(chain, small_registry());
-  const auto pool = attribution.pool_of(10);
-  ASSERT_TRUE(pool.has_value());
-  EXPECT_EQ(*pool, "F2Pool");
-  EXPECT_FALSE(attribution.pool_of(11).has_value());
+  const AuditDataset dataset = cn::test::dataset_of(chain, small_registry());
+  const PoolId pool = dataset.pool_at(10);
+  ASSERT_NE(pool, kNoPoolId);
+  EXPECT_EQ(dataset.pool_name(pool), "F2Pool");
+  EXPECT_EQ(dataset.pool_at(11), kNoPoolId);
+  EXPECT_EQ(dataset.pool_at(9), kNoPoolId);
 }
 
-TEST(PoolAttribution, UnidentifiedBlocks) {
+TEST(PoolTable, UnidentifiedBlocks) {
   btc::Chain chain(1);
   chain.append(block_for_pool(1, "F2Pool", "w"));
   btc::Coinbase blank;  // anonymous block
   chain.append(btc::Block(2, 1200, blank, {}));
-  const PoolAttribution attribution(chain, small_registry());
-  EXPECT_EQ(attribution.unidentified_blocks(), 1u);
-  EXPECT_FALSE(attribution.pool_of(2).has_value());
+  const AuditDataset dataset = cn::test::dataset_of(chain, small_registry());
+  EXPECT_EQ(dataset.unidentified_blocks(), 1u);
+  EXPECT_EQ(dataset.pool_at(2), kNoPoolId);
 }
 
-TEST(PoolAttribution, CollectsDistinctRewardWallets) {
+TEST(PoolTable, CollectsDistinctRewardWallets) {
   btc::Chain chain(1);
   chain.append(block_for_pool(1, "F2Pool", "f2/w0"));
   chain.append(block_for_pool(2, "F2Pool", "f2/w1"));
   chain.append(block_for_pool(3, "F2Pool", "f2/w0"));  // repeat
-  const PoolAttribution attribution(chain, small_registry());
-  EXPECT_EQ(attribution.wallets_of("F2Pool").size(), 2u);
-  EXPECT_TRUE(attribution.wallets_of("Unknown").empty());
+  const AuditDataset dataset = cn::test::dataset_of(chain, small_registry());
+  const auto wallets = dataset.reward_wallets(dataset.pool_id("F2Pool"));
+  ASSERT_EQ(wallets.size(), 2u);
+  EXPECT_LT(wallets[0], wallets[1]);
+  EXPECT_TRUE(dataset.reward_wallets(dataset.pool_id("Unknown")).empty());
 }
 
-TEST(PoolAttribution, PoolsByBlocksOrdered) {
+TEST(PoolTable, PoolsByBlocksOrdered) {
   btc::Chain chain(1);
   chain.append(block_for_pool(1, "ViaBTC", "w0"));
   chain.append(block_for_pool(2, "F2Pool", "w1"));
   chain.append(block_for_pool(3, "F2Pool", "w2"));
-  const PoolAttribution attribution(chain, small_registry());
-  const auto order = attribution.pools_by_blocks();
+  const AuditDataset dataset = cn::test::dataset_of(chain, small_registry());
+  const auto order = dataset.pools_by_blocks();
   ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], "F2Pool");
-  EXPECT_EQ(order[1], "ViaBTC");
+  EXPECT_EQ(dataset.pool_name(order[0]), "F2Pool");
+  EXPECT_EQ(dataset.pool_name(order[1]), "ViaBTC");
+  // Ids are interned in chain order of first appearance.
+  EXPECT_EQ(dataset.pool_id("ViaBTC"), 0u);
+  EXPECT_EQ(dataset.pool_id("F2Pool"), 1u);
 }
 
 TEST(SelfInterest, FindsSpendsAndReceipts) {

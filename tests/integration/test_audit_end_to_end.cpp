@@ -12,10 +12,8 @@
 #include "core/ppe.hpp"
 #include "core/prio_test.hpp"
 #include "core/sppe.hpp"
-#include "core/wallet_inference.hpp"
 #include "sim/dataset.hpp"
 #include "stats/descriptive.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cn {
 namespace {
@@ -27,25 +25,19 @@ class AuditWorld : public ::testing::Test {
   static void SetUpTestSuite() {
     world_ = new sim::SimResult(sim::make_dataset(sim::DatasetKind::kC, 1234, 0.8));
     registry_ = new btc::CoinbaseTagRegistry(btc::CoinbaseTagRegistry::paper_registry());
-    attribution_ = new core::PoolAttribution(world_->chain, *registry_);
-    util::ThreadPool workers;
-    dataset_ = new core::AuditDataset(
-        core::AuditDataset::build(world_->chain, *attribution_, workers));
+    dataset_ = new core::AuditDataset(core::AuditDataset::build(world_->chain, *registry_));
   }
   static void TearDownTestSuite() {
     delete dataset_;
     dataset_ = nullptr;
-    delete attribution_;
     delete registry_;
     delete world_;
-    attribution_ = nullptr;
     registry_ = nullptr;
     world_ = nullptr;
   }
 
   static sim::SimResult* world_;
   static btc::CoinbaseTagRegistry* registry_;
-  static core::PoolAttribution* attribution_;
   static core::AuditDataset* dataset_;
 
   /// The self-interest test of @p owner's transactions against @p miner.
@@ -60,19 +52,18 @@ class AuditWorld : public ::testing::Test {
 
 sim::SimResult* AuditWorld::world_ = nullptr;
 btc::CoinbaseTagRegistry* AuditWorld::registry_ = nullptr;
-core::PoolAttribution* AuditWorld::attribution_ = nullptr;
 core::AuditDataset* AuditWorld::dataset_ = nullptr;
 
 TEST_F(AuditWorld, AttributionMatchesConfiguredShares) {
   // Inferred hash shares should be near the configured ones.
   for (const auto& spec : world_->config.pools) {
     if (spec.anonymous) continue;
-    const double inferred = attribution_->hash_share(spec.name);
+    const double inferred = dataset_->hash_share(dataset_->pool_id(spec.name));
     EXPECT_NEAR(inferred, spec.hash_share / 100.0, 0.05) << spec.name;
   }
   // ~1.3% unidentified.
-  const double unknown = static_cast<double>(attribution_->unidentified_blocks()) /
-                         static_cast<double>(attribution_->total_blocks());
+  const double unknown = static_cast<double>(dataset_->unidentified_blocks()) /
+                         static_cast<double>(dataset_->block_count());
   EXPECT_GT(unknown, 0.001);
   EXPECT_LT(unknown, 0.05);
 }
@@ -80,8 +71,7 @@ TEST_F(AuditWorld, AttributionMatchesConfiguredShares) {
 TEST_F(AuditWorld, InferredWalletsAreTrueSubsets) {
   // Every inferred reward wallet must be one of the pool's real wallets.
   for (const auto& [pool, wallets] : world_->pool_wallets) {
-    const auto& inferred = attribution_->wallets_of(pool);
-    for (const auto& addr : inferred) {
+    for (const btc::Address addr : dataset_->reward_wallets(dataset_->pool_id(pool))) {
       EXPECT_NE(std::find(wallets.begin(), wallets.end(), addr), wallets.end())
           << pool;
     }

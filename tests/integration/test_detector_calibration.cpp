@@ -30,7 +30,6 @@
 #include "core/neutrality.hpp"
 #include "core/pair_violations.hpp"
 #include "core/prio_test.hpp"
-#include "core/wallet_inference.hpp"
 #include "sim/engine.hpp"
 
 namespace cn {
@@ -92,8 +91,6 @@ class DetectorCalibration : public ::testing::Test {
     registry_ = new btc::CoinbaseTagRegistry(calibration_registry());
     planted_ = new sim::SimResult(sim::Engine(calibration_config(991, true)).run());
     honest_ = new sim::SimResult(sim::Engine(calibration_config(991, false)).run());
-    planted_attr_ = new core::PoolAttribution(planted_->chain, *registry_);
-    honest_attr_ = new core::PoolAttribution(honest_->chain, *registry_);
     planted_ds_ = new core::AuditDataset(
         core::AuditDataset::build(planted_->chain, *registry_));
     honest_ds_ = new core::AuditDataset(
@@ -104,13 +101,9 @@ class DetectorCalibration : public ::testing::Test {
     delete planted_ds_;
     honest_ds_ = nullptr;
     planted_ds_ = nullptr;
-    delete honest_attr_;
-    delete planted_attr_;
     delete honest_;
     delete planted_;
     delete registry_;
-    honest_attr_ = nullptr;
-    planted_attr_ = nullptr;
     honest_ = nullptr;
     planted_ = nullptr;
     registry_ = nullptr;
@@ -150,8 +143,6 @@ class DetectorCalibration : public ::testing::Test {
   static sim::SimResult* planted_;
   static sim::SimResult* honest_;
   static btc::CoinbaseTagRegistry* registry_;
-  static core::PoolAttribution* planted_attr_;
-  static core::PoolAttribution* honest_attr_;
   static core::AuditDataset* planted_ds_;
   static core::AuditDataset* honest_ds_;
 };
@@ -159,8 +150,6 @@ class DetectorCalibration : public ::testing::Test {
 sim::SimResult* DetectorCalibration::planted_ = nullptr;
 sim::SimResult* DetectorCalibration::honest_ = nullptr;
 btc::CoinbaseTagRegistry* DetectorCalibration::registry_ = nullptr;
-core::PoolAttribution* DetectorCalibration::planted_attr_ = nullptr;
-core::PoolAttribution* DetectorCalibration::honest_attr_ = nullptr;
 core::AuditDataset* DetectorCalibration::planted_ds_ = nullptr;
 core::AuditDataset* DetectorCalibration::honest_ds_ = nullptr;
 
@@ -172,10 +161,10 @@ TEST_F(DetectorCalibration, WorldsAreComparable) {
     EXPECT_GT(world->chain.size(), 300u);
     EXPECT_GT(world->chain.total_tx_count(), 20'000u);
   }
-  for (const auto* attr : {planted_attr_, honest_attr_}) {
-    EXPECT_EQ(attr->unidentified_blocks(), 0u);
+  for (const core::AuditDataset* ds : {planted_ds_, honest_ds_}) {
+    EXPECT_EQ(ds->unidentified_blocks(), 0u);
     for (const char* pool : {"Selfish", "Tolerant", "Honest1", "Honest2"}) {
-      EXPECT_NEAR(attr->hash_share(pool), 0.25, 0.08) << pool;
+      EXPECT_NEAR(ds->hash_share(ds->pool_id(pool)), 0.25, 0.08) << pool;
     }
   }
 }
@@ -275,11 +264,13 @@ TEST_F(DetectorCalibration, ViolationsAttributeToTheBoostingPool) {
                                                   /*exclude_cpfp=*/true);
   std::unordered_map<std::string, double> per_pool;
   for (const auto& [height, count] : by_block) {
-    const auto pool = planted_attr_->pool_of(height);
-    if (pool.has_value()) per_pool[*pool] += static_cast<double>(count);
+    const core::PoolId pool = planted_ds_->pool_at(height);
+    if (pool != core::kNoPoolId) {
+      per_pool[planted_ds_->pool_name(pool)] += static_cast<double>(count);
+    }
   }
   const auto rate = [&](const std::string& pool) {
-    const auto blocks = planted_attr_->blocks_of(pool);
+    const auto blocks = planted_ds_->blocks_of(planted_ds_->pool_id(pool));
     return blocks == 0 ? 0.0 : per_pool[pool] / static_cast<double>(blocks);
   };
   const double selfish_rate = rate("Selfish");

@@ -15,13 +15,11 @@
 
 #include "btc/coinbase_tags.hpp"
 #include "core/audit_dataset.hpp"
-#include "core/wallet_inference.hpp"
 #include "helpers.hpp"
 #include "io/cnb.hpp"
 #include "io/dataset_io.hpp"
 #include "node/snapshot.hpp"
 #include "testing/fault_injector.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cn::io {
 namespace {
@@ -232,22 +230,28 @@ TEST_F(CnbFormatTest, LargeChainRoundTrips) {
 }
 
 TEST_F(CnbFormatTest, DerivedColumnsRoundTripBitwise) {
-  const btc::Chain chain = three_block_chain();
+  // Block 101 is unattributed; F2Pool names a second reward wallet in
+  // block 103, so the loader's wallet derivation has a set to rebuild.
+  btc::Chain chain = three_block_chain();
+  btc::Coinbase second_wallet;
+  second_wallet.tag = "/F2Pool/";
+  second_wallet.reward_address = btc::Address::derive("/F2Pool//second");
+  second_wallet.reward = btc::Satoshi{625'000'000};
+  chain.append(btc::Block(103, 2500, second_wallet,
+                          {cn::test::tx_with_rate(4.0, 250, 0, 1'030'001)}));
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(chain, registry);
-  util::ThreadPool workers(1);
-  const auto dataset = core::AuditDataset::build(chain, attribution, workers);
+  const auto dataset = core::AuditDataset::build(chain, registry, 1);
+  ASSERT_EQ(dataset.unidentified_blocks(), 1u);
+  ASSERT_EQ(dataset.reward_wallets(dataset.pool_id("F2Pool")).size(), 2u);
 
   CnbWriteOptions options;
   options.dataset = &dataset;
-  options.registry_fingerprint = registry.fingerprint();
   std::string error;
   ASSERT_TRUE(write_cnb(chain, path_, options, &error)) << error;
 
   const auto loaded = read_cnb(path_, LoadPolicy::kStrict);
   ASSERT_TRUE(loaded.has_value()) << loaded.report.summary();
   ASSERT_TRUE(loaded->audit_dataset.has_value());
-  EXPECT_EQ(loaded->registry_fingerprint, registry.fingerprint());
   EXPECT_EQ(loaded->prebuilt_for(registry), &*loaded->audit_dataset);
 
   const core::AuditDataset& r = *loaded->audit_dataset;
@@ -275,11 +279,17 @@ TEST_F(CnbFormatTest, DerivedColumnsRoundTripBitwise) {
   bitwise_equal(r.tx_flags(), dataset.tx_flags());
   bitwise_equal(r.sppe(), dataset.sppe());
   bitwise_equal(r.pools_by_blocks(), dataset.pools_by_blocks());
+  EXPECT_EQ(r.registry_fingerprint(), registry.fingerprint());
+  EXPECT_EQ(r.unidentified_blocks(), dataset.unidentified_blocks());
+  for (std::uint64_t h = 99; h <= 104; ++h) {
+    EXPECT_EQ(r.pool_at(h), dataset.pool_at(h)) << h;
+  }
   for (core::PoolId p = 0; p < dataset.pool_count(); ++p) {
     EXPECT_EQ(r.pool_name(p), dataset.pool_name(p));
     EXPECT_EQ(r.pool_tx_count(p), dataset.pool_tx_count(p));
     bitwise_equal(r.blocks_of_pool(p), dataset.blocks_of_pool(p));
     bitwise_equal(r.self_interest_txs(p), dataset.self_interest_txs(p));
+    bitwise_equal(r.reward_wallets(p), dataset.reward_wallets(p));
   }
   ASSERT_EQ(r.addresses().size(), dataset.addresses().size());
   for (core::TxIdx t = 0; t < dataset.tx_count(); ++t) {
@@ -562,13 +572,10 @@ TEST_F(CnbFormatTest, LenientDropsGroupWhenOptionalSectionWrongSized) {
 // offsets column used to reach name_offsets.front() on an empty vector.
 TEST_F(CnbFormatTest, LenientDropsDerivedGroupWhenOffsetsColumnMissing) {
   const btc::Chain chain = three_block_chain();
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const core::PoolAttribution attribution(chain, registry);
-  util::ThreadPool workers(1);
-  const auto dataset = core::AuditDataset::build(chain, attribution, workers);
+  const auto dataset = core::AuditDataset::build(
+      chain, btc::CoinbaseTagRegistry::paper_registry(), 1);
   CnbWriteOptions options;
   options.dataset = &dataset;
-  options.registry_fingerprint = registry.fingerprint();
   ASSERT_TRUE(write_cnb(chain, path_, options));
   rebrand_section(CnbSection::kPoolNameOffsets, 60'002);
 

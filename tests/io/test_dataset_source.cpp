@@ -13,14 +13,12 @@
 #include "core/audit_dataset.hpp"
 #include "core/audit_pipeline.hpp"
 #include "core/data_quality.hpp"
-#include "core/wallet_inference.hpp"
 #include "helpers.hpp"
 #include "io/cnb.hpp"
 #include "io/dataset_io.hpp"
 #include "io/dataset_source.hpp"
 #include "sim/dataset.hpp"
 #include "testing/fault_injector.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cn::io {
 namespace {
@@ -78,12 +76,9 @@ class DatasetSourceTest : public ::testing::Test {
   std::string to_cnb(DatasetHandle handle, bool with_derived = true) {
     const std::string path = dir_ + "/world.cnb";
     if (with_derived && !handle.audit_dataset.has_value()) {
-      const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-      const core::PoolAttribution attribution(handle.chain, registry);
-      util::ThreadPool workers(1);
       handle.audit_dataset = core::AuditDataset::build(
-          handle.chain, attribution, workers, &handle.addresses);
-      handle.registry_fingerprint = registry.fingerprint();
+          handle.chain, btc::CoinbaseTagRegistry::paper_registry(), 1,
+          &handle.addresses);
     }
     std::string error;
     EXPECT_TRUE(write_cnb(handle, path, &error)) << error;
@@ -201,15 +196,16 @@ TEST_F(DatasetSourceTest, PrebuiltDatasetIsGatedOnRegistryFingerprint) {
   // No dataset stored: nothing to reuse.
   EXPECT_EQ(handle->prebuilt_for(registry), nullptr);
 
-  const core::PoolAttribution attribution(handle->chain, registry);
-  util::ThreadPool workers(1);
-  handle->audit_dataset =
-      core::AuditDataset::build(handle->chain, attribution, workers);
-  // Fingerprint still zero: a dataset of unknown provenance is not reused.
+  // Attributed under another registry: its PoolIds would not line up.
+  btc::CoinbaseTagRegistry other;
+  other.add("F2Pool", "/F2Pool/");
+  handle->audit_dataset = core::AuditDataset::build(handle->chain, other, 1);
   EXPECT_EQ(handle->prebuilt_for(registry), nullptr);
+  EXPECT_EQ(handle->prebuilt_for(other), &*handle->audit_dataset);
 
-  handle->registry_fingerprint = registry.fingerprint();
+  handle->audit_dataset = core::AuditDataset::build(handle->chain, registry, 1);
   EXPECT_EQ(handle->prebuilt_for(registry), &*handle->audit_dataset);
+  EXPECT_EQ(handle->prebuilt_for(other), nullptr);
 }
 
 }  // namespace

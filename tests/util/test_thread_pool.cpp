@@ -82,7 +82,7 @@ TEST(ThreadPool, UnevenTaskCostsStillComplete) {
   std::atomic<long long> sum{0};
   pool.parallel_for(64, [&](std::size_t i) {
     volatile long long spin = 0;
-    for (std::size_t k = 0; k < i * 1000; ++k) spin += static_cast<long long>(k);
+    for (std::size_t k = 0; k < i * 1000; ++k) spin = spin + static_cast<long long>(k);
     sum.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), 64);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI driver: builds the release and asan presets, runs the full test
-# suite under both (the detector-calibration and detector-power suites
+# CI script: builds the release preset (warnings as errors) and the asan
+# preset, runs the full test suite under both (the detector-calibration
+# and detector-power suites
 # get their own labelled ASan pass, and the evasion bench's ROC gates
 # are checked from BENCH_detector_power.json), self-tests the pipeline
 # benchmark (pipebench/) at a small scale, checks every figure, table
@@ -40,7 +41,9 @@ run() {
 }
 
 echo "=== release: configure + build + ctest ==="
-run cmake --preset release
+# The release leg fails on any compiler warning, so a new one cannot
+# land unseen (CMake >= 3.24; other configurations keep warnings).
+run cmake --preset release -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 run cmake --build --preset release -j "${JOBS}"
 run ctest --preset release -j "${JOBS}"
 

@@ -45,7 +45,8 @@
 // Options may be spelled "--key value" or "--key=value". An option the
 // subcommand does not read is an error (exit 2), so a typo or a removed
 // option cannot silently fall back to a default; so is a numeric value
-// that does not parse whole (tools/args.hpp).
+// that does not parse whole (tools/args.hpp), and an --alpha, --min-share
+// or --min-coverage outside [0, 1].
 //
 //   cnaudit neutrality --input PATH
 //       Print the per-pool chain-neutrality scorecard (§6.1).
@@ -86,7 +87,6 @@
 #include "stats/descriptive.hpp"
 #include "stats/ecdf.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 #include "args.hpp"
 
@@ -163,11 +163,7 @@ std::optional<io::DatasetHandle> load_dataset(const Args& args) {
 const core::AuditDataset& audit_dataset(io::DatasetHandle& data) {
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
   if (const core::AuditDataset* stored = data.prebuilt_for(registry)) return *stored;
-  const core::PoolAttribution attribution(data.chain, registry);
-  util::ThreadPool workers(0);
-  data.audit_dataset = core::AuditDataset::build(data.chain, attribution, workers,
-                                                 &data.addresses);
-  data.registry_fingerprint = registry.fingerprint();
+  data.audit_dataset = core::AuditDataset::build(data.chain, registry, 0, &data.addresses);
   return *data.audit_dataset;
 }
 
@@ -223,8 +219,8 @@ int cmd_simulate(const Args& args) {
 int cmd_audit(const Args& args) {
   auto data = load_dataset(args);
   if (!data) return 1;
-  const double alpha = args.get_double("alpha", 0.001);
-  const double min_share = args.get_double("min-share", 0.03);
+  const double alpha = args.get_fraction("alpha", 0.001);
+  const double min_share = args.get_fraction("min-share", 0.03);
   const core::AuditDataset& ds = audit_dataset(*data);
 
   std::vector<core::PoolId> pools;
@@ -271,12 +267,12 @@ int cmd_report(const Args& args) {
   if (!data) return 1;
   const btc::Chain& chain = data->chain;
   core::AuditOptions options;
-  options.alpha = args.get_double("alpha", 0.001);
+  options.alpha = args.get_fraction("alpha", 0.001);
   // Lanes for the dataset build's per-block pass: 0 = all hardware
   // threads, 1 = serial; the report is byte-identical at any setting
   // (DESIGN.md §7.2, §9).
   options.threads = static_cast<unsigned>(args.get_u64("threads", 0, cli::kMaxLanes));
-  options.min_coverage = args.get_double("min-coverage", options.min_coverage);
+  options.min_coverage = args.get_fraction("min-coverage", options.min_coverage);
   // The loader interned every address it touched; the build stage reuses
   // the table instead of re-hashing the address universe.
   options.interned_addresses = &data->addresses;

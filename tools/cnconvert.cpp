@@ -21,11 +21,9 @@
 #include "args.hpp"
 #include "btc/coinbase_tags.hpp"
 #include "core/audit_dataset.hpp"
-#include "core/wallet_inference.hpp"
 #include "io/cnb.hpp"
 #include "io/dataset_io.hpp"
 #include "io/dataset_source.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -126,17 +124,12 @@ int main(int argc, char** argv) {
 
   if (no_derived) {
     data.audit_dataset.reset();
-    data.registry_fingerprint = 0;
   } else if (!data.audit_dataset.has_value()) {
     // Build the derived columns once at conversion time so every later
     // load skips the audit pipeline's dominant stage.
-    const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-    const core::PoolAttribution attribution(data.chain, registry);
-    util::ThreadPool workers(threads);
     data.audit_dataset = core::AuditDataset::build(
-        data.chain, attribution, workers,
+        data.chain, btc::CoinbaseTagRegistry::paper_registry(), threads,
         data.addresses.size() > 0 ? &data.addresses : nullptr);
-    data.registry_fingerprint = registry.fingerprint();
   }
 
   if (!io::write_cnb(data, out_path, &error)) {

@@ -132,6 +132,11 @@ expect_bad_number(--alpha report --data "${workdir}" --alpha 0.001x)
 # A lane count above 256 is rejected: the thread pool would spawn every
 # lane as a thread up front.
 expect_bad_number(--threads report --data "${workdir}" --threads 257)
+# A significance level and the share/coverage thresholds are fractions:
+# outside [0, 1] they would test nothing, or mask nothing.
+expect_bad_number(--alpha report --data "${workdir}" --alpha 1.5)
+expect_bad_number(--min-coverage report --data "${workdir}" --min-coverage -3)
+expect_bad_number(--min-share audit --data "${workdir}" --min-share -1)
 # A scale must be positive and a timeout non-negative (0 = no limit).
 expect_bad_number(--scale simulate --dataset A --scale -1 --out "${workdir}_seed")
 expect_bad_number(--scale simulate --dataset A --scale 0 --out "${workdir}_seed")
